@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -102,7 +102,7 @@ def parse_tolerance(text: str | None) -> ToleranceConfig:
     for item in text.split(","):
         key, sep, raw = item.partition("=")
         key = key.strip()
-        if not sep or key not in ("abs_tol", "rel_tol", "max_iter", "quad_rel_tol"):
+        if not sep or key not in {field.name for field in fields(ToleranceConfig)}:
             raise DomainError(f"unknown tolerance override {item!r}")
         overrides[key] = int(raw) if key == "max_iter" else float(raw)
     return replace(DEFAULT_TOL, **overrides)
@@ -140,7 +140,7 @@ def parse_prior(text: str, t: float) -> PriorSpec:
     name = text.strip().lower()
     if name in _STANDARD_PRIORS:
         kind = PriorKind(name.upper())
-        return prior_params(kind, t=t) if kind is PriorKind.ME else prior_params(kind)
+        return prior_params(kind, t=t)
     if name.startswith("custom:"):
         parts = name[len("custom:"):].split(",")
         if len(parts) != 2:
@@ -153,37 +153,13 @@ def parse_prior(text: str, t: float) -> PriorSpec:
     raise DomainError(f"unknown prior {text!r} (expected bl, jj, jr, me, or custom:a,b)")
 
 
-def _tol_text(tol: ToleranceConfig) -> str:
-    return (
-        f"abs_tol={tol.abs_tol!r} rel_tol={tol.rel_tol!r} "
-        f"max_iter={tol.max_iter} quad_rel_tol={tol.quad_rel_tol!r}"
-    )
-
-
-def _meta_lines(subcommand: str, tol: ToleranceConfig, seed: int | None = None) -> list[str]:
-    lines = [
-        f"# zerocount {__version__}",
-        f"# subcommand: {subcommand}",
-        f"# tolerance: {_tol_text(tol)}",
-    ]
-    if seed is not None:
-        meta = prng_metadata()
-        lines.append(f"# seed: {seed}")
-        lines.append(f"# prng: {meta['prng_algorithm']} ({meta['prng_library']})")
-    return lines
-
-
-def _meta_json(subcommand: str, tol: ToleranceConfig, seed: int | None = None) -> dict:
+def _metadata(subcommand: str, tol: ToleranceConfig, seed: int | None = None) -> dict:
+    """The metadata block that starts every CSV and JSON payload."""
     meta = {
         "tool": "zerocount",
         "version": __version__,
         "subcommand": subcommand,
-        "tolerance": {
-            "abs_tol": tol.abs_tol,
-            "rel_tol": tol.rel_tol,
-            "max_iter": tol.max_iter,
-            "quad_rel_tol": tol.quad_rel_tol,
-        },
+        "tolerance": asdict(tol),
     }
     if seed is not None:
         meta["seed"] = seed
@@ -191,9 +167,19 @@ def _meta_json(subcommand: str, tol: ToleranceConfig, seed: int | None = None) -
     return meta
 
 
-def _csv_text(meta: list[str], header: list[str], rows: list[list]) -> str:
+def _pairs(record: dict) -> str:
+    return " ".join(f"{key}={_fmt(value)}" for key, value in record.items())
+
+
+def _csv_text(meta: dict, notes, header: list[str], rows) -> str:
     buf = io.StringIO()
-    for line in meta:
+    buf.write(f"# zerocount {meta['version']}\n")
+    buf.write(f"# subcommand: {meta['subcommand']}\n")
+    buf.write(f"# tolerance: {_pairs(meta['tolerance'])}\n")
+    if "seed" in meta:
+        buf.write(f"# seed: {meta['seed']}\n")
+        buf.write(f"# prng: {meta['prng_algorithm']} ({meta['prng_library']})\n")
+    for line in notes:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -202,8 +188,27 @@ def _csv_text(meta: list[str], header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _render(args, tol, payload: dict, lines: list[str], *, notes=(), header=None, rows=None,
+            seed=None) -> None:
+    """Write one command's record to stdout in the chosen ``--format``.
+
+    JSON is the metadata block plus ``payload``. CSV is the metadata as ``#``
+    lines, then ``notes``, ``header`` and ``rows``; a flat ``payload`` given
+    without ``rows`` becomes one row. The table format prints ``lines``.
+    """
+    meta = _metadata(args.command, tol, seed)
+    if args.format == "json":
+        sys.stdout.write(_json_text({"metadata": meta, **payload}))
+    elif args.format == "csv":
+        if rows is None:
+            header, rows = list(payload), [list(payload.values())]
+        sys.stdout.write(_csv_text(meta, notes, header, rows))
+    else:
+        print(*lines, sep="\n")
 
 
 def _write_file(out_dir: str, name: str, text: str) -> None:
@@ -214,7 +219,49 @@ def _write_file(out_dir: str, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_csv(args, tol, name: str, header: list[str], rows, notes=()) -> None:
+    meta = _metadata(f"{args.command}/{name}", tol)
+    _write_file(args.out, f"{name}.csv", _csv_text(meta, notes, header, rows))
+
+
 # ---------------------------------------------------------------- estimate
+
+
+_ESTIMATE_HEADER = [
+    "prior", "a", "b", "post_shape", "post_rate", "mean_rho", "var_rho",
+    "mean_theta", "var_theta", "cl", "u_rho", "u_theta", "residual", "status",
+]
+
+
+def _prior_row(spec: PriorSpec, data: CountData, cls: list[float], tol) -> dict:
+    """One prior's record: posterior, moments and upper limits, or why it is improper."""
+    label = spec.kind.value.upper() if spec.kind is not PriorKind.CUSTOM else (
+        f"custom(a={spec.a!r}, b={spec.b!r})"
+    )
+    row = {"prior": label, "a": spec.a, "b": spec.b}
+    try:
+        post = posterior_from_sufficient(data.total, data.n, data.t, spec)
+    except ImproperPosteriorError as exc:
+        return {**row, "improper": True, "message": str(exc)}
+    limits = [upper_limit(post, cl, tol=tol) for cl in cls]
+    return {
+        **row,
+        "improper": False,
+        "posterior": {"shape": post.A, "rate": post.B},
+        "mean_rho": post.mean,
+        "var_rho": post.variance,
+        "mean_theta": post.mean * data.t,
+        "var_theta": post.variance * data.t**2,
+        "upper_limits": [
+            {
+                "cl": lim.CL,
+                "u_rho": lim.U_rho,
+                "u_theta": lim.U_theta,
+                "residual": lim.solver_residual,
+            }
+            for lim in limits
+        ],
+    }
 
 
 def cmd_estimate(args) -> int:
@@ -229,181 +276,83 @@ def cmd_estimate(args) -> int:
     for cl in cls:
         if not (0.0 < cl < 1.0):
             raise DomainError(f"--cl must lie in (0, 1), got {cl!r}")
-    prior_names = args.prior or list(_STANDARD_PRIORS)
-    priors = [parse_prior(name, args.t) for name in prior_names]
+    priors = [parse_prior(name, args.t) for name in args.prior or _STANDARD_PRIORS]
+
+    counts_record = {"n": data.n, "total": data.total, "t": data.t}
+    ml_record = {
+        "theta_hat": ml.theta_hat,
+        "rho_hat": ml.rho_hat,
+        "var_counts": ml.var_counts,
+        "var_mean": ml.var_mean,
+        "var_rate": ml.var_rate,
+        "pathological": ml.pathological,
+    }
+    notes = [f"# counts: {_pairs(counts_record)}", f"# ml: {_pairs(ml_record)}"]
+    lines = [
+        f"counts: n={data.n} total={data.total} t={data.t:g}",
+        f"ML: theta_hat={ml.theta_hat:.6g} rho_hat={ml.rho_hat:.6g} "
+        f"var_counts={ml.var_counts:.6g} var_mean={ml.var_mean:.6g} var_rate={ml.var_rate:.6g}",
+    ]
+    if ml.pathological:
+        lines.append(
+            "  all-zero record: ML point estimate is 0 with zero estimated variance; "
+            "use the simple-probability and Bayesian summaries below"
+        )
 
     simple = None
     if data.total == 0:
         mean_t, var_t, mean_r, var_r = simple_probability_estimates(data.n, data.t)
+        moments = {"mean_theta": mean_t, "var_theta": var_t, "mean_rho": mean_r, "var_rho": var_r}
         alphas = [args.alpha] if args.alpha is not None else [1.0 - cl for cl in cls]
-        simple = {
-            "mean_theta": mean_t,
-            "var_theta": var_t,
-            "mean_rho": mean_r,
-            "var_rho": var_r,
-            "upper_limits": [
-                dict(
-                    zip(
-                        ("alpha", "u_theta", "u_rho"),
-                        (alpha, *simple_probability_upper_limit(data.n, data.t, alpha)),
-                    )
-                )
-                for alpha in alphas
-            ],
-        }
-
-    entries = []
-    n_improper = 0
-    for spec in priors:
-        label = spec.kind.value.upper() if spec.kind is not PriorKind.CUSTOM else (
-            f"custom(a={spec.a!r}, b={spec.b!r})"
-        )
-        try:
-            post = posterior_from_sufficient(data.total, data.n, data.t, spec)
-        except ImproperPosteriorError as exc:
-            n_improper += 1
-            entries.append({"prior": label, "spec": spec, "improper": True, "message": str(exc)})
-            continue
-        limits = [upper_limit(post, cl, tol=tol) for cl in cls]
-        entries.append(
-            {
-                "prior": label,
-                "spec": spec,
-                "improper": False,
-                "posterior": post,
-                "limits": limits,
-            }
-        )
-
-    if args.format == "json":
-        _emit_json(_estimate_json(args, data, ml, simple, entries, tol))
-    elif args.format == "csv":
-        sys.stdout.write(_estimate_csv(data, ml, simple, entries, tol))
-    else:
-        _print_estimate(data, ml, simple, entries)
-    return EXIT_IMPROPER if entries and n_improper == len(entries) else EXIT_OK
-
-
-def _estimate_json(args, data, ml, simple, entries, tol) -> dict:
-    payload = {
-        "metadata": _meta_json("estimate", tol),
-        "counts": {"n": data.n, "total": data.total, "t": data.t},
-        "ml": {
-            "theta_hat": ml.theta_hat,
-            "rho_hat": ml.rho_hat,
-            "var_counts": ml.var_counts,
-            "var_mean": ml.var_mean,
-            "var_rate": ml.var_rate,
-            "pathological": ml.pathological,
-        },
-        "simple_probability": simple,
-        "priors": [],
-    }
-    for entry in entries:
-        spec = entry["spec"]
-        row = {"prior": entry["prior"], "a": spec.a, "b": spec.b, "improper": entry["improper"]}
-        if entry["improper"]:
-            row["message"] = entry["message"]
-        else:
-            post: GammaPosterior = entry["posterior"]
-            row["posterior"] = {"shape": post.A, "rate": post.B}
-            row["mean_rho"] = post.mean
-            row["var_rho"] = post.variance
-            row["mean_theta"] = post.mean * data.t
-            row["var_theta"] = post.variance * data.t**2
-            row["upper_limits"] = [
-                {
-                    "cl": lim.CL,
-                    "u_rho": lim.U_rho,
-                    "u_theta": lim.U_theta,
-                    "residual": lim.solver_residual,
-                }
-                for lim in entry["limits"]
-            ]
-        payload["priors"].append(row)
-    return payload
-
-
-def _estimate_csv(data, ml, simple, entries, tol) -> str:
-    meta = _meta_lines("estimate", tol)
-    meta.append(f"# counts: n={data.n} total={data.total} t={data.t!r}")
-    meta.append(
-        "# ml: theta_hat={!r} rho_hat={!r} var_counts={!r} var_mean={!r} var_rate={!r} "
-        "pathological={}".format(
-            ml.theta_hat, ml.rho_hat, ml.var_counts, ml.var_mean, ml.var_rate, ml.pathological
-        )
-    )
-    if simple is not None:
-        meta.append(
-            "# simple_probability: mean_theta={mean_theta!r} var_theta={var_theta!r} "
-            "mean_rho={mean_rho!r} var_rho={var_rho!r}".format(**simple)
-        )
-        for lim in simple["upper_limits"]:
-            meta.append(
-                "# simple_upper_limit: alpha={alpha!r} u_theta={u_theta!r} u_rho={u_rho!r}".format(
-                    **lim
-                )
-            )
-    header = [
-        "prior", "a", "b", "post_shape", "post_rate", "mean_rho", "var_rho",
-        "mean_theta", "var_theta", "cl", "u_rho", "u_theta", "residual", "status",
-    ]
-    rows = []
-    for entry in entries:
-        spec = entry["spec"]
-        if entry["improper"]:
-            rows.append([entry["prior"], spec.a, spec.b] + [None] * 10 + ["improper"])
-            continue
-        post = entry["posterior"]
-        for lim in entry["limits"]:
-            rows.append(
-                [
-                    entry["prior"], spec.a, spec.b, post.A, post.B, post.mean,
-                    post.variance, post.mean * data.t, post.variance * data.t**2,
-                    lim.CL, lim.U_rho, lim.U_theta, lim.solver_residual, "ok",
-                ]
-            )
-    return _csv_text(meta, header, rows)
-
-
-def _print_estimate(data, ml, simple, entries) -> None:
-    print(f"counts: n={data.n} total={data.total} t={data.t:g}")
-    print(
-        f"ML: theta_hat={ml.theta_hat:.6g} rho_hat={ml.rho_hat:.6g} "
-        f"var_counts={ml.var_counts:.6g} var_mean={ml.var_mean:.6g} var_rate={ml.var_rate:.6g}"
-    )
-    if ml.pathological:
-        print(
-            "  all-zero record: ML point estimate is 0 with zero estimated variance; "
-            "use the simple-probability and Bayesian summaries below"
-        )
-    if simple is not None:
-        print(
+        limits = []
+        for alpha in alphas:
+            u_theta, u_rho = simple_probability_upper_limit(data.n, data.t, alpha)
+            limits.append({"alpha": alpha, "u_theta": u_theta, "u_rho": u_rho})
+        simple = {**moments, "upper_limits": limits}
+        notes.append(f"# simple_probability: {_pairs(moments)}")
+        notes += [f"# simple_upper_limit: {_pairs(lim)}" for lim in limits]
+        lines.append(
             "simple probability: mean_theta={mean_theta:.6g} var_theta={var_theta:.6g} "
-            "mean_rho={mean_rho:.6g} var_rho={var_rho:.6g}".format(**simple)
+            "mean_rho={mean_rho:.6g} var_rho={var_rho:.6g}".format(**moments)
         )
-        for lim in simple["upper_limits"]:
-            print(
-                "  alpha={alpha:g}: U_theta={u_theta:.6g} U_rho={u_rho:.6g}".format(**lim)
-            )
-    for entry in entries:
-        spec = entry["spec"]
-        if entry["improper"]:
-            print(f"prior {entry['prior']} (a={spec.a:g}, b={spec.b:g}): IMPROPER")
-            print(f"  {entry['message']}")
+        lines += [
+            "  alpha={alpha:g}: U_theta={u_theta:.6g} U_rho={u_rho:.6g}".format(**lim)
+            for lim in limits
+        ]
+
+    records = [_prior_row(spec, data, cls, tol) for spec in priors]
+    rows = []
+    for rec in records:
+        head = f"prior {rec['prior']} (a={rec['a']:g}, b={rec['b']:g}): "
+        if rec["improper"]:
+            rows.append([rec["prior"], rec["a"], rec["b"]] + [None] * 10 + ["improper"])
+            lines += [head + "IMPROPER", f"  {rec['message']}"]
             continue
-        post = entry["posterior"]
-        print(
-            f"prior {entry['prior']} (a={spec.a:g}, b={spec.b:g}): "
-            f"posterior Gamma(shape={post.A:g}, rate={post.B:g}) "
-            f"mean_theta={post.mean * data.t:.6g} var_theta={post.variance * data.t ** 2:.6g} "
-            f"mean_rho={post.mean:.6g} var_rho={post.variance:.6g}"
+        post = rec["posterior"]
+        moments = [
+            rec["prior"], rec["a"], rec["b"], post["shape"], post["rate"],
+            rec["mean_rho"], rec["var_rho"], rec["mean_theta"], rec["var_theta"],
+        ]
+        lines.append(
+            head + f"posterior Gamma(shape={post['shape']:g}, rate={post['rate']:g}) "
+            f"mean_theta={rec['mean_theta']:.6g} var_theta={rec['var_theta']:.6g} "
+            f"mean_rho={rec['mean_rho']:.6g} var_rho={rec['var_rho']:.6g}"
         )
-        for lim in entry["limits"]:
-            print(
-                f"  CL={lim.CL:g}: U_theta={lim.U_theta:.6g} U_rho={lim.U_rho:.6g} "
-                f"residual={lim.solver_residual:.3g}"
+        for lim in rec["upper_limits"]:
+            rows.append(moments + [lim["cl"], lim["u_rho"], lim["u_theta"], lim["residual"], "ok"])
+            lines.append(
+                f"  CL={lim['cl']:g}: U_theta={lim['u_theta']:.6g} U_rho={lim['u_rho']:.6g} "
+                f"residual={lim['residual']:.3g}"
             )
+
+    payload = {
+        "counts": counts_record,
+        "ml": ml_record,
+        "simple_probability": simple,
+        "priors": records,
+    }
+    _render(args, tol, payload, lines, notes=notes, header=_ESTIMATE_HEADER, rows=rows)
+    return EXIT_IMPROPER if all(rec["improper"] for rec in records) else EXIT_OK
 
 
 # ---------------------------------------------------------------- tables
@@ -411,23 +360,41 @@ def _print_estimate(data, ml, simple, entries) -> None:
 
 _TABLE3_ALPHAS = (0.01, 0.05, 0.10, 0.37)
 _TABLE_CLS = (0.90, 0.95, 0.99)
+_ZERO_RECORD_PRIORS = (PriorKind.BL, PriorKind.JR, PriorKind.ME)
 
 
-def _table3_data():
-    rows = []
+def _zero_record_posteriors() -> dict[str, GammaPosterior]:
+    """BL, JR and ME posteriors of one zero count at t = 1 (table 5, figure 4)."""
+    return {
+        kind.value.lower(): posterior_from_sufficient(0, 1, 1.0, prior_params(kind, t=1.0))
+        for kind in _ZERO_RECORD_PRIORS
+    }
+
+
+def cmd_tables(args) -> int:
+    tol = parse_tolerance(args.tol)
+
+    table3 = []
     for alpha in _TABLE3_ALPHAS:
         u_theta, _ = simple_probability_upper_limit(1, 1.0, alpha)
-        rows.append({"alpha": alpha, "cl": 1.0 - alpha, "u_theta_exact": u_theta})
-    return rows
+        table3.append(
+            {
+                "alpha": alpha,
+                "cl": 1.0 - alpha,
+                "u_theta_exact": u_theta,
+                "u_theta_rounded": round_half_away(u_theta),
+            }
+        )
+    _write_csv(
+        args, tol, "table3", ["alpha", "cl", "u_theta"],
+        [[r["alpha"], r["cl"], f"{r['u_theta_rounded']:.1f}"] for r in table3],
+    )
 
-
-def _table4_data():
-    ranking = compare_priors(0, 1)
-    by_kind = {entry.prior.kind: entry for entry in ranking.entries}
-    rows = []
-    for kind in (PriorKind.BL, PriorKind.JR, PriorKind.ME):
+    by_kind = {entry.prior.kind: entry for entry in compare_priors(0, 1).entries}
+    table4 = []
+    for kind in _ZERO_RECORD_PRIORS:
         entry = by_kind[kind]
-        rows.append(
+        table4.append(
             {
                 "prior": kind.value.upper(),
                 "mean": entry.mean_estimate,
@@ -438,86 +405,33 @@ def _table4_data():
                 "risk_var": entry.risk_var,
             }
         )
-    return rows
+    _write_csv(args, tol, "table4", list(table4[0]), [list(r.values()) for r in table4])
 
-
-def _table5_data(tol: ToleranceConfig):
-    rows = []
+    posts = _zero_record_posteriors()
+    table5 = []
     for cl in _TABLE_CLS:
         row = {"cl": cl}
-        for kind in (PriorKind.BL, PriorKind.JR, PriorKind.ME):
-            spec = prior_params(kind, t=1.0) if kind is PriorKind.ME else prior_params(kind)
-            post = posterior_from_sufficient(0, 1, 1.0, spec)
+        for key, post in posts.items():
             lim = upper_limit(post, cl, tol=tol)
-            row[kind.value.lower()] = lim
-        rows.append(row)
-    return rows
-
-
-def cmd_tables(args) -> int:
-    tol = parse_tolerance(args.tol)
-
-    t3 = _table3_data()
-    csv3 = _csv_text(
-        _meta_lines("tables/table3", tol),
-        ["alpha", "cl", "u_theta"],
-        [[r["alpha"], r["cl"], f"{round_half_away(r['u_theta_exact']):.1f}"] for r in t3],
+            row[key] = {
+                "u_theta_exact": lim.U_theta,
+                "u_theta_rounded": round_half_away(lim.U_theta),
+                "residual": lim.solver_residual,
+            }
+        table5.append(row)
+    _write_csv(
+        args, tol, "table5", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
+        [[r["cl"]] + [f"{r[key]['u_theta_rounded']:.1f}" for key in posts] for r in table5],
     )
-    _write_file(args.out, "table3.csv", csv3)
-
-    t4 = _table4_data()
-    csv4 = _csv_text(
-        _meta_lines("tables/table4", tol),
-        ["prior", "mean", "bias_mean", "risk_mean", "var", "bias_var", "risk_var"],
-        [
-            [r["prior"], r["mean"], r["bias_mean"], r["risk_mean"], r["var"],
-             r["bias_var"], r["risk_var"]]
-            for r in t4
-        ],
-    )
-    _write_file(args.out, "table4.csv", csv4)
-
-    t5 = _table5_data(tol)
-    csv5 = _csv_text(
-        _meta_lines("tables/table5", tol),
-        ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
-        [
-            [r["cl"]] + [f"{round_half_away(r[k].U_theta):.1f}" for k in ("bl", "jr", "me")]
-            for r in t5
-        ],
-    )
-    _write_file(args.out, "table5.csv", csv5)
 
     if args.format == "json":
         payload = {
-            "metadata": _meta_json("tables", tol),
-            "table3": [
-                {
-                    "alpha": r["alpha"],
-                    "cl": r["cl"],
-                    "u_theta_exact": r["u_theta_exact"],
-                    "u_theta_rounded": round_half_away(r["u_theta_exact"]),
-                }
-                for r in t3
-            ],
-            "table4": t4,
-            "table5": [
-                {
-                    "cl": r["cl"],
-                    **{
-                        k: {
-                            "u_theta_exact": r[k].U_theta,
-                            "u_theta_rounded": round_half_away(r[k].U_theta),
-                            "residual": r[k].solver_residual,
-                        }
-                        for k in ("bl", "jr", "me")
-                    },
-                }
-                for r in t5
-            ],
+            "metadata": _metadata("tables", tol),
+            "table3": table3,
+            "table4": table4,
+            "table5": table5,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _write_file(args.out, "tables.json", text)
+        _write_file(args.out, "tables.json", _json_text(payload))
     return EXIT_OK
 
 
@@ -532,74 +446,42 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
 def cmd_figures(args) -> int:
     tol = parse_tolerance(args.tol)
 
-    thetas = _frange(0.0, 6.0, 0.01)
-    csv1 = _csv_text(
-        _meta_lines("figures/fig1", tol),
-        ["theta", "zero_class_probability"],
-        [[th, prob_all_zero(1, th)] for th in thetas],
+    _write_csv(
+        args, tol, "fig1", ["theta", "zero_class_probability"],
+        [[th, prob_all_zero(1, th)] for th in _frange(0.0, 6.0, 0.01)],
     )
-    _write_file(args.out, "fig1.csv", csv1)
 
-    rhos = _frange(0.01, 5.0, 0.01)
-    csv2 = _csv_text(
-        _meta_lines("figures/fig2", tol),
-        ["rho", "bl", "jj", "jr", "me"],
+    kinds = (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)
+    _write_csv(
+        args, tol, "fig2", ["rho", "bl", "jj", "jr", "me"],
         [
-            [rho] + [
-                prior_density(kind, rho, t=1.0, normalized=True)
-                for kind in (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)
-            ]
-            for rho in rhos
+            [rho] + [prior_density(kind, rho, t=1.0, normalized=True) for kind in kinds]
+            for rho in _frange(0.01, 5.0, 0.01)
         ],
     )
-    _write_file(args.out, "fig2.csv", csv2)
 
-    meta3 = _meta_lines("figures/fig3", tol)
-    meta3.append("# bayes_means: bl=1.0 jr=0.5 me=0.5")
-    curves = {
-        "bl": GammaDist(a=1.0, b=1.0),
-        "jr": GammaDist(a=0.5, b=1.0),
-        "me": GammaDist(a=1.0, b=2.0),
-    }
-    csv3 = _csv_text(
-        meta3,
-        ["theta", "bl", "jr", "me"],
-        [
-            [th] + [gamma_pdf(th, curves[k]) for k in ("bl", "jr", "me")]
-            for th in _frange(0.01, 6.0, 0.01)
-        ],
+    curves = (GammaDist(a=1.0, b=1.0), GammaDist(a=0.5, b=1.0), GammaDist(a=1.0, b=2.0))
+    _write_csv(
+        args, tol, "fig3", ["theta", "bl", "jr", "me"],
+        [[th] + [gamma_pdf(th, curve) for curve in curves] for th in _frange(0.01, 6.0, 0.01)],
+        notes=["# bayes_means: bl=1.0 jr=0.5 me=0.5"],
     )
-    _write_file(args.out, "fig3.csv", csv3)
 
-    posts = {
-        k: posterior_from_sufficient(
-            0, 1, 1.0,
-            prior_params(PriorKind(k.upper()), t=1.0) if k == "me"
-            else prior_params(PriorKind(k.upper())),
-        )
-        for k in ("bl", "jr", "me")
-    }
-    csv4 = _csv_text(
-        _meta_lines("figures/fig4", tol),
-        ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
+    posts = _zero_record_posteriors()
+    _write_csv(
+        args, tol, "fig4", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
         [
-            [cl] + [upper_limit(posts[k], cl, tol=tol).U_theta for k in ("bl", "jr", "me")]
+            [cl] + [upper_limit(post, cl, tol=tol).U_theta for post in posts.values()]
             for cl in _frange(0.50, 0.99, 0.005)
         ],
     )
-    _write_file(args.out, "fig4.csv", csv4)
 
     zp = ZPoissonParams(theta=4.5, psi=10.8907923667246459)
     nb = NBParams(theta=4.0, a=8.0)
-    csv5 = _csv_text(
-        _meta_lines("figures/fig5", tol),
-        ["x", "poisson", "zpoisson", "nb"],
-        [
-            [x, poisson_pmf(x, 4.0), zpoisson_pmf(x, zp), nb_pmf(x, nb)]
-            for x in range(51)
-        ],
+    _write_csv(
+        args, tol, "fig5", ["x", "poisson", "zpoisson", "nb"],
+        [[x, poisson_pmf(x, 4.0), zpoisson_pmf(x, zp), nb_pmf(x, nb)] for x in range(51)],
     )
-    _write_file(args.out, "fig5.csv", csv5)
     return EXIT_OK
 
 
@@ -636,36 +518,25 @@ def cmd_marginalize(args) -> int:
         "numeric_norm_residual": comp.numeric_norm_residual,
         "verdict": verdict,
     }
-    if args.format == "json":
-        _emit_json(
-            {
-                "metadata": _meta_json("marginalize", tol),
-                **summary,
-                "theta_grid": comp.theta_grid.tolist(),
-                "numeric_density": comp.numeric_density.tolist(),
-                "claimed_density": comp.claimed_density.tolist(),
-            }
-        )
-    elif args.format == "csv":
-        meta = _meta_lines("marginalize", tol)
-        for key, value in summary.items():
-            meta.append(f"# {key}: {_fmt(value)}")
-        rows = [
-            [th, num, clm]
-            for th, num, clm in zip(
-                comp.theta_grid, comp.numeric_density, comp.claimed_density
-            )
-        ]
-        sys.stdout.write(_csv_text(meta, ["theta", "numeric_density", "claimed_density"], rows))
-    else:
-        print(f"model={model} x={comp.x} strategy={args.strategy}")
-        print(
-            f"grid: {int(comp.theta_grid.size)} points on [0, {comp.theta_grid[-1]:g}]"
-        )
-        print(f"l1_distance={comp.l1_distance:.6g}")
-        print(f"linf_distance={comp.linf_distance:.6g}")
-        print(f"numeric_norm_residual={comp.numeric_norm_residual:.6g}")
-        print(f"verdict: {verdict}")
+    lines = [
+        f"model={model} x={comp.x} strategy={args.strategy}",
+        f"grid: {summary['grid_points']} points on [0, {summary['theta_max']:g}]",
+        f"l1_distance={comp.l1_distance:.6g}",
+        f"linf_distance={comp.linf_distance:.6g}",
+        f"numeric_norm_residual={comp.numeric_norm_residual:.6g}",
+        f"verdict: {verdict}",
+    ]
+    columns = {
+        "theta_grid": comp.theta_grid.tolist(),
+        "numeric_density": comp.numeric_density.tolist(),
+        "claimed_density": comp.claimed_density.tolist(),
+    }
+    _render(
+        args, tol, {**summary, **columns}, lines,
+        notes=[f"# {key}: {_fmt(value)}" for key, value in summary.items()],
+        header=["theta", "numeric_density", "claimed_density"],
+        rows=zip(comp.theta_grid, comp.numeric_density, comp.claimed_density),
+    )
     return EXIT_OK
 
 
@@ -709,20 +580,14 @@ def cmd_simulate(args) -> int:
         "sample_variance": None if math.isnan(summary.sample_variance) else summary.sample_variance,
         "dispersion": summary.dispersion,
     }
-    if args.format == "json":
-        _emit_json({"metadata": _meta_json("simulate", tol, seed=args.seed), **record})
-    elif args.format == "csv":
-        header = list(record)
-        sys.stdout.write(
-            _csv_text(_meta_lines("simulate", tol, seed=args.seed), header,
-                      [[record[k] for k in header]])
-        )
-    else:
-        print(f"model={record['model']} n_draws={summary.n_draws} seed={args.seed}")
-        print(f"sample_mean={summary.sample_mean:.6g}")
-        print(f"sample_variance={summary.sample_variance:.6g}")
-        disp = "undefined" if summary.dispersion is None else f"{summary.dispersion:.6g}"
-        print(f"dispersion={disp}")
+    disp = "undefined" if summary.dispersion is None else f"{summary.dispersion:.6g}"
+    lines = [
+        f"model={record['model']} n_draws={summary.n_draws} seed={args.seed}",
+        f"sample_mean={summary.sample_mean:.6g}",
+        f"sample_variance={summary.sample_variance:.6g}",
+        f"dispersion={disp}",
+    ]
+    _render(args, tol, record, lines, seed=args.seed)
     return EXIT_OK
 
 
@@ -743,19 +608,11 @@ def cmd_coverage(args) -> int:
         "coverage": result.coverage,
         "standard_error": result.standard_error,
     }
-    if args.format == "json":
-        _emit_json({"metadata": _meta_json("coverage", tol, seed=args.seed), **record})
-    elif args.format == "csv":
-        header = list(record)
-        sys.stdout.write(
-            _csv_text(_meta_lines("coverage", tol, seed=args.seed), header,
-                      [[record[k] for k in header]])
-        )
-    else:
-        print(
-            f"coverage={result.coverage:.6g} standard_error={result.standard_error:.6g} "
-            f"reps={result.reps}"
-        )
+    lines = [
+        f"coverage={result.coverage:.6g} standard_error={result.standard_error:.6g} "
+        f"reps={result.reps}"
+    ]
+    _render(args, tol, record, lines, seed=args.seed)
     return EXIT_OK
 
 
@@ -783,30 +640,15 @@ def cmd_jj_divergence(args) -> int:
                 "relative_gap": abs(evidence - log_form) / abs(log_form),
             }
         )
-    if args.format == "json":
-        _emit_json(
-            {
-                "metadata": _meta_json("jj-divergence", tol),
-                "u_theta": args.u_theta,
-                "rows": rows,
-            }
-        )
-    elif args.format == "csv":
-        header = ["epsilon", "alpha", "truncated_evidence", "log_approximation", "relative_gap"]
-        sys.stdout.write(
-            _csv_text(
-                _meta_lines("jj-divergence", tol),
-                header,
-                [[row[k] for k in header] for row in rows],
-            )
-        )
-    else:
-        print(f"u_theta={args.u_theta:g}")
-        for row in rows:
-            print(
-                "epsilon={epsilon:g}: alpha={alpha:.6g} evidence={truncated_evidence:.6g} "
-                "log_form={log_approximation:.6g} rel_gap={relative_gap:.3g}".format(**row)
-            )
+    lines = [f"u_theta={args.u_theta:g}"] + [
+        "epsilon={epsilon:g}: alpha={alpha:.6g} evidence={truncated_evidence:.6g} "
+        "log_form={log_approximation:.6g} rel_gap={relative_gap:.3g}".format(**row)
+        for row in rows
+    ]
+    _render(
+        args, tol, {"u_theta": args.u_theta, "rows": rows}, lines,
+        header=list(rows[0]), rows=[list(row.values()) for row in rows],
+    )
     return EXIT_OK
 
 
