@@ -104,7 +104,10 @@ def parse_tolerance(text: str | None) -> ToleranceConfig:
         key = key.strip()
         if not sep or key not in {field.name for field in fields(ToleranceConfig)}:
             raise DomainError(f"unknown tolerance override {item!r}")
-        overrides[key] = int(raw) if key == "max_iter" else float(raw)
+        try:
+            overrides[key] = int(raw) if key == "max_iter" else float(raw)
+        except ValueError:
+            raise DomainError(f"bad tolerance value in {item!r}") from None
     return replace(DEFAULT_TOL, **overrides)
 
 

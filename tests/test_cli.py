@@ -439,7 +439,10 @@ class TestExitCodes:
         assert run_cli(capsys, "estimate")[0] == 2
 
     def test_bad_tolerance_override(self, capsys):
-        assert run_cli(capsys, "estimate", "--counts", "0", "--tol", "bogus=1")[0] == 2
+        for override in ("bogus=1", "max_iter=1.5", "abs_tol=x"):
+            code, out, err = run_cli(capsys, "estimate", "--counts", "0", "--tol", override)
+            assert code == 2, override
+            assert err.startswith("error:")
 
     def test_starved_solver_exits_4(self, capsys):
         code, out, err = run_cli(
