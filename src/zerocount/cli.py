@@ -538,7 +538,7 @@ def cmd_marginalize(args) -> int:
         args, tol, {**summary, **columns}, lines,
         notes=[f"# {key}: {_fmt(value)}" for key, value in summary.items()],
         header=["theta", "numeric_density", "claimed_density"],
-        rows=zip(comp.theta_grid, comp.numeric_density, comp.claimed_density),
+        rows=zip(*columns.values()),
     )
     return EXIT_OK
 

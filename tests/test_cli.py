@@ -352,6 +352,18 @@ class TestMarginalize:
         assert payload["numeric_norm_residual"] < 1e-6
         assert payload["linf_distance"] > 1e-3
 
+    def test_csv_cells_are_plain_numbers(self, capsys):
+        code, out, err = run_cli(
+            capsys, "marginalize", "--model", "zpoisson", "--x", "1", "--step", "0.5",
+            "--format", "csv",
+        )
+        assert code == 0
+        meta, header, rows = split_csv(out)
+        assert header == ["theta", "numeric_density", "claimed_density"]
+        assert rows
+        for row in rows:
+            assert [float(cell) for cell in row]
+
     def test_a_lower_rejected_for_zpoisson(self, capsys):
         code, out, err = run_cli(
             capsys, "marginalize", "--model", "zpoisson", "--x", "0", "--a-lower", "5"
