@@ -28,7 +28,7 @@ from enum import Enum
 
 from .classical import CountData
 from .distributions import GammaDist, gamma_moment
-from .errors import DomainError, ImproperPosteriorError
+from .errors import DomainError, ImproperPosteriorError, _require_int
 from .numerics import (
     DEFAULT_TOL,
     EULER_GAMMA,
@@ -186,10 +186,8 @@ def posterior_from_sufficient(
     S: int, n: int, t: float, prior: PriorSpec
 ) -> GammaPosterior:
     """Build the Gamma posterior from the sufficient statistic directly."""
-    if isinstance(S, bool) or int(S) != S or S < 0:
-        raise DomainError(f"S must be a nonnegative integer, got {S!r}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    S = _require_int(S, "S")
+    n = _require_int(n, "n", 1)
     if not (t > 0.0):
         raise DomainError(f"t must be > 0, got {t!r}")
     a_post = S + prior.a
@@ -251,8 +249,7 @@ def upper_limit(
 
 def fisher_information(n: int, rho: float) -> float:
     """Fisher information n/rho carried by n measurements about the rate."""
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if not (rho > 0.0):
         raise DomainError(f"rho must be > 0, got {rho!r}")
     return n / rho

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 
 __all__ = [
     "CountData",
@@ -47,8 +47,7 @@ class CountData:
         if len(values) == 0:
             raise DomainError("counts must contain at least one measurement")
         for c in values:
-            if isinstance(c, bool) or int(c) != c or c < 0:
-                raise DomainError(f"counts must be nonnegative integers, got {c!r}")
+            _require_int(c, "counts")
         if not (t > 0.0):
             raise DomainError(f"t must be > 0, got {t!r}")
         object.__setattr__(self, "counts", tuple(int(c) for c in values))
@@ -129,8 +128,7 @@ def simple_probability_estimates(
     as a density n e^{-n theta} in theta, has mean 1/n and variance 1/n^2;
     dividing by t and t^2 converts to the rate.
     """
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if not (t > 0.0):
         raise DomainError(f"t must be > 0, got {t!r}")
     mean_theta = 1.0 / n
@@ -146,8 +144,7 @@ def simple_probability_upper_limit(
     Integrating the renormalized zero-class density beyond U leaves mass
     alpha when U_theta = ln(1/alpha)/n.
     """
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if not (t > 0.0):
         raise DomainError(f"t must be > 0, got {t!r}")
     if not (0.0 < alpha < 1.0):

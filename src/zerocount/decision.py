@@ -21,7 +21,7 @@ from enum import Enum
 
 from .bayes import PriorKind, PriorSpec, prior_params
 from .distributions import expectation_over_poisson
-from .errors import DomainError, ImproperPosteriorError
+from .errors import DomainError, ImproperPosteriorError, _require_int
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -88,11 +88,7 @@ class RiskOracleReport:
 
 
 def _check_sn(S: int, n: int) -> tuple[int, int]:
-    if isinstance(S, bool) or int(S) != S or S < 0:
-        raise DomainError(f"S must be a nonnegative integer, got {S!r}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    return int(S), int(n)
+    return _require_int(S, "S"), _require_int(n, "n", 1)
 
 
 def bayes_mean_counts(S: int, n: int, a: float, b: float) -> float:
@@ -114,13 +110,9 @@ def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) ->
     mode it is the observed total S and theta is replaced by S/n.
     """
     mode = ThetaMode(mode)
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if mode is ThetaMode.PLUG_IN:
-        S = s_or_theta
-        if int(S) != S or S < 0:
-            raise DomainError(f"S must be a nonnegative integer, got {S!r}")
-        theta = S / n
+        theta = _require_int(s_or_theta, "S") / n
     else:
         theta = s_or_theta
         if not (theta >= 0.0):
@@ -132,8 +124,7 @@ def sampling_variance_mean(theta: float, n: int, b: float) -> float:
     """Sampling variance n theta / (n + b)^2 of the Bayesian mean."""
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     return n * theta / (n + b) ** 2
 
 
@@ -222,8 +213,7 @@ def validate_risk_oracle(
     """
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     tol = tol if tol is not None else DEFAULT_TOL
     a, b = prior.a, prior.b
     denom = n + b

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_int
 from .numerics import DEFAULT_TOL, ToleranceConfig, log_gamma
 
 __all__ = [
@@ -46,12 +46,6 @@ __all__ = [
 ]
 
 
-def _require_count(x: int, name: str = "x") -> int:
-    if isinstance(x, bool) or int(x) != x or x < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {x!r}")
-    return int(x)
-
-
 @dataclass(frozen=True)
 class PoissonParams:
     """Dimensionless Poisson count parameter."""
@@ -76,8 +70,7 @@ class RateModel:
             raise DomainError(f"rho must be >= 0, got {self.rho!r}")
         if not (self.t > 0.0):
             raise DomainError(f"t must be > 0, got {self.t!r}")
-        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
+        _require_int(self.n, "n", 1)
 
     @property
     def theta(self) -> float:
@@ -214,7 +207,7 @@ class OverdispersionModel:
 
 def poisson_pmf(x: int, theta: float) -> float:
     """Poisson probability of observing ``x`` counts at parameter ``theta``."""
-    x = _require_count(x)
+    x = _require_int(x, "x")
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
     if theta == 0.0:
@@ -235,7 +228,7 @@ def poisson_moments(theta: float) -> tuple[float, float, float]:
 
 def prob_all_zero(n: int, theta: float) -> float:
     """Probability that ``n`` independent measurements all read zero counts."""
-    n = _require_count(n, "n")
+    n = _require_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     if not (theta >= 0.0):
@@ -252,7 +245,7 @@ def adhoc_zero_density(theta: float, n: int) -> float:
     """
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
-    n = _require_count(n, "n")
+    n = _require_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     return n * math.exp(-n * theta)
@@ -285,7 +278,7 @@ def gamma_pdf(rho: float, dist: GammaDist) -> float:
 
 def gamma_moment(dist: GammaDist, r: int) -> float:
     """Raw moment E[rho^r] = (a)_r / b^r with the ascending factorial (a)_r."""
-    r = _require_count(r, "r")
+    r = _require_int(r, "r")
     if r == 0:
         return 1.0
     log_ascending = log_gamma(dist.a + r) - log_gamma(dist.a)
@@ -298,7 +291,7 @@ def zpoisson_pmf(x: int, params: ZPoissonParams) -> float:
     The zero class carries probability psi * P0; the positive classes share
     the remainder in Poisson proportions.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     p0 = params.p0
     zero_mass = params.psi * p0
     if zero_mass > 1.0 + 1e-12:
@@ -329,7 +322,7 @@ def nb_pmf(x: int, params: NBParams) -> float:
     log1p keeps the (x + a) * log(1 + theta/a) factor accurate for the very
     large shapes used to check the Poisson limit.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     theta, a = params.theta, params.a
     log_pmf = (
         x * math.log(theta)

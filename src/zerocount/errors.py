@@ -67,3 +67,19 @@ class ImproperPosteriorError(ZeroCountError):
 
 # Shorter alias used in docs and by callers that predate the longer name.
 ImproperError = ImproperPosteriorError
+
+
+def _require_int(value, name: str, minimum: int = 0) -> int:
+    """Return ``value`` as an ``int`` if it is an integer >= ``minimum``.
+
+    Bool, non-integral, infinite and NaN values raise ``DomainError``, as
+    does anything ``int()`` cannot convert, so no caller sees an
+    ``OverflowError`` or a bare ``ValueError`` from the conversion.
+    """
+    try:
+        valid = not isinstance(value, bool) and int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

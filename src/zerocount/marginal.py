@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GammaDist, gamma_pdf
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .numerics import DEFAULT_TOL, ToleranceConfig, integrate_semi_infinite, log_gamma
 
 __all__ = [
@@ -61,12 +61,6 @@ class MarginalComparison:
     numeric_norm_residual: float
 
 
-def _require_count(x: int) -> int:
-    if isinstance(x, bool) or int(x) != x or x < 0:
-        raise DomainError(f"x must be a nonnegative integer, got {x!r}")
-    return int(x)
-
-
 def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
     """Uniform grid [0, x/2 + 12] suitable for marginal comparisons at count x.
 
@@ -74,7 +68,7 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
     grid even at x = 5, so grid-truncation cannot eat the 1e-6 normalization
     budget.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     if not (step > 0.0):
         raise DomainError(f"step must be > 0, got {step!r}")
     upper = x / 2.0 + 12.0
@@ -123,7 +117,7 @@ def zpoisson_joint_posterior(theta: float, psi: float, x: int) -> float:
     theta = 0 returns the analytic limit: 2 psi e^{-psi} for x = 0,
     4 (1 - psi) e^{-psi} for x = 1, and 0 for x >= 2.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
     if not (psi > 0.0):
@@ -162,7 +156,7 @@ def zpoisson_marginal(
     claimed Poisson-ME form to quadrature accuracy; the distances reported
     quantify that.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
 
@@ -199,7 +193,7 @@ def nb_joint_density(theta: float, a: float, x: int) -> float:
     Boundary values keep the integrand finite everywhere: at a = 0 the NB
     factor degenerates to a point mass at x = 0, and at theta = 0 likewise.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
     if not (a >= 0.0):
@@ -240,7 +234,7 @@ def nb_marginal_numeric(
     it up forces the NB toward its Poisson limit and the marginal toward
     the claimed form.
     """
-    x = _require_count(x)
+    x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
     if not (a_lower >= 0.0):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
-from .errors import ConvergenceError, DomainError, ImproperPosteriorError
+from .errors import ConvergenceError, DomainError, ImproperPosteriorError, _require_int
 from .numerics import ToleranceConfig
 
 __all__ = [
@@ -55,15 +55,10 @@ def prng_metadata() -> dict[str, str]:
 
 
 def _validate_seed(seed: int) -> int:
-    if isinstance(seed, bool) or int(seed) != seed or not (0 <= seed < 2**64):
+    seed = _require_int(seed, "seed")
+    if seed >= 2**64:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
-
-
-def _validate_draws(n_draws: int) -> int:
-    if isinstance(n_draws, bool) or int(n_draws) != n_draws or n_draws < 1:
-        raise DomainError(f"n_draws must be an integer >= 1, got {n_draws!r}")
-    return int(n_draws)
+    return seed
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.model, (PoissonParams, ZPoissonParams, NBParams)):
             raise DomainError(f"unsupported model {self.model!r}")
-        _validate_draws(self.n_draws)
+        _require_int(self.n_draws, "n_draws", 1)
         _validate_seed(self.seed)
 
 
@@ -128,7 +123,7 @@ def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Genera
 
 def sample(model: Model, n_draws: int, seed: int) -> np.ndarray:
     """Draw ``n_draws`` counts from ``model``, deterministically in ``seed``."""
-    n_draws = _validate_draws(n_draws)
+    n_draws = _require_int(n_draws, "n_draws", 1)
     seed = _validate_seed(seed)
     rng = np.random.default_rng(seed)
     if isinstance(model, PoissonParams):
@@ -194,11 +189,10 @@ def coverage_experiment(
         raise DomainError(f"true_rho must be >= 0, got {true_rho!r}")
     if not (t > 0.0):
         raise DomainError(f"t must be > 0, got {t!r}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if not (0.0 < cl < 1.0):
         raise DomainError(f"cl must lie in (0, 1), got {cl!r}")
-    reps = _validate_draws(reps)
+    reps = _require_int(reps, "reps", 1)
     seed = _validate_seed(seed)
 
     rng = np.random.default_rng(seed)

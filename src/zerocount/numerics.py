@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, QuadratureError
+from .errors import ConvergenceError, DomainError, QuadratureError, _require_int
 
 __all__ = [
     "ToleranceConfig",
@@ -71,8 +71,7 @@ class ToleranceConfig:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0 and self.quad_rel_tol > 0):
             raise DomainError("all tolerances must be strictly positive")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise DomainError("max_iter must be an integer >= 1")
+        _require_int(self.max_iter, "max_iter", 1)
 
 
 DEFAULT_TOL = ToleranceConfig()
