@@ -100,6 +100,19 @@ class CoverageResult:
     reps: int
 
 
+def _poisson(rng: np.random.Generator, lam, size=None) -> np.ndarray:
+    """``rng.poisson`` with numpy's refusal of a mean as a ``DomainError``.
+
+    numpy rejects means above about 9.2e18 with a bare ``ValueError``; for
+    the negative binomial the mean is a Gamma draw, so no check on the
+    input can rule that out in advance.
+    """
+    try:
+        return rng.poisson(lam, size)
+    except ValueError as exc:
+        raise DomainError(f"cannot draw Poisson counts: {exc}") from None
+
+
 def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     # cumulative-table inversion; the table stops once all but 1e-13 of the
     # mass is covered, and draws past the table clamp to its last entry
@@ -127,10 +140,10 @@ def sample(model: Model, n_draws: int, seed: int) -> np.ndarray:
     seed = _validate_seed(seed)
     rng = np.random.default_rng(seed)
     if isinstance(model, PoissonParams):
-        return rng.poisson(model.theta, n_draws).astype(np.int64)
+        return _poisson(rng, model.theta, n_draws).astype(np.int64)
     if isinstance(model, NBParams):
         lam = rng.gamma(shape=model.a, scale=model.theta / model.a, size=n_draws)
-        return rng.poisson(lam).astype(np.int64)
+        return _poisson(rng, lam).astype(np.int64)
     if isinstance(model, ZPoissonParams):
         return _sample_zpoisson(model, n_draws, rng)
     raise DomainError(f"unsupported model {model!r}")
@@ -196,7 +209,7 @@ def coverage_experiment(
     seed = _validate_seed(seed)
 
     rng = np.random.default_rng(seed)
-    totals = rng.poisson(n * true_rho * t, reps)
+    totals = _poisson(rng, n * true_rho * t, reps)
     offending = totals + prior.a <= 0.0
     if np.any(offending):
         idx = int(np.argmax(offending))

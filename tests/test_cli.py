@@ -419,6 +419,16 @@ class TestSimulateAndCoverage:
         assert run_cli(capsys, *base, "--model", "poisson", "--psi", "2")[0] == 2
         assert run_cli(capsys, *base, "--model", "nb", "--psi", "2", "--a", "1")[0] == 2
 
+    def test_means_beyond_sampler_limit_exit_2(self, capsys):
+        for argv in (
+            ("simulate", "--model", "poisson", "--theta", "1e30", "--draws", "10"),
+            ("simulate", "--model", "nb", "--theta", "1e300", "--a", "1", "--draws", "10"),
+            ("coverage", "--rho", "1e20", "--prior", "bl", "--reps", "10"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith("error:")
+
     def test_coverage_at_zero_rate_is_total(self, capsys):
         payload = run_json(
             capsys, "coverage", "--rho", "0", "--prior", "ME", "--cl", "0.95",

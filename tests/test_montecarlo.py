@@ -124,6 +124,20 @@ class TestSamplers:
         assert abs(summary.dispersion - 1.5) < 0.01
 
 
+class TestSamplerLimits:
+    # numpy refuses Poisson means above about 9.2e18 with a bare ValueError
+    @pytest.mark.parametrize(
+        "model", [PoissonParams(theta=1e30), NBParams(theta=1e300, a=1.0)], ids=["poisson", "nb"]
+    )
+    def test_mean_beyond_numpy_limit_is_a_domain_error(self, model):
+        with pytest.raises(DomainError):
+            sample(model, 10, seed=0)
+
+    def test_coverage_rate_beyond_numpy_limit_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            coverage_experiment(1e20, 1.0, 1, BL, 0.95, reps=10, seed=0)
+
+
 class TestSummarize:
     def test_hand_values(self):
         s = summarize(np.array([1, 2, 3]))
