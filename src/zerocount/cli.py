@@ -332,7 +332,7 @@ def cmd_estimate(args) -> int:
             lines += [head + "IMPROPER", f"  {rec['message']}"]
             continue
         post = rec["posterior"]
-        moments = [
+        cells = [
             rec["prior"], rec["a"], rec["b"], post["shape"], post["rate"],
             rec["mean_rho"], rec["var_rho"], rec["mean_theta"], rec["var_theta"],
         ]
@@ -342,7 +342,7 @@ def cmd_estimate(args) -> int:
             f"mean_rho={rec['mean_rho']:.6g} var_rho={rec['var_rho']:.6g}"
         )
         for lim in rec["upper_limits"]:
-            rows.append(moments + [lim["cl"], lim["u_rho"], lim["u_theta"], lim["residual"], "ok"])
+            rows.append(cells + [lim["cl"], lim["u_rho"], lim["u_theta"], lim["residual"], "ok"])
             lines.append(
                 f"  CL={lim['cl']:g}: U_theta={lim['u_theta']:.6g} U_rho={lim['u_rho']:.6g} "
                 f"residual={lim['residual']:.3g}"
