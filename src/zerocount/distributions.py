@@ -228,9 +228,7 @@ def poisson_moments(theta: float) -> tuple[float, float, float]:
 
 def prob_all_zero(n: int, theta: float) -> float:
     """Probability that ``n`` independent measurements all read zero counts."""
-    n = _require_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
     return math.exp(-n * theta)
@@ -245,9 +243,7 @@ def adhoc_zero_density(theta: float, n: int) -> float:
     """
     if not (theta >= 0.0):
         raise DomainError(f"theta must be >= 0, got {theta!r}")
-    n = _require_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     return n * math.exp(-n * theta)
 
 

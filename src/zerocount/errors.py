@@ -76,6 +76,9 @@ def _require_int(value, name: str, minimum: int = 0) -> int:
     does anything ``int()`` cannot convert, so no caller sees an
     ``OverflowError`` or a bare ``ValueError`` from the conversion.
     """
+    # integrands call this once per evaluation; a plain int skips the rest
+    if type(value) is int and value >= minimum:
+        return value
     try:
         valid = not isinstance(value, bool) and int(value) == value and value >= minimum
     except (TypeError, ValueError, OverflowError):
