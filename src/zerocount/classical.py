@@ -47,7 +47,7 @@ class CountData:
         if len(values) == 0:
             raise DomainError("counts must contain at least one measurement")
         for c in values:
-            _require_int(c, "counts")
+            _require_int(c, "count")
         if not (t > 0.0):
             raise DomainError(f"t must be > 0, got {t!r}")
         object.__setattr__(self, "counts", tuple(int(c) for c in values))
