@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import GammaDist, gamma_pdf
 from .errors import DomainError, _require_int
 from .numerics import DEFAULT_TOL, ToleranceConfig, integrate_semi_infinite, log_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MarginalComparison",
@@ -68,6 +70,8 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
     grid even at x = 5, so grid-truncation cannot eat the 1e-6 normalization
     budget.
     """
+    import numpy as np
+
     x = _require_int(x, "x")
     if not (step > 0.0):
         raise DomainError(f"step must be > 0, got {step!r}")
@@ -77,6 +81,8 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
 
 
 def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("theta_grid must be a 1-d vector with at least 2 points")
@@ -93,6 +99,8 @@ def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
@@ -156,6 +164,8 @@ def zpoisson_marginal(
     claimed Poisson-ME form to quadrature accuracy; the distances reported
     quantify that.
     """
+    import numpy as np
+
     x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
@@ -234,6 +244,8 @@ def nb_marginal_numeric(
     it up forces the NB toward its Poisson limit and the marginal toward
     the claimed form.
     """
+    import numpy as np
+
     x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL

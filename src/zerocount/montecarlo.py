@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
 from .errors import ConvergenceError, DomainError, ImproperPosteriorError, _require_int
 from .numerics import ToleranceConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PRNG_ALGORITHM",
@@ -47,6 +49,8 @@ Model = PoissonParams | ZPoissonParams | NBParams
 
 def prng_metadata() -> dict[str, str]:
     """Identify the generator behind every draw this module produces."""
+    import numpy as np
+
     return {
         "prng_algorithm": PRNG_ALGORITHM,
         "prng_library": f"numpy {np.__version__}",
@@ -114,6 +118,8 @@ def _poisson(rng: np.random.Generator, lam, size=None) -> np.ndarray:
 
 
 def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     # cumulative-table inversion; the table stops once all but 1e-13 of the
     # mass is covered, and draws past the table clamp to its last entry
     cap = int(params.theta + 50.0 * math.sqrt(params.theta + 1.0) + 50.0)
@@ -136,6 +142,8 @@ def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Genera
 
 def sample(model: Model, n_draws: int, seed: int) -> np.ndarray:
     """Draw ``n_draws`` counts from ``model``, deterministically in ``seed``."""
+    import numpy as np
+
     n_draws = _require_int(n_draws, "n_draws", 1)
     seed = _validate_seed(seed)
     rng = np.random.default_rng(seed)
@@ -150,6 +158,8 @@ def sample(model: Model, n_draws: int, seed: int) -> np.ndarray:
 
 
 def summarize(draws: np.ndarray) -> SimSummary:
+    import numpy as np
+
     draws = np.asarray(draws)
     n = int(draws.size)
     if n < 1:
@@ -198,6 +208,8 @@ def coverage_experiment(
     improper for a realized S (JJ with zero counts) aborts with an error
     naming the first offending replicate.
     """
+    import numpy as np
+
     if not (true_rho >= 0.0):
         raise DomainError(f"true_rho must be >= 0, got {true_rho!r}")
     if not (t > 0.0):

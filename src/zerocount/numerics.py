@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, QuadratureError, _require_int
 
 __all__ = [
@@ -271,8 +269,34 @@ def exp_integral_e1(x: float) -> float:
 # Gauss-Legendre panel rule: a 15-point estimate with the 7-point rule as the
 # embedded error reference. Nodes are interior, so integrands may blow up at
 # panel endpoints without being sampled there.
-_G7_NODES, _G7_WEIGHTS = (v.tolist() for v in np.polynomial.legendre.leggauss(7))
-_G15_NODES, _G15_WEIGHTS = (v.tolist() for v in np.polynomial.legendre.leggauss(15))
+#
+# The values are the reprs of numpy.polynomial.legendre.leggauss(7) and (15)
+# as .tolist() gives them (numpy 2.4.6). They are literals so that importing
+# this module does not import numpy; tests/test_numerics.py checks them
+# against leggauss bit for bit.
+_G7_NODES = (
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+)
+_G7_WEIGHTS = (
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+    0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+    0.12948496616886973,
+)
+_G15_NODES = (
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854,
+)
+_G15_WEIGHTS = (
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+)
 
 
 def _panel_rule(f: Callable[[float], float], a: float, b: float):

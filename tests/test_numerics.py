@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from zerocount import numerics
 from zerocount.errors import ConvergenceError, DomainError, QuadratureError
 from zerocount.numerics import (
     DEFAULT_TOL,
@@ -292,3 +293,25 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda x: math.exp(-x), lower=-1.0)
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda x: math.exp(-x), strategy="romberg")
+
+
+class TestGaussLegendreRule:
+    RULES = {
+        7: (numerics._G7_NODES, numerics._G7_WEIGHTS),
+        15: (numerics._G15_NODES, numerics._G15_WEIGHTS),
+    }
+
+    @pytest.mark.parametrize("n", sorted(RULES))
+    def test_literals_equal_leggauss_exactly(self, n):
+        nodes, weights = self.RULES[n]
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert list(nodes) == ref_nodes.tolist()
+        assert list(weights) == ref_weights.tolist()
+
+    @pytest.mark.parametrize("n", sorted(RULES))
+    def test_exact_on_polynomials_up_to_degree_2n_minus_1(self, n):
+        nodes, weights = self.RULES[n]
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            approx = math.fsum(w * x**k for x, w in zip(nodes, weights))
+            assert abs(approx - exact) <= 1e-14, k
