@@ -75,10 +75,10 @@ class PriorSpec:
     b: float
 
     def __post_init__(self):
-        if not (self.a >= 0.0):
-            raise DomainError(f"prior shape a must be >= 0, got {self.a!r}")
-        if not (self.b >= 0.0):
-            raise DomainError(f"prior rate b must be >= 0, got {self.b!r}")
+        if not (0.0 <= self.a < math.inf):
+            raise DomainError(f"prior shape a must be finite and >= 0, got {self.a!r}")
+        if not (0.0 <= self.b < math.inf):
+            raise DomainError(f"prior rate b must be finite and >= 0, got {self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,8 @@ def jj_truncated_evidence(epsilon: float) -> float:
     the lower endpoint at epsilon leaves E1(epsilon), which grows like
     -gamma_E - ln(epsilon) as the cutoff is removed.
     """
+    if not (0.0 < epsilon < math.inf):
+        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
     return exp_integral_e1(epsilon)
 
 
@@ -274,10 +276,10 @@ def jj_divergence_demo(epsilon: float, U_theta: float) -> float:
     mass at the origin and any fixed upper limit becomes certain. That is
     the quantitative sense in which the JJ prior fails for all-zero data.
     """
-    if not (epsilon > 0.0):
-        raise DomainError(f"epsilon must be > 0, got {epsilon!r}")
-    if not (U_theta > 0.0):
-        raise DomainError(f"U_theta must be > 0, got {U_theta!r}")
+    if not (0.0 < epsilon < math.inf):
+        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not (0.0 < U_theta < math.inf):
+        raise DomainError(f"U_theta must be finite and > 0, got {U_theta!r}")
     denominator = -EULER_GAMMA - math.log(epsilon)
     if denominator <= 0.0:
         raise DomainError(

@@ -48,8 +48,8 @@ class CountData:
             raise DomainError("counts must contain at least one measurement")
         for c in values:
             _require_int(c, "count")
-        if not (t > 0.0):
-            raise DomainError(f"t must be > 0, got {t!r}")
+        if not (0.0 < t < math.inf):
+            raise DomainError(f"t must be finite and > 0, got {t!r}")
         object.__setattr__(self, "counts", tuple(int(c) for c in values))
         object.__setattr__(self, "t", float(t))
 

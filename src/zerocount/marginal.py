@@ -249,8 +249,8 @@ def nb_marginal_numeric(
     x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
-    if not (a_lower >= 0.0):
-        raise DomainError(f"a_lower must be >= 0, got {a_lower!r}")
+    if not (0.0 <= a_lower < math.inf):
+        raise DomainError(f"a_lower must be finite and >= 0, got {a_lower!r}")
 
     def raw_marginal_at(theta: float) -> float:
         return integrate_semi_infinite(

@@ -466,6 +466,19 @@ class TestExitCodes:
             assert code == 2, override
             assert err.startswith("error:")
 
+    def test_non_finite_input_exits_2(self, capsys):
+        # bad input, not a numerical failure (4) or a misleading message
+        for argv, name in (
+            (("estimate", "--counts", "0", "--t", "inf", "--prior", "bl"), "t"),
+            (("estimate", "--counts", "0", "--prior", "custom:inf,1"), "prior shape a"),
+            (("jj-divergence", "--eps", "inf"), "epsilon"),
+            (("jj-divergence", "--u-theta", "inf"), "U_theta"),
+            (("marginalize", "--model", "nb", "--x", "0", "--a-lower", "inf"), "a_lower"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith(f"error: {name} must be finite"), err
+
     def test_starved_solver_exits_4(self, capsys):
         code, out, err = run_cli(
             capsys, "estimate", "--counts", "0", "--prior", "bl",

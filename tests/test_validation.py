@@ -2,19 +2,29 @@
 
 Bool, non-integral, infinite and NaN values must raise ``DomainError``; none
 may escape as ``OverflowError`` or a bare ``ValueError``, and none may be
-silently accepted.
+silently accepted. Real-valued parameters reject infinity and NaN with a
+``DomainError`` that names the parameter, rather than failing later as a
+numerical error.
 """
 
 import math
 
 import pytest
 
-from zerocount.bayes import PriorKind, fisher_information, posterior_from_sufficient, prior_params
+from zerocount.bayes import (
+    PriorKind,
+    PriorSpec,
+    fisher_information,
+    jj_divergence_demo,
+    jj_truncated_evidence,
+    posterior_from_sufficient,
+    prior_params,
+)
 from zerocount.classical import CountData, simple_probability_upper_limit
 from zerocount.decision import ThetaMode, bayes_mean_counts, bias_mean
 from zerocount.distributions import PoissonParams, poisson_pmf
 from zerocount.errors import DomainError
-from zerocount.marginal import make_theta_grid
+from zerocount.marginal import make_theta_grid, nb_marginal_numeric
 from zerocount.montecarlo import coverage_experiment, sample
 from zerocount.numerics import ToleranceConfig
 
@@ -53,3 +63,25 @@ def test_bad_integer_raises_domain_error(name):
 def test_integral_floats_are_still_accepted():
     assert posterior_from_sufficient(2.0, 1.0, 1.0, BL).A == 3.0
     assert poisson_pmf(0.0, 1.0) == math.exp(-1.0)
+
+
+# case -> (parameter named in the message, call)
+NON_FINITE_CALLS = {
+    "count_data_inf_t": ("t", lambda: CountData([0], t=INF)),
+    "count_data_nan_t": ("t", lambda: CountData([0], t=NAN)),
+    "prior_spec_inf_a": ("prior shape a", lambda: PriorSpec(PriorKind.BL, INF, 1.0)),
+    "prior_spec_inf_b": ("prior rate b", lambda: PriorSpec(PriorKind.BL, 1.0, INF)),
+    "jj_evidence_inf_epsilon": ("epsilon", lambda: jj_truncated_evidence(INF)),
+    "jj_demo_inf_epsilon": ("epsilon", lambda: jj_divergence_demo(INF, 2.0)),
+    "jj_demo_inf_u_theta": ("U_theta", lambda: jj_divergence_demo(1e-8, INF)),
+    "nb_marginal_inf_a_lower": (
+        "a_lower", lambda: nb_marginal_numeric(0, make_theta_grid(0, 1.0), a_lower=INF)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CALLS))
+def test_non_finite_float_raises_domain_error(case):
+    name, call = NON_FINITE_CALLS[case]
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        call()
