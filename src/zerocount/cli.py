@@ -658,12 +658,15 @@ def cmd_jj_divergence(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+_TOL_HELP = "tolerance overrides, e.g. abs_tol=1e-13,max_iter=400"
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output rendering (default: table)",
     )
-    parser.add_argument("--tol", help="tolerance overrides, e.g. abs_tol=1e-13,max_iter=400")
+    parser.add_argument("--tol", help=_TOL_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,9 +696,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_tables)
 
+    # figures writes only CSV files, so it takes no --format
     p = sub.add_parser("figures", help="emit the reference figure datasets as CSV")
     p.add_argument("--out", default=".", help="output directory")
-    _add_common(p)
+    p.add_argument("--tol", help=_TOL_HELP)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("marginalize", help="marginalize a two-parameter posterior")

@@ -44,7 +44,6 @@ _FORMATTED = {
         "estimate", "--counts", "0,0", "--prior", "custom:1.5,0.5", "--alpha", "0.1",
     ],
     "tables": ["tables", "--out", "{out}"],
-    "figures": ["figures", "--out", "{out}"],
     "marginalize_zpoisson": ["marginalize", "--model", "zpoisson", "--x", "0", "--step", "0.25"],
     "marginalize_zpoisson_doubling": [
         "marginalize", "--model", "zpoisson", "--x", "2", "--step", "0.5",
@@ -99,6 +98,9 @@ CASES.update(
             "coverage", "--rho", "0.1", "--prior", "jj", "--reps", "50", "--seed", "31",
         ],
         "error_bad_eps": ["jj-divergence", "--eps", "a,b"],
+        # figures writes CSV files only and takes no --format
+        "figures": ["figures", "--out", "{out}"],
+        "error_figures_format": ["figures", "--out", "{out}", "--format", "json"],
         "error_no_subcommand": [],
         "version": ["--version"],
     }
