@@ -9,10 +9,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy.testing as npt
 import pytest
 
+import zerocount
 from zerocount import __version__
 from zerocount.bayes import PriorKind
 from zerocount.cli import (
@@ -502,3 +507,48 @@ class TestJJDivergence:
 
     def test_bad_eps_list_exits_2(self, capsys):
         assert run_cli(capsys, "jj-divergence", "--eps", "a,b")[0] == 2
+
+
+class TestNumpyLoading:
+    """The closed-form commands never import numpy; the array commands do.
+
+    Each case runs in a fresh interpreter, since this one has numpy loaded.
+    """
+
+    SCRIPT = """
+import sys
+import zerocount, zerocount.cli, zerocount.marginal, zerocount.montecarlo
+from zerocount.cli import main
+assert "numpy" not in sys.modules, "numpy loaded on import"
+for argv in ARGV_LISTS:
+    assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+    def numpy_loaded_after(self, argv_lists) -> bool:
+        env = dict(os.environ, PYTHONPATH=str(Path(zerocount.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT.replace("ARGV_LISTS", repr(argv_lists))],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_closed_form_commands_leave_numpy_unloaded(self, tmp_path):
+        out = str(tmp_path)
+        assert not self.numpy_loaded_after([
+            ["estimate", "--counts", "0,1"],
+            ["tables", "--out", out],
+            ["figures", "--out", out],
+            ["jj-divergence"],
+        ])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["marginalize", "--model", "zpoisson", "--x", "0", "--step", "1.0"],
+            ["simulate", "--model", "poisson", "--theta", "2", "--draws", "10"],
+        ],
+    )
+    def test_array_commands_load_numpy(self, argv):
+        assert self.numpy_loaded_after([argv])
