@@ -16,145 +16,20 @@ The package is organized by inference route:
 - :mod:`zerocount.cli`: command-line front end (``zerocount ...``).
 """
 
-from .bayes import (
-    GammaPosterior,
-    PosteriorSource,
-    PriorKind,
-    PriorSpec,
-    UpperLimitResult,
-    differential_entropy_gamma,
-    fisher_information,
-    jj_divergence_demo,
-    jj_truncated_evidence,
-    posterior,
-    posterior_from_sufficient,
-    posterior_moment,
-    prior_density,
-    prior_params,
-    upper_limit,
-)
-from .classical import (
-    CountData,
-    MLReport,
-    log_likelihood,
-    ml_estimates,
-    one_count_upper_limit,
-    simple_probability_estimates,
-    simple_probability_upper_limit,
-    sufficient_statistic,
-)
-from .decision import (
-    AdmissibilityRanking,
-    RiskOracleReport,
-    RiskReport,
-    ThetaMode,
-    bayes_mean_counts,
-    bayes_var,
-    bias_mean,
-    bias_var,
-    compare_priors,
-    risk_mean,
-    risk_var,
-    sampling_variance_mean,
-    validate_risk_oracle,
-)
-from .distributions import (
-    DetectorConfig,
-    GammaDist,
-    NBParams,
-    OverdispersionModel,
-    PoissonParams,
-    RateModel,
-    ZPoissonParams,
-    adhoc_zero_density,
-    expectation_over_poisson,
-    expected_theta,
-    gamma_moment,
-    gamma_pdf,
-    nb_dispersion,
-    nb_pmf,
-    poisson_moments,
-    poisson_pmf,
-    prob_all_zero,
-    rate_variance,
-    zpoisson_moments,
-    zpoisson_pmf,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ImproperError,
-    ImproperPosteriorError,
-    QuadratureError,
-    ZeroCountError,
-)
-from .marginal import (
-    MarginalComparison,
-    make_theta_grid,
-    nb_joint_density,
-    nb_marginal_numeric,
-    zpoisson_joint_posterior,
-    zpoisson_marginal,
-)
-from .montecarlo import (
-    CoverageResult,
-    SimConfig,
-    SimSummary,
-    coverage_experiment,
-    dispersion_experiment,
-    prng_metadata,
-    sample,
-    simulate,
-    summarize,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    EULER_GAMMA,
-    ToleranceConfig,
-    exp_integral_e1,
-    integrate_semi_infinite,
-    inv_reg_inc_gamma_lower,
-    log_gamma,
-    reg_inc_gamma_lower,
-)
+from . import bayes, classical, decision, distributions, errors, marginal, montecarlo, numerics
+from .bayes import *  # noqa: F401,F403
+from .classical import *  # noqa: F401,F403
+from .decision import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .marginal import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ZeroCountError", "DomainError", "ConvergenceError", "QuadratureError",
-    "ImproperPosteriorError", "ImproperError",
-    # numerics
-    "ToleranceConfig", "DEFAULT_TOL", "EULER_GAMMA", "log_gamma",
-    "reg_inc_gamma_lower", "inv_reg_inc_gamma_lower", "exp_integral_e1",
-    "integrate_semi_infinite",
-    # distributions
-    "PoissonParams", "RateModel", "DetectorConfig", "GammaDist",
-    "ZPoissonParams", "NBParams", "OverdispersionModel", "poisson_pmf",
-    "poisson_moments", "prob_all_zero", "adhoc_zero_density", "gamma_pdf",
-    "gamma_moment", "zpoisson_pmf", "zpoisson_moments", "nb_pmf",
-    "nb_dispersion", "expected_theta", "rate_variance",
-    "expectation_over_poisson",
-    # classical
-    "CountData", "MLReport", "sufficient_statistic", "ml_estimates",
-    "log_likelihood", "simple_probability_estimates",
-    "simple_probability_upper_limit", "one_count_upper_limit",
-    # bayes
-    "PriorKind", "PriorSpec", "PosteriorSource", "GammaPosterior",
-    "UpperLimitResult", "prior_params", "prior_density", "posterior",
-    "posterior_from_sufficient", "posterior_moment", "upper_limit",
-    "fisher_information", "jj_truncated_evidence", "jj_divergence_demo",
-    "differential_entropy_gamma",
-    # decision
-    "ThetaMode", "RiskReport", "AdmissibilityRanking", "RiskOracleReport",
-    "bayes_mean_counts", "bias_mean", "sampling_variance_mean", "risk_mean",
-    "bayes_var", "bias_var", "risk_var", "compare_priors",
-    "validate_risk_oracle",
-    # marginal
-    "MarginalComparison", "make_theta_grid", "zpoisson_joint_posterior",
-    "zpoisson_marginal", "nb_joint_density", "nb_marginal_numeric",
-    # montecarlo
-    "SimConfig", "SimSummary", "CoverageResult", "prng_metadata", "sample",
-    "simulate", "summarize", "dispersion_experiment", "coverage_experiment",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"]
+for _module in (errors, numerics, distributions, classical, bayes, decision, marginal, montecarlo):
+    __all__ += _module.__all__
+del _module

@@ -67,7 +67,7 @@ from .errors import (
     QuadratureError,
 )
 from .marginal import make_theta_grid, nb_marginal_numeric, zpoisson_marginal
-from .montecarlo import SimConfig, coverage_experiment, prng_metadata, simulate
+from .montecarlo import coverage_experiment, prng_metadata, sample, summarize
 from .numerics import DEFAULT_TOL, EULER_GAMMA, ToleranceConfig
 
 __all__ = ["main", "build_parser", "round_half_away"]
@@ -570,7 +570,7 @@ def _build_model(args):
 def cmd_simulate(args) -> int:
     tol = parse_tolerance(args.tol)
     model = _build_model(args)
-    summary = simulate(SimConfig(model=model, n_draws=args.draws, seed=args.seed))
+    summary = summarize(sample(model, args.draws, args.seed))
     record = {
         "model": args.model.lower(),
         "theta": args.theta,

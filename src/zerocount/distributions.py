@@ -1,6 +1,6 @@
 """Count and rate distributions for rare-event measurements.
 
-Covers the Poisson count model and its rate-time rescaling, the Gamma family
+Covers the Poisson count model and the detector behind it, the Gamma family
 used for rate priors and posteriors, and two overdispersed count models: the
 zero-inflated Poisson (z-Poisson) and the negative binomial. All pmf and pdf
 values are computed in log space and exponentiated once, so the routines stay
@@ -24,12 +24,10 @@ from .numerics import DEFAULT_TOL, ToleranceConfig, log_gamma
 
 __all__ = [
     "PoissonParams",
-    "RateModel",
     "DetectorConfig",
     "GammaDist",
     "ZPoissonParams",
     "NBParams",
-    "OverdispersionModel",
     "poisson_pmf",
     "poisson_moments",
     "prob_all_zero",
@@ -41,7 +39,6 @@ __all__ = [
     "nb_pmf",
     "nb_dispersion",
     "expected_theta",
-    "rate_variance",
     "expectation_over_poisson",
 ]
 
@@ -53,29 +50,8 @@ class PoissonParams:
     theta: float
 
     def __post_init__(self):
-        if not (self.theta >= 0.0):
-            raise DomainError(f"theta must be >= 0, got {self.theta!r}")
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Event rate ``rho`` observed for duration ``t`` in ``n`` measurements."""
-
-    rho: float
-    t: float
-    n: int = 1
-
-    def __post_init__(self):
-        if not (self.rho >= 0.0):
-            raise DomainError(f"rho must be >= 0, got {self.rho!r}")
-        if not (self.t > 0.0):
-            raise DomainError(f"t must be > 0, got {self.t!r}")
-        _require_int(self.n, "n", 1)
-
-    @property
-    def theta(self) -> float:
-        """Counts expected per measurement: theta = rho * t."""
-        return self.rho * self.t
+        if not (0.0 <= self.theta < math.inf):
+            raise DomainError(f"theta must be finite and >= 0, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -148,10 +124,10 @@ class ZPoissonParams:
     psi: float
 
     def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise DomainError(f"theta must be > 0, got {self.theta!r}")
-        if not (self.psi >= 1.0):
-            raise DomainError(f"psi must be >= 1, got {self.psi!r}")
+        if not (0.0 < self.theta < math.inf):
+            raise DomainError(f"theta must be finite and > 0, got {self.theta!r}")
+        if not (1.0 <= self.psi < math.inf):
+            raise DomainError(f"psi must be finite and >= 1, got {self.psi!r}")
         # allow psi = 1/P0 up to roundoff; beyond that the zero mass exceeds 1
         if self.psi * math.exp(-self.theta) > 1.0 + 1e-12:
             raise DomainError(
@@ -172,37 +148,10 @@ class NBParams:
     a: float
 
     def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise DomainError(f"theta must be > 0, got {self.theta!r}")
-        if not (self.a > 0.0):
-            raise DomainError(f"shape a must be > 0, got {self.a!r}")
-
-
-@dataclass(frozen=True)
-class OverdispersionModel:
-    """Dispersion coefficient ``delta_x`` with its excess-variation source ``v``."""
-
-    delta_x: float
-    v: float = 0.0
-
-    def __post_init__(self):
-        if not (self.delta_x > 0.0):
-            raise DomainError(f"delta_x must be > 0, got {self.delta_x!r}")
-        if not (self.v >= 0.0):
-            raise DomainError(f"v must be >= 0, got {self.v!r}")
-
-    @classmethod
-    def from_excess_variation(cls, theta: float, v: float) -> "OverdispersionModel":
-        """Build from an efficiency variation coefficient ``v``.
-
-        With count variance theta inflated by (v * theta)^2 the dispersion
-        coefficient is 1 + theta * v^2, always >= 1.
-        """
-        if not (theta >= 0.0):
-            raise DomainError(f"theta must be >= 0, got {theta!r}")
-        if not (v >= 0.0):
-            raise DomainError(f"v must be >= 0, got {v!r}")
-        return cls(delta_x=1.0 + theta * v * v, v=v)
+        if not (0.0 < self.theta < math.inf):
+            raise DomainError(f"theta must be finite and > 0, got {self.theta!r}")
+        if not (0.0 < self.a < math.inf):
+            raise DomainError(f"shape a must be finite and > 0, got {self.a!r}")
 
 
 def poisson_pmf(x: int, theta: float) -> float:
@@ -339,21 +288,6 @@ def nb_dispersion(params: NBParams) -> float:
 def expected_theta(cfg: DetectorConfig) -> float:
     """Expected counts N * decay_const * efficiency * t for the detector."""
     return cfg.rho * cfg.t
-
-
-def rate_variance(rho: float, t: float, delta_x: float = 1.0) -> float:
-    """Variance of the rate estimate: delta_x * rho / t.
-
-    delta_x = 1 is the pure Poisson value; larger values model overdispersed
-    counts.
-    """
-    if not (rho >= 0.0):
-        raise DomainError(f"rho must be >= 0, got {rho!r}")
-    if not (t > 0.0):
-        raise DomainError(f"t must be > 0, got {t!r}")
-    if not (delta_x > 0.0):
-        raise DomainError(f"delta_x must be > 0, got {delta_x!r}")
-    return delta_x * rho / t
 
 
 def expectation_over_poisson(

@@ -12,7 +12,6 @@ __all__ = [
     "ConvergenceError",
     "QuadratureError",
     "ImproperPosteriorError",
-    "ImproperError",
 ]
 
 
@@ -63,10 +62,6 @@ class ImproperPosteriorError(ZeroCountError):
         self.shape = shape
         self.total_counts = total_counts
         self.replicate = replicate
-
-
-# Shorter alias used in docs and by callers that predate the longer name.
-ImproperError = ImproperPosteriorError
 
 
 def _require_int(value, name: str, minimum: int = 0) -> int:

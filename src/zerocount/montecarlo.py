@@ -9,8 +9,8 @@ Bayesian upper limits.
 Determinism is part of the contract here. All randomness flows through
 ``numpy.random.default_rng(seed)`` (PCG64); the algorithm and library
 version are exposed via :func:`prng_metadata` so emitted records identify
-the generator that produced them. The same config always yields the same
-draws, bit for bit, under the same numpy version.
+the generator that produced them. The same model, size and seed always
+yield the same draws, bit for bit, under the same numpy version.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PRNG_ALGORITHM",
-    "SimConfig",
     "SimSummary",
     "CoverageResult",
     "prng_metadata",
     "sample",
-    "simulate",
     "summarize",
     "dispersion_experiment",
     "coverage_experiment",
@@ -63,21 +61,6 @@ def _validate_seed(seed: int) -> int:
     if seed >= 2**64:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return seed
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """One reproducible sampling run: model, size, and seed."""
-
-    model: Model
-    n_draws: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.model, (PoissonParams, ZPoissonParams, NBParams)):
-            raise DomainError(f"unsupported model {self.model!r}")
-        _require_int(self.n_draws, "n_draws", 1)
-        _validate_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -174,10 +157,6 @@ def summarize(draws: np.ndarray) -> SimSummary:
     )
 
 
-def simulate(config: SimConfig) -> SimSummary:
-    return summarize(sample(config.model, config.n_draws, config.seed))
-
-
 def dispersion_experiment(theta: float, n_bins: int, seed: int) -> SimSummary:
     """Split a long observation into ``n_bins`` Poisson bins and summarize.
 
@@ -187,7 +166,7 @@ def dispersion_experiment(theta: float, n_bins: int, seed: int) -> SimSummary:
     """
     if not (theta > 0.0):
         raise DomainError(f"theta must be > 0, got {theta!r}")
-    return simulate(SimConfig(model=PoissonParams(theta=theta), n_draws=n_bins, seed=seed))
+    return summarize(sample(PoissonParams(theta=theta), n_bins, seed))
 
 
 def coverage_experiment(
@@ -210,10 +189,10 @@ def coverage_experiment(
     """
     import numpy as np
 
-    if not (true_rho >= 0.0):
-        raise DomainError(f"true_rho must be >= 0, got {true_rho!r}")
-    if not (t > 0.0):
-        raise DomainError(f"t must be > 0, got {t!r}")
+    if not (0.0 <= true_rho < math.inf):
+        raise DomainError(f"true_rho must be finite and >= 0, got {true_rho!r}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"t must be finite and > 0, got {t!r}")
     n = _require_int(n, "n", 1)
     if not (0.0 < cl < 1.0):
         raise DomainError(f"cl must lie in (0, 1), got {cl!r}")

@@ -53,8 +53,6 @@ class ToleranceConfig:
     ----------
     abs_tol : float
         Absolute target for root residuals and integral tails.
-    rel_tol : float
-        Relative target for iterative estimates.
     max_iter : int
         Iteration budget for bracketing and root polishing.
     quad_rel_tol : float
@@ -62,13 +60,14 @@ class ToleranceConfig:
     """
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
     max_iter: int = 200
     quad_rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.quad_rel_tol > 0):
-            raise DomainError("all tolerances must be strictly positive")
+        for name in ("abs_tol", "quad_rel_tol"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
         _require_int(self.max_iter, "max_iter", 1)
 
 
@@ -94,12 +93,14 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
     monotone nondecreasing in ``x``, 0 at ``x = 0``, and 1 in the limit.
     Both evaluation branches iterate to machine-level convergence.
     """
-    if not (a > 0.0):
-        raise DomainError(f"shape parameter must be positive, got {a!r}")
+    if not (0.0 < a < math.inf):
+        raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
     if not (x >= 0.0):
         raise DomainError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     log_prefactor = a * math.log(x) - x - math.lgamma(a)
 
     if x < a + 1.0:
@@ -160,8 +161,8 @@ def inv_reg_inc_gamma_lower(
         If bracketing or polishing exhausts ``tol.max_iter``; the exception
         carries the last bracket.
     """
-    if not (a > 0.0):
-        raise DomainError(f"shape parameter must be positive, got {a!r}")
+    if not (0.0 < a < math.inf):
+        raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
     tol = tol if tol is not None else DEFAULT_TOL
@@ -231,6 +232,8 @@ def exp_integral_e1(x: float) -> float:
     """
     if not (x > 0.0):
         raise DomainError(f"E1 requires x > 0, got {x!r}")
+    if x == math.inf:
+        return 0.0
 
     if x <= 1.0:
         total = -EULER_GAMMA - math.log(x)

@@ -32,7 +32,7 @@ from zerocount.distributions import (
     poisson_pmf,
     prob_all_zero,
 )
-from zerocount.errors import DomainError, ImproperError, ImproperPosteriorError
+from zerocount.errors import DomainError, ImproperPosteriorError
 
 
 def theta_density(post: GammaPosterior, theta: float) -> float:
@@ -111,12 +111,6 @@ class TestPosteriorConstruction:
         assert excinfo.value.shape == 0.0
         assert excinfo.value.total_counts == 0
         assert "diverges" in str(excinfo.value)
-
-    def test_improper_alias(self):
-        # both names refer to the same exception type
-        assert ImproperError is ImproperPosteriorError
-        with pytest.raises(ImproperError):
-            posterior(CountData([0, 0]), prior_params(PriorKind.JJ))
 
     def test_custom_zero_shape_depends_on_data(self):
         flat_zero = PriorSpec(PriorKind.CUSTOM, 0.0, 5.0)

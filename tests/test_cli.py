@@ -68,7 +68,7 @@ class TestHelpers:
         tol = parse_tolerance("abs_tol=1e-13,max_iter=400")
         assert tol.abs_tol == 1e-13
         assert tol.max_iter == 400
-        assert tol.rel_tol == DEFAULT_TOL.rel_tol
+        assert tol.quad_rel_tol == DEFAULT_TOL.quad_rel_tol
 
     def test_parse_tolerance_rejects_unknown_key(self):
         with pytest.raises(DomainError):
@@ -466,7 +466,7 @@ class TestExitCodes:
         assert run_cli(capsys, "estimate")[0] == 2
 
     def test_bad_tolerance_override(self, capsys):
-        for override in ("bogus=1", "max_iter=1.5", "abs_tol=x"):
+        for override in ("bogus=1", "rel_tol=1", "max_iter=1.5", "abs_tol=x"):
             code, out, err = run_cli(capsys, "estimate", "--counts", "0", "--tol", override)
             assert code == 2, override
             assert err.startswith("error:")
@@ -479,6 +479,12 @@ class TestExitCodes:
             (("jj-divergence", "--eps", "inf"), "epsilon"),
             (("jj-divergence", "--u-theta", "inf"), "U_theta"),
             (("marginalize", "--model", "nb", "--x", "0", "--a-lower", "inf"), "a_lower"),
+            (("estimate", "--counts", "0", "--prior", "bl", "--tol", "abs_tol=inf"), "abs_tol"),
+            (("marginalize", "--model", "zpoisson", "--x", "0", "--tol", "quad_rel_tol=inf"),
+             "quad_rel_tol"),
+            (("coverage", "--rho", "0", "--t", "inf", "--prior", "bl", "--reps", "10"), "t"),
+            (("simulate", "--model", "nb", "--theta", "1", "--a", "inf", "--draws", "10"),
+             "shape a"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv

@@ -13,9 +13,7 @@ from zerocount.distributions import (
     DetectorConfig,
     GammaDist,
     NBParams,
-    OverdispersionModel,
     PoissonParams,
-    RateModel,
     ZPoissonParams,
     adhoc_zero_density,
     expectation_over_poisson,
@@ -27,7 +25,6 @@ from zerocount.distributions import (
     poisson_moments,
     poisson_pmf,
     prob_all_zero,
-    rate_variance,
     zpoisson_moments,
     zpoisson_pmf,
 )
@@ -243,18 +240,6 @@ class TestNegativeBinomial:
 
 
 class TestRateAndDetector:
-    def test_rate_model_theta(self):
-        model = RateModel(rho=0.5, t=4.0, n=3)
-        assert model.theta == 2.0
-
-    def test_rate_model_validation(self):
-        with pytest.raises(DomainError):
-            RateModel(rho=-1.0, t=1.0)
-        with pytest.raises(DomainError):
-            RateModel(rho=1.0, t=0.0)
-        with pytest.raises(DomainError):
-            RateModel(rho=1.0, t=1.0, n=0)
-
     def test_expected_theta_direct_product(self):
         cfg = DetectorConfig(n_atoms=1e10, decay_const=1e-12, efficiency=0.5, t=3600.0)
         np.testing.assert_allclose(expected_theta(cfg), 18.0, rtol=1e-13)
@@ -277,22 +262,6 @@ class TestRateAndDetector:
         bad = DetectorConfig(n_atoms=10.0, decay_const=0.05, efficiency=0.9, t=10.0)
         assert bad.poisson_regime_warning
         assert bad.p > 0.1
-
-    def test_rate_variance(self):
-        assert rate_variance(1.0, 1.0, 1.0) == 1.0
-        assert rate_variance(2.0, 4.0, 1.0) == 0.5
-        np.testing.assert_allclose(rate_variance(2.0, 4.0, 1.24), 0.62, rtol=1e-13)
-
-    def test_overdispersion_model(self):
-        model = OverdispersionModel.from_excess_variation(theta=2.0, v=0.5)
-        assert model.delta_x == 1.5
-        assert OverdispersionModel.from_excess_variation(3.0, 0.0).delta_x == 1.0
-        for v in [0.0, 0.1, 1.0, 10.0]:
-            assert OverdispersionModel.from_excess_variation(2.0, v).delta_x >= 1.0
-        with pytest.raises(DomainError):
-            OverdispersionModel(delta_x=0.0)
-        with pytest.raises(DomainError):
-            OverdispersionModel.from_excess_variation(2.0, -1.0)
 
 
 class TestExpectationOverPoisson:

@@ -17,13 +17,11 @@ from zerocount.errors import DomainError, ImproperPosteriorError
 from zerocount.montecarlo import (
     PRNG_ALGORITHM,
     CoverageResult,
-    SimConfig,
     SimSummary,
     coverage_experiment,
     dispersion_experiment,
     prng_metadata,
     sample,
-    simulate,
     summarize,
 )
 from zerocount.numerics import reg_inc_gamma_lower
@@ -54,17 +52,18 @@ class TestConfigAndMetadata:
     def test_config_validation(self):
         model = PoissonParams(theta=1.0)
         with pytest.raises(DomainError):
-            SimConfig(model=model, n_draws=0, seed=1)
+            sample(model, n_draws=0, seed=1)
         with pytest.raises(DomainError):
-            SimConfig(model=model, n_draws=10, seed=-1)
+            sample(model, n_draws=10, seed=-1)
         with pytest.raises(DomainError):
-            SimConfig(model=model, n_draws=10, seed=2**64)
+            sample(model, n_draws=10, seed=2**64)
         with pytest.raises(DomainError):
-            SimConfig(model="poisson", n_draws=10, seed=1)
+            sample("poisson", n_draws=10, seed=1)
 
     def test_simulate_is_deterministic(self):
-        config = SimConfig(model=NBParams(theta=4.0, a=8.0), n_draws=5000, seed=99)
-        assert simulate(config) == simulate(config)
+        # the simulate subcommand's pipeline: summarize(sample(...))
+        model = NBParams(theta=4.0, a=8.0)
+        assert summarize(sample(model, 5000, 99)) == summarize(sample(model, 5000, 99))
 
     def test_sample_is_deterministic(self):
         for model in (
@@ -113,13 +112,13 @@ class TestSamplers:
         assert abs(var / mean - 1.5) < 0.01
 
     def test_zpoisson_poisson_reduction(self):
-        summary = simulate(SimConfig(model=ZPoissonParams(theta=4.0, psi=1.0), n_draws=1_000_000, seed=13))
+        summary = summarize(sample(ZPoissonParams(theta=4.0, psi=1.0), 1_000_000, seed=13))
         assert abs(summary.sample_mean - 4.0) < 0.01
         assert abs(summary.dispersion - 1.0) < 0.005
 
     def test_zpoisson_matched_dispersion_target(self):
         params = ZPoissonParams(theta=4.5, psi=10.8907923667246459)
-        summary = simulate(SimConfig(model=params, n_draws=1_000_000, seed=17))
+        summary = summarize(sample(params, 1_000_000, seed=17))
         assert abs(summary.sample_mean - 4.0) < 0.01
         assert abs(summary.dispersion - 1.5) < 0.01
 

@@ -24,13 +24,12 @@ from zerocount.numerics import (
 )
 
 # Tightened configuration for the dual-route identity checks below.
-TIGHT = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-12, max_iter=200, quad_rel_tol=1e-13)
+TIGHT = ToleranceConfig(abs_tol=1e-15, max_iter=200, quad_rel_tol=1e-13)
 
 
 class TestToleranceConfig:
     def test_defaults(self):
         assert DEFAULT_TOL.abs_tol == 1e-12
-        assert DEFAULT_TOL.rel_tol == 1e-10
         assert DEFAULT_TOL.max_iter == 200
         assert DEFAULT_TOL.quad_rel_tol == 1e-9
 
@@ -43,13 +42,18 @@ class TestToleranceConfig:
         [
             {"abs_tol": 0.0},
             {"abs_tol": -1e-12},
-            {"rel_tol": 0.0},
+            {"quad_rel_tol": 0.0},
             {"quad_rel_tol": -1.0},
             {"max_iter": 0},
+            {"abs_tol": math.inf},
+            {"abs_tol": math.nan},
+            {"quad_rel_tol": math.inf},
+            {"quad_rel_tol": math.nan},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(DomainError):
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=f"^{name} must be"):
             ToleranceConfig(**kwargs)
 
 
@@ -95,6 +99,8 @@ class TestRegIncGammaLower:
     def test_at_zero_and_saturation(self):
         assert reg_inc_gamma_lower(2.5, 0.0) == 0.0
         assert reg_inc_gamma_lower(2.5, 1e4) == 1.0
+        assert reg_inc_gamma_lower(2.5, math.inf) == 1.0
+        assert reg_inc_gamma_lower(1e6, math.inf) == 1.0
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 12.0, 200)
@@ -228,6 +234,9 @@ class TestExpIntegralE1:
         xs = np.geomspace(0.01, 20.0, 60)
         vals = [exp_integral_e1(x) for x in xs]
         assert np.all(np.diff(vals) < 0.0)
+
+    def test_infinite_argument(self):
+        assert exp_integral_e1(math.inf) == 0.0
 
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_domain(self, x):

@@ -22,11 +22,11 @@ from zerocount.bayes import (
 )
 from zerocount.classical import CountData, simple_probability_upper_limit
 from zerocount.decision import ThetaMode, bayes_mean_counts, bias_mean
-from zerocount.distributions import PoissonParams, poisson_pmf
+from zerocount.distributions import NBParams, PoissonParams, ZPoissonParams, poisson_pmf
 from zerocount.errors import DomainError
 from zerocount.marginal import make_theta_grid, nb_marginal_numeric
 from zerocount.montecarlo import coverage_experiment, sample
-from zerocount.numerics import ToleranceConfig
+from zerocount.numerics import ToleranceConfig, inv_reg_inc_gamma_lower, reg_inc_gamma_lower
 
 BL = prior_params(PriorKind.BL)
 POISSON = PoissonParams(theta=1.0)
@@ -77,6 +77,16 @@ NON_FINITE_CALLS = {
     "nb_marginal_inf_a_lower": (
         "a_lower", lambda: nb_marginal_numeric(0, make_theta_grid(0, 1.0), a_lower=INF)
     ),
+    "reg_inc_gamma_inf_shape": ("shape parameter", lambda: reg_inc_gamma_lower(INF, 1.0)),
+    "inv_reg_inc_gamma_inf_shape": ("shape parameter", lambda: inv_reg_inc_gamma_lower(INF, 0.5)),
+    "poisson_params_inf_theta": ("theta", lambda: PoissonParams(theta=INF)),
+    "poisson_params_nan_theta": ("theta", lambda: PoissonParams(theta=NAN)),
+    "zpoisson_params_inf_theta": ("theta", lambda: ZPoissonParams(theta=INF, psi=1.0)),
+    "zpoisson_params_inf_psi": ("psi", lambda: ZPoissonParams(theta=1.0, psi=INF)),
+    "nb_params_inf_theta": ("theta", lambda: NBParams(theta=INF, a=1.0)),
+    "nb_params_inf_a": ("shape a", lambda: NBParams(theta=1.0, a=INF)),
+    "coverage_inf_true_rho": ("true_rho", lambda: coverage_experiment(INF, 1.0, 1, BL, 0.95, 10, 0)),
+    "coverage_inf_t": ("t", lambda: coverage_experiment(0.0, INF, 1, BL, 0.95, 10, 0)),
 }
 
 
