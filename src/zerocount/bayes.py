@@ -304,20 +304,16 @@ def differential_entropy_gamma(
     # estimator is unreliable on unresolved algebraic singularities
     m = max(1, math.ceil(1.0 / dist.a))
 
-    def integrand(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        log_s = math.log(s)
-        log_rho = m * log_s
-        if log_rho > 600.0:
-            return 0.0
-        rho = math.exp(log_rho)
-        log_pdf = log_norm + (dist.a - 1.0) * log_rho - dist.b * rho
-        # pdf and jacobian combined in log space: m*a >= 1 keeps this
-        # bounded at s -> 0 even when the pdf itself diverges there
-        log_weight = log_pdf + (m - 1.0) * log_s + math.log(m)
-        if log_weight < -700.0:
-            return 0.0
-        return -log_pdf * math.exp(log_weight)
+    def integrand(s):
+        import numpy as np
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_s = np.log(s)
+            log_pdf = log_norm + (dist.a - 1.0) * m * log_s - dist.b * np.exp(m * log_s)
+            # pdf and jacobian combined in log space: m*a >= 1 keeps this
+            # bounded at s -> 0 even when the pdf itself diverges there
+            value = -log_pdf * np.exp(log_pdf + (m - 1.0) * log_s + math.log(m))
+        # s = 0 and an overflowing rho (inf * 0) carry no mass
+        return np.where(np.isfinite(value), value, 0.0)
 
     return integrate_semi_infinite(integrand, lower=0.0, tol=tol)

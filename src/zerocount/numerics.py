@@ -10,13 +10,17 @@ The incomplete gamma uses the classical split, a power series for
 function otherwise, which keeps the accuracy uniform over the shape and
 quantile ranges the posterior solver visits. The inverse brackets the root
 geometrically away from ``x = 1`` and then mixes Newton steps with bisection.
-Quadrature failures always surface as :class:`~zerocount.errors.QuadratureError`
-carrying the partial sum, never as a silent NaN.
+
+Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
+integrand gets a panel's 15 abscissae as an ndarray and returns shape
+``(15,)``, or ``(15, K)`` for K integrals over shared panels; numpy is
+imported only when it runs. Its failures always surface as
+:class:`~zerocount.errors.QuadratureError` carrying the partial sum.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +44,7 @@ EULER_GAMMA = 0.5772156649015329
 # user-facing accuracy knobs, they only guard against runaway loops.
 _MAX_TERMS = 10_000
 _MAX_PANELS = 4096
+_MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
 _MAX_OCTAVES = 64
 _SERIES_EPS = 1e-16
 _TINY = 1e-300
@@ -269,143 +274,146 @@ def exp_integral_e1(x: float) -> float:
     raise ConvergenceError(f"E1 continued fraction stalled at x={x!r}")
 
 
-# Gauss-Legendre panel rule: a 15-point estimate with the 7-point rule as the
-# embedded error reference. Nodes are interior, so integrands may blow up at
-# panel endpoints without being sampled there.
-#
-# The values are the reprs of numpy.polynomial.legendre.leggauss(7) and (15)
-# as .tolist() gives them (numpy 2.4.6). They are literals so that importing
-# this module does not import numpy; tests/test_numerics.py checks them
-# against leggauss bit for bit.
-_G7_NODES = (
-    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
-    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+# Nested Gauss-Kronrod pair G7/K15 (QUADPACK's QK15): the Gauss nodes are the
+# odd-indexed Kronrod nodes, and all are interior to the panel. The literals
+# are the doubles of the pair derived with mpmath at 50 digits (equal to the
+# QK15 table); tests/test_numerics.py checks them against that derivation.
+_K15_NODES = (
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691, -0.7415311855993945,
+    -0.5860872354676911, -0.4058451513773972, -0.20778495500789848, 0.0, 0.20778495500789848,
+    0.4058451513773972, 0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
+    0.9491079123427585, 0.9914553711208126,
+)
+_K15_WEIGHTS = (
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
+    0.20443294007529889, 0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
+    0.10479001032225019, 0.06309209262997856, 0.022935322010529224,
 )
 _G7_WEIGHTS = (
-    0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
-    0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
-    0.12948496616886973,
-)
-_G15_NODES = (
-    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
-    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
-    0.9372733924007058, 0.9879925180204854,
-)
-_G15_WEIGHTS = (
-    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
-    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
-    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+    0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694,
+    0.3818300505051189, 0.27970539148927664, 0.1294849661688697,
 )
 
 
-def _panel_rule(f: Callable[[float], float], a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    coarse = 0.0
-    for node, weight in zip(_G7_NODES, _G7_WEIGHTS):
-        y = f(mid + half * node)
-        if not math.isfinite(y):
-            raise QuadratureError(
-                f"integrand returned a non-finite value at x={mid + half * node!r}"
-            )
-        coarse += weight * y
-    fine = 0.0
-    for node, weight in zip(_G15_NODES, _G15_WEIGHTS):
-        y = f(mid + half * node)
-        if not math.isfinite(y):
-            raise QuadratureError(
-                f"integrand returned a non-finite value at x={mid + half * node!r}"
-            )
-        fine += weight * y
-    return half * fine, abs(half * (fine - coarse))
+@functools.cache
+def _kronrod_rule():
+    import numpy as np
+
+    return np.array(_K15_NODES), np.array(_K15_WEIGHTS), np.array(_G7_WEIGHTS)
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, max_panels=_MAX_PANELS):
-    """Globally adaptive bisection on [a, b]; returns (integral, error)."""
-    value, err = _panel_rule(f, a, b)
-    total, total_err = value, err
-    heap = [(-err, a, b, value, err)]
-    panels = 1
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if panels >= max_panels:
-            raise QuadratureError(
-                f"quadrature did not reach tolerance within {max_panels} panels",
-                partial_sum=total,
-                error_estimate=total_err,
-            )
-        _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        left_val, left_err = _panel_rule(f, pa, mid)
-        right_val, right_err = _panel_rule(f, mid, pb)
-        total += left_val + right_val - pval
-        total_err += left_err + right_err - perr
-        heapq.heappush(heap, (-left_err, pa, mid, left_val, left_err))
-        heapq.heappush(heap, (-right_err, mid, pb, right_val, right_err))
-        panels += 1
-    return total, total_err
+def _adaptive(g, a, b, abs_tol, rel_tol, shaped):
+    """Globally adaptive bisection of ``g`` (15 nodes -> (15, K)) on [a, b].
+
+    Splits the panel whose worst component error over that component's
+    tolerance ``max(abs_tol, rel_tol |I_k|)`` is largest, until every
+    component's summed error meets it; returns the (K,) integral.
+    """
+    import numpy as np
+
+    nodes, k15, g7 = _kronrod_rule()
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        y = g(0.5 * (lo + hi) + half * nodes)
+        fine = k15 @ y
+        return half * fine, np.abs(half * (fine - g7 @ y[1::2]))
+
+    def fail(message):
+        return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
+
+    total, total_err = panel(a, b)
+    bounds = [(a, b)]
+    vals, errs = np.empty((16, total.size)), np.empty((16, total.size))
+    vals[0], errs[0] = total, total_err
+    while True:
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        if np.all(total_err <= tol):
+            return total
+        n = len(bounds)
+        if n >= _MAX_PANELS:
+            raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
+        i = int(np.argmax((errs[:n] / tol).max(axis=1)))
+        lo, hi = bounds[i]
+        if hi - lo <= _MIN_REL_WIDTH * max(abs(lo), abs(hi)):
+            # the nodes are about to collapse onto each other: a singularity
+            raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
+        mid = 0.5 * (lo + hi)
+        left_val, left_err = panel(lo, mid)
+        right_val, right_err = panel(mid, hi)
+        total = total + left_val + right_val - vals[i]
+        total_err = total_err + left_err + right_err - errs[i]
+        if n == len(vals):
+            vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
+        bounds[i] = (lo, mid)
+        bounds.append((mid, hi))
+        vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable,
     lower: float = 0.0,
     tol: ToleranceConfig | None = None,
     strategy: str = "transform",
-) -> float:
-    """Integrate ``f`` over ``[lower, inf)``.
+):
+    """Integrate ``f`` over ``[lower, inf)``, one function or K at once.
 
-    Two independent routes are available. ``"transform"`` maps the tail onto
-    (0, 1) through ``x = lower + (1 - u)/u`` and integrates adaptively in
-    ``u``. ``"doubling"`` sums adaptive panels of geometrically growing width
-    and stops once two consecutive extensions contribute nothing beyond the
-    tolerance. Both assume the integrand's mass is reachable from ``lower``
-    by decaying tails; mass isolated far out (a narrow bump at huge ``x``)
-    can defeat the doubling stop rule.
+    ``f`` receives a panel's 15 abscissae as an ndarray and returns shape
+    ``(15,)``, giving a float, or ``(15, K)``, giving a ``(K,)`` ndarray of
+    K integrals that share their panels; each must meet
+    ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``.
+
+    ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
+    ``"doubling"``, an independent route, sums panels of doubling width until
+    two in a row add nothing beyond the tolerance in any component; mass
+    isolated far out (a narrow bump at huge ``x``) can defeat that stop rule.
 
     Raises
     ------
     QuadratureError
-        When the panel budget is exhausted or the tail never stabilizes, for
-        example on divergent integrands. The exception carries the partial
-        sum and error estimate.
+        On a non-finite value of ``f``, or when the panel budget or float
+        resolution runs out or the tail never stabilizes (divergent
+        integrands). It carries the partial sum and error estimate.
     """
+    import numpy as np
+
     if not (lower >= 0.0):
         raise DomainError(f"lower must be nonnegative, got {lower!r}")
     if strategy not in ("transform", "doubling"):
         raise DomainError(f"unknown quadrature strategy {strategy!r}")
     tol = tol if tol is not None else DEFAULT_TOL
+    vector = False
+
+    def g(x):
+        nonlocal vector
+        y = np.asarray(f(x), dtype=float)
+        if y.ndim not in (1, 2) or y.shape[0] != x.size:
+            raise DomainError(f"integrand must return shape (15,) or (15, K), got {y.shape}")
+        vector = y.ndim == 2
+        y = y.reshape(x.size, -1)
+        bad = ~np.isfinite(y).all(axis=1)
+        if bad.any():
+            raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
+        return y
+
+    def shaped(value):
+        return value if vector else float(value[0])
 
     if strategy == "transform":
+        mapped = lambda u: g(lower + (1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
+        return shaped(_adaptive(mapped, 0.0, 1.0, tol.abs_tol, tol.quad_rel_tol, shaped))
 
-        def mapped(u: float) -> float:
-            x = lower + (1.0 - u) / u
-            return f(x) / (u * u)
-
-        value, _ = _adaptive(mapped, 0.0, 1.0, tol.abs_tol, tol.quad_rel_tol)
-        return value
-
-    total = 0.0
-    start = lower
-    width = 1.0
-    quiet_extensions = 0
+    total, start, width, quiet_extensions = 0.0, lower, 1.0, 0
     for _ in range(_MAX_OCTAVES):
-        value, _ = _adaptive(
-            f, start, start + width, 0.25 * tol.abs_tol, 0.25 * tol.quad_rel_tol
-        )
-        total += value
-        if abs(value) <= max(tol.abs_tol, tol.quad_rel_tol * abs(total)):
-            quiet_extensions += 1
-            if quiet_extensions >= 2:
-                return total
-        else:
-            quiet_extensions = 0
-        start += width
-        width *= 2.0
+        value = _adaptive(g, start, start + width, tol.abs_tol / 4, tol.quad_rel_tol / 4, shaped)
+        total = total + value
+        quiet = np.all(np.abs(value) <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
+        quiet_extensions = quiet_extensions + 1 if quiet else 0
+        if quiet_extensions == 2:
+            return shaped(total)
+        start, width = start + width, 2.0 * width
     raise QuadratureError(
         f"tail mass did not stabilize within {_MAX_OCTAVES} extensions",
-        partial_sum=total,
-        error_estimate=float("nan"),
+        partial_sum=shaped(total), error_estimate=float("nan"),
     )

@@ -91,7 +91,9 @@ class TestZeroClass:
         )
 
     def test_adhoc_density_normalizes(self):
-        total = integrate_semi_infinite(lambda th: adhoc_zero_density(th, 5))
+        total = integrate_semi_infinite(
+            lambda ths: np.array([adhoc_zero_density(th, 5) for th in ths])
+        )
         np.testing.assert_allclose(total, 1.0, rtol=1e-9)
 
     def test_domain(self):
@@ -118,7 +120,7 @@ class TestGamma:
         # rho = u^2 so the quadrature sees a bounded integrand
         dist = GammaDist(a=0.5, b=3.0)
         total = integrate_semi_infinite(
-            lambda u: 2.0 * u * gamma_pdf(u * u, dist) if u > 0 else 0.0
+            lambda us: np.array([2.0 * u * gamma_pdf(u * u, dist) if u > 0 else 0.0 for u in us])
         )
         np.testing.assert_allclose(total, 1.0, rtol=1e-8)
 

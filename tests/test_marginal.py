@@ -1,8 +1,9 @@
 """Tests for marginalization of the two-parameter posteriors.
 
 Reference values are exact combinations of frozen powers of e (checked
-against mpmath at 30 significant digits); everything quadrature-based is
-checked against analytic identities or between independent strategies.
+against mpmath at 30 significant digits), or marginal densities computed by
+nested mpmath quadrature and frozen as literals; quadrature results are also
+checked against analytic identities and between independent strategies.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from zerocount import marginal
 from zerocount.errors import DomainError
 from zerocount.marginal import (
     MarginalComparison,
@@ -208,3 +210,77 @@ class TestNBMarginalNumeric:
     def test_domain(self):
         with pytest.raises(DomainError):
             nb_marginal_numeric(0, make_theta_grid(0, step=0.25), a_lower=-1.0)
+
+
+def _at(comp, theta):
+    idx = int(np.argmin(np.abs(comp.theta_grid - theta)))
+    assert abs(comp.theta_grid[idx] - theta) < 1e-12
+    return comp.numeric_density[idx]
+
+
+class TestFrozenReferences:
+    # x -> (theta, density): the normalized NB marginal, the a-integral over
+    # the theta-and-a evidence, both by mpmath tanh-sinh quadrature at 20
+    # digits (scipy.integrate.quad agrees to 3e-15)
+    NB = {
+        0: ((0.5, 0.6584245367780804), (2.0, 0.090652907989104654), (5.0, 0.0031161726013744207)),
+        1: ((0.5, 0.69706685930153432), (1.5, 0.27553950401670773), (4.0, 0.015057361511957482)),
+        2: ((1.0, 0.51833168191896843), (2.5, 0.13508766993252297), (6.0, 0.0028452120005534113)),
+        3: ((1.5, 0.40546011921267439), (3.0, 0.11193629256658982), (7.0, 0.0015666167092378619)),
+    }
+    # (x, theta, density): the psi-integral by mpmath quadrature at 30 digits
+    ZPOISSON = (
+        (0, 0.5, 0.73575888234288464),
+        (0, 3.0, 0.0049575043533327168),
+        (1, 1.0, 0.54134113294645077),
+        (2, 2.5, 0.16844867497713668),
+        (3, 4.0, 0.05725228849536202),
+    )
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("x", sorted(NB))
+    def test_nb_marginal(self, x, strategy):
+        comp = nb_marginal_numeric(x, make_theta_grid(x, step=0.1), strategy=strategy)
+        for theta, expected in self.NB[x]:
+            assert abs(_at(comp, theta) - expected) <= 1e-8, theta
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("x,theta,expected", ZPOISSON)
+    def test_zpoisson_marginal(self, x, theta, expected, strategy):
+        comp = zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy=strategy)
+        assert abs(_at(comp, theta) - expected) <= 1e-10
+
+
+class TestWorkCount:
+    """Integrand calls (one per 15-node panel, inner and outer integrals
+    alike) of the default marginals. The counts are deterministic; the caps
+    sit about 20% above what the G7/K15 kernel needs (811 and 1148 for NB
+    x = 1, 83 and 91 for z-Poisson x = 0), where the scalar per-theta
+    quadrature this replaced needed over 15,000 and 2,000 panels."""
+
+    CAPS = {
+        ("nb", "transform"): 1000,
+        ("nb", "doubling"): 1400,
+        ("zpoisson", "transform"): 100,
+        ("zpoisson", "doubling"): 110,
+    }
+
+    @pytest.mark.parametrize("model,strategy", sorted(CAPS))
+    def test_integrand_calls_are_capped(self, monkeypatch, model, strategy):
+        calls = 0
+        integrate = marginal.integrate_semi_infinite
+
+        def counting(f, *args, **kwargs):
+            def counted(nodes):
+                nonlocal calls
+                calls += 1
+                return f(nodes)
+
+            return integrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(marginal, "integrate_semi_infinite", counting)
+        if model == "nb":
+            nb_marginal_numeric(1, make_theta_grid(1, 0.1), strategy=strategy)
+        else:
+            zpoisson_marginal(0, make_theta_grid(0, 0.1), strategy=strategy)
+        assert calls <= self.CAPS[model, strategy]
