@@ -89,16 +89,26 @@ def sufficient_statistic(data: CountData) -> tuple[int, float]:
     return (s, xbar)
 
 
+def _per_unit_time(mean: float, var: float, scale: float, t: float) -> tuple[float, float]:
+    # (mean / scale, var / scale^2); a tiny legal t can underflow scale^2 to 0
+    square = scale**2
+    rate = (mean / scale, var / square if square > 0.0 else (0.0 if var == 0.0 else math.inf))
+    if not all(map(math.isfinite, rate)):
+        raise DomainError(f"t must be large enough for finite rate estimates, got {t!r}")
+    return rate
+
+
 def ml_estimates(data: CountData) -> MLReport:
     """Maximum-likelihood estimates of theta and rho with their variances."""
     s, xbar = sufficient_statistic(data)
     n, t = data.n, data.t
+    rho_hat, var_rate = _per_unit_time(s, s, n * t, t)
     return MLReport(
         theta_hat=xbar,
-        rho_hat=s / (n * t),
+        rho_hat=rho_hat,
         var_counts=s / n,
         var_mean=s / n**2,
-        var_rate=s / (n * t) ** 2,
+        var_rate=var_rate,
         pathological=(s == 0),
     )
 
@@ -133,7 +143,7 @@ def simple_probability_estimates(
         raise DomainError(f"t must be > 0, got {t!r}")
     mean_theta = 1.0 / n
     var_theta = 1.0 / n**2
-    return (mean_theta, var_theta, mean_theta / t, var_theta / t**2)
+    return (mean_theta, var_theta, *_per_unit_time(mean_theta, var_theta, t, t))
 
 
 def simple_probability_upper_limit(

@@ -82,6 +82,14 @@ class TestMLEstimates:
         assert split.rho_hat == pooled.rho_hat
         assert split.var_rate == pooled.var_rate
 
+    def test_tiny_exposure(self):
+        # (n t)^2 underflows to 0 here; an all-zero record still has zero
+        # rate estimates, and a count gives rates past the float range
+        report = ml_estimates(CountData([0], t=1e-320))
+        assert (report.rho_hat, report.var_rate) == (0.0, 0.0)
+        with pytest.raises(DomainError, match="^t must be large enough"):
+            ml_estimates(CountData([1], t=1e-160))
+
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     @pytest.mark.parametrize("n", [1, 5])
     def test_mean_estimator_unbiased(self, theta, n):
@@ -143,6 +151,10 @@ class TestSimpleProbability:
         assert mean_theta == 1.0
         assert mean_rho == 0.5
         assert var_rho == 0.25
+
+    def test_tiny_exposure(self):
+        with pytest.raises(DomainError, match="^t must be large enough"):
+            simple_probability_estimates(2, 1e-300)
 
     def test_upper_limits(self):
         u_theta, u_rho = simple_probability_upper_limit(1, 1.0, 0.10)

@@ -490,6 +490,14 @@ class TestExitCodes:
             assert code == 2, argv
             assert err.startswith(f"error: {name} must be finite"), err
 
+    def test_tiny_t_exits_2(self, capsys):
+        # (n t)^2 underflows to 0 and the rate estimates overflow: bad input
+        # named as such, not a ZeroDivisionError traceback (exit 1)
+        for t in ("1e-320", "1e-300"):
+            code, out, err = run_cli(capsys, "estimate", "--counts", "0", "--prior", "bl", "--t", t)
+            assert code == 2, t
+            assert err.startswith("error: t must be large enough"), err
+
     def test_starved_solver_exits_4(self, capsys):
         code, out, err = run_cli(
             capsys, "estimate", "--counts", "0", "--prior", "bl",
