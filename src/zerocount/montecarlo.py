@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
-from .errors import ConvergenceError, DomainError, ImproperPosteriorError, _require_int
-from .numerics import ToleranceConfig
+from .errors import DomainError, ImproperPosteriorError, _require_int
+from .numerics import ToleranceConfig, reg_inc_gamma_lower
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,19 +104,20 @@ def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Genera
     import numpy as np
 
     # cumulative-table inversion; the table stops once all but 1e-13 of the
-    # mass is covered, and draws past the table clamp to its last entry
-    cap = int(params.theta + 50.0 * math.sqrt(params.theta + 1.0) + 50.0)
+    # mass is covered, and draws past the table clamp to its last entry. The
+    # sum rounds short of that for large means, so past the mode the stop also
+    # takes the bound P(k + 1, theta) on the mass beyond k (psi >= 1), which
+    # is far below 1e-13 at the cap: the loop always breaks
+    theta = params.theta
+    cap = int(theta + 50.0 * math.sqrt(theta + 1.0) + 50.0)
     pmf = []
     cum = 0.0
     for k in range(cap + 1):
         pmf.append(zpoisson_pmf(k, params))
         cum += pmf[-1]
-        if cum >= 1.0 - _ZP_TAIL:
+        past_mode = k > theta and pmf[-1] <= _ZP_TAIL
+        if cum >= 1.0 - _ZP_TAIL or past_mode and reg_inc_gamma_lower(k + 1.0, theta) <= _ZP_TAIL:
             break
-    else:
-        raise ConvergenceError(
-            f"z-Poisson pmf table did not reach mass {1.0 - _ZP_TAIL} within {cap + 1} terms"
-        )
     table = np.cumsum(np.asarray(pmf))
     u = rng.random(n_draws)
     idx = np.searchsorted(table, u, side="right")

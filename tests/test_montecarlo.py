@@ -132,6 +132,15 @@ class TestSamplerLimits:
         with pytest.raises(DomainError):
             sample(model, 10, seed=0)
 
+    @pytest.mark.parametrize("theta", [500.0, 800.0])
+    def test_zpoisson_large_mean(self, theta):
+        # the summed pmf rounds short of 1 - 1e-13 at these means; the table
+        # must stop on its tail bound instead of raising ConvergenceError
+        n = 20_000
+        summary = summarize(sample(ZPoissonParams(theta=theta, psi=1.0), n, seed=3))
+        assert abs(summary.sample_mean - theta) < 4.0 * math.sqrt(theta / n)
+        assert abs(summary.dispersion - 1.0) < 0.05
+
     def test_coverage_rate_beyond_numpy_limit_is_a_domain_error(self):
         with pytest.raises(DomainError):
             coverage_experiment(1e20, 1.0, 1, BL, 0.95, reps=10, seed=0)
