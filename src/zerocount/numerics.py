@@ -366,8 +366,8 @@ def integrate_semi_infinite(
 
     ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
     ``"doubling"``, an independent route, sums panels of doubling width until
-    two in a row add nothing beyond the tolerance in any component; mass
-    isolated far out (a narrow bump at huge ``x``) can defeat that stop rule.
+    two in a row add nothing beyond the tolerance in any component. Both need
+    mass reachable from ``lower``: a narrow bump far out can defeat them.
 
     Raises
     ------

@@ -71,6 +71,15 @@ class TestZPoissonJoint:
         near = zpoisson_joint_posterior(1e-9, psi, x)
         npt.assert_allclose(near, limit, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("x", [0, 1, 3])
+    def test_grid_matches_scalar_calls(self, x):
+        theta, psi = np.array([0.0, 1e-9, 0.7, 4.0]), np.array([[0.3], [1.0], [2.5]])
+        grid = zpoisson_joint_posterior(theta, psi, x)
+        assert grid.shape == (3, 4)
+        for i, p in enumerate(psi[:, 0]):
+            for j, th in enumerate(theta):
+                assert grid[i, j] == zpoisson_joint_posterior(th, p, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             zpoisson_joint_posterior(-0.1, 1.0, 0)
@@ -100,12 +109,23 @@ class TestNBJoint:
         npt.assert_allclose(nb_joint_density(1.0, 1e-12, 0), E_M1, rtol=1e-9)
         assert nb_joint_density(1.0, 1e-10, 1) < 1e-8
 
-    @pytest.mark.parametrize("theta,a,x", [(0.5, 2.0, 0), (2.0, 0.7, 3), (4.0, 8.0, 2)])
+    @pytest.mark.parametrize(
+        "theta,a,x", [(0.5, 2.0, 0), (2.0, 0.7, 3), (4.0, 8.0, 2), (5.0, 3.0, 11), (30.0, 50.0, 20)]
+    )
     def test_matches_pmf_route(self, theta, a, x):
         from zerocount.distributions import NBParams, nb_pmf
 
         expected = nb_pmf(x, NBParams(theta=theta, a=a)) * math.exp(-theta - a)
         npt.assert_allclose(nb_joint_density(theta, a, x), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [0, 2, 11])
+    def test_grid_matches_scalar_calls(self, x):
+        theta, a = np.array([0.0, 0.5, 3.0, 9.0]), np.array([[0.0], [1e-6], [0.8], [40.0]])
+        grid = nb_joint_density(theta, a, x)
+        assert grid.shape == (4, 4)
+        for i, ai in enumerate(a[:, 0]):
+            for j, th in enumerate(theta):
+                assert grid[i, j] == nb_joint_density(th, ai, x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
