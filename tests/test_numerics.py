@@ -365,10 +365,14 @@ class TestKronrodRule:
         values = [float(v) for v in half]
         return [sign * v for v in values] + [v for v in reversed(values[:-1])]
 
-    def test_literals_equal_frozen_derivation(self):
+    @pytest.mark.parametrize("rule", ["K15", "G7"])
+    def test_literals_equal_frozen_derivation(self, rule):
+        # the G7 nodes are the odd-indexed K15 nodes, checked with K15
         assert list(numerics._K15_NODES) == self.symmetric(self.K15_NODES, -1.0)
-        assert list(numerics._K15_WEIGHTS) == self.symmetric(self.K15_WEIGHTS, 1.0)
-        assert list(numerics._G7_WEIGHTS) == self.symmetric(self.G7_WEIGHTS, 1.0)
+        if rule == "K15":
+            assert list(numerics._K15_WEIGHTS) == self.symmetric(self.K15_WEIGHTS, 1.0)
+        else:
+            assert list(numerics._G7_WEIGHTS) == self.symmetric(self.G7_WEIGHTS, 1.0)
 
     @pytest.mark.parametrize(
         "weights,stride,degree",
