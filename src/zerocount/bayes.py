@@ -34,9 +34,9 @@ from .numerics import (
     EULER_GAMMA,
     ToleranceConfig,
     exp_integral_e1,
+    _gamma_pq,
     integrate_semi_infinite,
     inv_reg_inc_gamma_lower,
-    reg_inc_gamma_lower,
 )
 
 __all__ = [
@@ -231,14 +231,16 @@ def upper_limit(
     """One-sided upper limit on rho (and theta) at confidence level CL.
 
     U_rho solves P(A, B U) = CL where P is the regularized lower incomplete
-    gamma; U_theta = U_rho * t restates it for the counts parameter.
+    gamma; U_theta = U_rho * t restates it for the counts parameter. The
+    solver matches the smaller tail, and ``solver_residual`` is that tail's
+    relative residual at U_rho: (P - CL)/CL for CL <= 1/2, else
+    ((1 - CL) - Q)/(1 - CL) with Q = 1 - P summed directly.
     """
     if not (0.0 < CL < 1.0):
         raise DomainError(f"CL must lie in (0, 1), got {CL!r}")
-    tol = tol if tol is not None else DEFAULT_TOL
-    x_star = inv_reg_inc_gamma_lower(post.A, CL, tol)
-    u_rho = x_star / post.B
-    residual = reg_inc_gamma_lower(post.A, post.B * u_rho) - CL
+    u_rho = inv_reg_inc_gamma_lower(post.A, CL) / post.B
+    p, q = _gamma_pq(post.A, post.B * u_rho)
+    residual = (p - CL) / CL if CL <= 0.5 else ((1.0 - CL) - q) / (1.0 - CL)
     return UpperLimitResult(
         CL=CL,
         U_rho=u_rho,

@@ -8,8 +8,10 @@ pure; accuracy is steered by :class:`ToleranceConfig`.
 The incomplete gamma uses the classical split, a power series for
 ``x < a + 1`` and a Lentz-style continued fraction for the complementary
 function otherwise, which keeps the accuracy uniform over the shape and
-quantile ranges the posterior solver visits. The inverse brackets the root
-geometrically away from ``x = 1`` and then mixes Newton steps with bisection.
+quantile ranges the posterior solver visits. The inverse is one Halley
+iteration on the smaller tail, started near the root (Wilson-Hilferty), kept
+inside the bracket its residual signs give, and stopped on step size once the
+steps reach one ulp or the rounding of ``P``; there is no tolerance to set.
 
 Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
 integrand gets a panel's 15 abscissae as an ndarray and returns shape
@@ -46,6 +48,7 @@ _MAX_TERMS = 10_000
 _MAX_PANELS = 4096
 _MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
 _MAX_OCTAVES = 64
+_MAX_HALLEY = 100
 _SERIES_EPS = 1e-16
 _TINY = 1e-300
 
@@ -102,10 +105,20 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
         raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
     if not (x >= 0.0):
         raise DomainError(f"x must be nonnegative, got {x!r}")
+    return _gamma_pq(a, x)[0]
+
+
+def _gamma_pq(a: float, x: float) -> tuple[float, float]:
+    """``(P(a, x), Q(a, x))`` for valid ``a`` and ``x``.
+
+    The series branch sums ``P`` and the continued fraction sums ``Q``; the
+    other tail is one minus it, so only the summed tail keeps its relative
+    accuracy far out.
+    """
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x == math.inf:
-        return 1.0
+        return 1.0, 0.0
     log_prefactor = a * math.log(x) - x - math.lgamma(a)
 
     if x < a + 1.0:
@@ -123,7 +136,8 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
             raise ConvergenceError(
                 f"incomplete gamma series stalled at a={a!r}, x={x!r}"
             )
-        return min(1.0, total * math.exp(log_prefactor))
+        p = min(1.0, total * math.exp(log_prefactor))
+        return p, 1.0 - p
 
     # Lentz continued fraction for the complementary Q(a, x)
     b = x + 1.0 - a
@@ -144,88 +158,82 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _SERIES_EPS:
             q = math.exp(log_prefactor) * h
-            return min(1.0, max(0.0, 1.0 - q))
+            return min(1.0, max(0.0, 1.0 - q)), q
     raise ConvergenceError(
         f"incomplete gamma continued fraction stalled at a={a!r}, x={x!r}"
     )
 
 
-def inv_reg_inc_gamma_lower(
-    a: float, p: float, tol: ToleranceConfig | None = None
-) -> float:
+def _normal_upper_quantile(q: float) -> float:
+    """The ``z`` with standard normal upper tail ``q <= 1/2``, to 4.5e-4.
+
+    Abramowitz & Stegun 26.2.23; a starting value needs no more.
+    """
+    t = math.sqrt(-2.0 * math.log(q))
+    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+
+
+def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     """Solve ``P(a, x) = p`` for ``x``, with ``0 < p < 1``.
 
-    The root is bracketed by doubling (or halving) away from ``x = 1``, then
-    polished with Newton steps that fall back to bisection whenever the
-    Newton proposal leaves the bracket. Terminates when the CDF residual
-    drops below ``tol.abs_tol``.
+    One Halley iteration on the smaller tail, ``P - p`` for ``p <= 1/2`` and
+    ``(1 - p) - Q`` otherwise, started at the Wilson-Hilferty value but no
+    lower than ``(p Gamma(a + 1))^(1/a)``, a lower bound on the root because
+    ``P(a, x) <= x^a / Gamma(a + 1)``. The residual signs keep a bracket; a
+    step that would leave it halves the bracket instead, or doubles ``x``
+    while the bracket has no upper end. The loop stops once a step is below
+    ``1e-8 x`` and either within one ulp of ``x`` or more than half the step
+    before it, which means the rounding of ``P`` has been reached. Typical
+    inputs take three or four evaluations of ``P``.
 
     Raises
     ------
     ConvergenceError
-        If bracketing or polishing exhausts ``tol.max_iter``; the exception
-        carries the last bracket.
+        If the forward ``P`` fails, the root underflows, or the loop runs out
+        of its runaway budget; the exception carries the bracket.
     """
     if not (0.0 < a < math.inf):
         raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
-    tol = tol if tol is not None else DEFAULT_TOL
-
-    def residual(x: float) -> float:
-        return reg_inc_gamma_lower(a, x) - p
-
-    lo = hi = 1.0
-    f_unit = residual(1.0)
-    if f_unit == 0.0:
-        return 1.0
-    if f_unit < 0.0:
-        for _ in range(tol.max_iter):
-            hi *= 2.0
-            if residual(hi) >= 0.0:
-                break
-        else:
-            raise ConvergenceError(
-                "failed to bracket the incomplete gamma inverse from above",
-                bracket=(lo, hi),
-            )
-    else:
-        for _ in range(tol.max_iter):
-            lo *= 0.5
-            if residual(lo) <= 0.0:
-                break
-        else:
-            raise ConvergenceError(
-                "failed to bracket the incomplete gamma inverse from below",
-                bracket=(lo, hi),
-            )
+    lower = p <= 0.5
+    tail = p if lower else 1.0 - p
+    z = _normal_upper_quantile(tail)
+    s = 1.0 / (9.0 * a)
+    cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
+    x = max(a * cube**3 if cube > 0.0 else 0.0,
+            math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
 
     log_gamma_a = math.lgamma(a)
-    x = 0.5 * (lo + hi)
-    fx = residual(x)
-    for _ in range(tol.max_iter):
-        if abs(fx) <= tol.abs_tol:
+    lo, hi, last = 0.0, math.inf, math.inf
+    for _ in range(_MAX_HALLEY):
+        if x == 0.0:  # the root underflows
+            break
+        p_x, q_x = _gamma_pq(a, x)
+        f = p_x - p if lower else tail - q_x
+        if f == 0.0:
             return x
-        if fx > 0.0:
-            hi = x
-        else:
+        if f < 0.0:
             lo = x
-        # Newton step using the Gamma(a, 1) density; bisect when the density
-        # underflows or the proposal escapes the bracket.
-        log_pdf = (a - 1.0) * math.log(x) - x - log_gamma_a
-        proposal = None
-        if log_pdf > -700.0:
-            candidate = x - fx / math.exp(log_pdf)
-            if lo < candidate < hi and candidate != x:
-                proposal = candidate
-        x = proposal if proposal is not None else 0.5 * (lo + hi)
-        fx = residual(x)
-    if abs(fx) <= tol.abs_tol:
-        return x
+        else:
+            hi = x
+        # Newton's correction f / density (capped: far out, the guard steps
+        # instead), then Halley's factor from the density's log-derivative
+        log_density = (a - 1.0) * math.log(x) - x - log_gamma_a
+        newton = math.copysign(math.exp(min(math.log(abs(f)) - log_density, 700.0)), f)
+        halley = 1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0)
+        step = newton / halley if 0.0 < halley < math.inf else math.nan
+        if abs(step) < 1e-8 * x and (abs(step) <= math.ulp(x) or abs(step) > 0.5 * last):
+            return x - step
+        proposal = x - step
+        if not lo < proposal < hi:
+            proposal = 2.0 * x if hi == math.inf else 0.5 * (lo + hi)
+        last, x = abs(proposal - x), proposal
     raise ConvergenceError(
         f"incomplete gamma inverse did not converge for a={a!r}, p={p!r}",
         bracket=(lo, hi),
-        residual=fx,
     )
 
 

@@ -284,6 +284,31 @@ class TestUpperLimits:
         np.testing.assert_allclose(result.U_theta, result.U_rho * 100.0, rtol=1e-13)
         np.testing.assert_allclose(result.U_rho, 2.30258509299404568 / 300.0, rtol=1e-9)
 
+    def test_cl_near_one(self):
+        # the double nearest 1 - 1e-12 has tail 1 - CL = 9.999778782798785e-13,
+        # so the exact limit is -ln(1 - CL), not -ln(1e-12) = 27.631021115928547
+        post = posterior_from_sufficient(0, 1, 1.0, prior_params(PriorKind.BL))
+        result = upper_limit(post, 1.0 - 1e-12)
+        np.testing.assert_allclose(result.U_theta, 27.63104323789336, rtol=1e-14)
+        assert abs(result.solver_residual) <= 1e-12
+
+    @pytest.mark.parametrize("cl", [1e-9, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 1e-9])
+    def test_residual_is_relative_to_the_matched_tail(self, cl):
+        # an absolute residual of 1e-12 would pass at any of these CLs
+        post = posterior_from_sufficient(2, 1, 1.0, prior_params(PriorKind.BL))
+        result = upper_limit(post, cl)
+        assert abs(result.solver_residual) <= 1e-13
+
+    def test_large_totals_all_give_a_limit(self):
+        # the bracket-and-Newton solver this replaced failed on 55 of these
+        rng = np.random.default_rng(7)
+        bl = prior_params(PriorKind.BL)
+        for total in rng.integers(1000, 60000, size=300, endpoint=True):
+            result = upper_limit(posterior_from_sufficient(int(total), 1, 1.0, bl), 0.95)
+            assert result.U_rho > total
+            # rounding in P near a = 6e4 is about 2e-10 of P
+            assert abs(result.solver_residual) <= 1e-9
+
     def test_cl_domain(self):
         post = posterior_from_sufficient(0, 1, 1.0, prior_params(PriorKind.BL))
         with pytest.raises(DomainError):

@@ -190,6 +190,157 @@ class TestInvRegIncGammaLower:
             inv_reg_inc_gamma_lower(0.0, 0.5)
 
 
+# Roots of P(a, x) = p for the double p, from mpmath at 40 digits (findroot
+# on the smaller tail: P - p for p <= 1/2, (1 - p) - Q otherwise), rounded to
+# the nearest double. Rows are shapes; columns follow INVERSE_CLS.
+INVERSE_CLS = (
+    1e-6, 1e-3, 0.05, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12,
+)
+INVERSE_ROOTS = {
+    0.5: (
+        7.853981633978594e-13, 7.85398574631245e-07, 0.0019660700000097616,
+        0.007895387046715613, 0.2274682115597864, 1.3527717270477075,
+        1.9207294103470622, 3.317448300510607, 5.4137830853313655,
+        11.964063488439734, 18.66244655325936, 25.422085666224586,
+    ),
+    1.0: (
+        1.0000005000003334e-06, 0.0010005003335835335, 0.051293294387550536,
+        0.10536051565782631, 0.6931471805599453, 2.302585092994046,
+        2.99573227355399, 4.605170185988091, 6.907755278982136,
+        13.815510557935518, 20.723265865228342, 27.63104323789336,
+    ),
+    1.5: (
+        0.00012090524360062141, 0.012148792907846366, 0.1759231588746357,
+        0.2921871870775916, 1.182986942187669, 3.1256943155851618,
+        3.907363951625589, 5.672433365072185, 8.133118098119064,
+        15.332424853077134, 22.42063769418063, 29.459900332952348,
+    ),
+    2.0: (
+        0.001414880661479343, 0.04540201776948956, 0.35536151069866206,
+        0.5318116083896121, 1.6783469900166605, 3.8897201698674295,
+        4.743864518390577, 6.638352067993811, 9.233413476451585,
+        16.68842079082944, 23.939727895037286, 31.099896029053795,
+    ),
+    3.0: (
+        0.018254282963279293, 0.1905333775684032, 0.8176914471639534,
+        1.1020653282493211, 2.6740603137235603, 5.32232033783421,
+        6.295793621871988, 8.405946914885464, 11.228872242412661,
+        19.129168188572923, 26.672286589132252, 34.05239764948628,
+    ),
+    5.0: (
+        0.16906300162147725, 0.7393717319178326, 1.97014956805953,
+        2.4325910259626644, 4.670908882795984, 7.9935895860526305,
+        9.153519026637571, 11.604625579477178, 14.794149222537209,
+        23.43152342335784, 31.47272874252078, 39.2358478401201,
+    ),
+    10.0: (
+        1.276818787864408, 2.9605203727437597, 5.425405697091293,
+        6.221304605225033, 9.668714614714132, 14.205990292152817,
+        15.70521642211546, 18.783117393312523, 22.65737330906293,
+        32.71034051748481, 41.73956221662375, 50.27991130602983,
+    ),
+    30.0: (
+        10.710858650758844, 15.869170797140358, 21.593979226994882,
+        23.229444150101724, 29.66733313822123, 37.1985028596843,
+        39.540972243924365, 44.189709450724656, 49.803616534924686,
+        63.54818012481632, 75.24037981905084, 85.92954232248108,
+    ),
+    100.0: (
+        59.43632069812289, 71.9213974950004, 84.13927721831419,
+        87.41763649959366, 99.66686491931549, 113.01052385984448,
+        116.99713444616246, 124.7225614907208, 133.7702639113786,
+        154.91904599496158, 172.07103987000212, 187.24800173918598,
+    ),
+    1000.0: (
+        856.8146512793919, 905.1207909349766, 948.5598493836511,
+        959.6939327288333, 999.6666864269652, 1040.73430801369,
+        1052.5771180823206, 1075.032832086435, 1100.5780982933145,
+        1157.577911008724, 1201.4728731116943, 1238.8645816054106,
+    ),
+    10000.0: (
+        9531.835117189807, 9693.824385823726, 9836.085110855192,
+        9872.060875049736, 9999.666668642047, 10128.367373674177,
+        10165.051911966126, 10234.104379158054, 10311.875224539537,
+        10482.561164638257, 10611.486364888995, 10719.692099677293,
+    ),
+    30000.0: (
+        29183.8691485772, 29467.604632153358, 29715.67264101783,
+        29778.24398340006, 29999.66666732511, 30222.184265914657,
+        30285.46438590226, 30404.40530586294, 30538.095031615292,
+        30830.527408769085, 31050.536246434585, 31234.617822599397,
+    ),
+    100000.0: (
+        98504.02706509772, 99025.63189050092, 99480.42074678872,
+        99594.95253927626, 99999.6666668642, 100405.47571024523,
+        100520.7162815659, 100737.12609678283, 100980.06779195923,
+        101510.36958867917, 101908.34622530905, 102240.6875730043,
+    ),
+}
+# (shape, p) -> root for perfbench's LIMIT_PROBE records: BL with S = 3e4 at
+# CL 0.9, S = 1e5 at 0.95 and S = 1e6 at 0.95, all with n = 1 and t = 1
+PROBE_ROOTS = {
+    (30001.0, 0.9): 30223.187965422894,
+    (100001.0, 0.95): 100521.71888230444,
+    (1000001.0, 0.95): 1001646.4227676168,
+}
+
+
+def inverse_bound(a):
+    """Relative accuracy the inverse reaches at shape ``a``.
+
+    Past a few thousand, rounding in P's prefactor ``a ln x - x`` (about
+    ulp(a ln a)) moves P near the root by up to 3.4e-11 at a = 3e4, which is
+    5e-13 of the root; the inverse cannot be closer than P allows.
+    """
+    if a <= 100.0:
+        return 1e-14
+    return 2e-13 if a <= 1e4 else 2e-12
+
+
+class TestInverseAgainstMpmath:
+    @pytest.mark.parametrize("a", sorted(INVERSE_ROOTS))
+    def test_grid(self, a):
+        got = [inv_reg_inc_gamma_lower(a, p) for p in INVERSE_CLS]
+        np.testing.assert_allclose(got, INVERSE_ROOTS[a], rtol=inverse_bound(a), atol=0)
+
+    @pytest.mark.parametrize("a, p", sorted(PROBE_ROOTS))
+    def test_limit_probe_inputs(self, a, p):
+        np.testing.assert_allclose(
+            inv_reg_inc_gamma_lower(a, p), PROBE_ROOTS[a, p], rtol=2e-12, atol=0
+        )
+
+    def test_root_below_the_smallest_double_is_a_convergence_error(self):
+        # P(0.5, x) = 1e-200 at x ~ 1e-400, which underflows
+        with pytest.raises(ConvergenceError):
+            inv_reg_inc_gamma_lower(0.5, 1e-200)
+
+
+class TestInverseWorkCount:
+    """Forward (P, Q) evaluations per inverse on the frozen grid. The counts
+    are deterministic: a mean of 3.99 and a maximum of 9, where the bracket
+    search with Newton polishing that this loop replaced needed 6 to 85 (mean
+    18.5) and failed at 3 of the 156 points."""
+
+    def test_evaluations_are_capped(self, monkeypatch):
+        calls = 0
+        gamma_pq = numerics._gamma_pq
+
+        def counting(a, x):
+            nonlocal calls
+            calls += 1
+            return gamma_pq(a, x)
+
+        monkeypatch.setattr(numerics, "_gamma_pq", counting)
+        counts = []
+        for a in INVERSE_ROOTS:
+            for p in INVERSE_CLS:
+                calls = 0
+                inv_reg_inc_gamma_lower(a, p)
+                counts.append(calls)
+        assert sum(counts) / len(counts) <= 5.0
+        assert max(counts) <= 10
+
+
 class TestExpIntegralE1:
     @pytest.mark.parametrize(
         "x, expected",
