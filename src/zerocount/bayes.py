@@ -225,9 +225,7 @@ def posterior_moment(post: GammaPosterior, r: int) -> float:
     return gamma_moment(post.as_gamma(), r)
 
 
-def upper_limit(
-    post: GammaPosterior, CL: float, tol: ToleranceConfig | None = None
-) -> UpperLimitResult:
+def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
     """One-sided upper limit on rho (and theta) at confidence level CL.
 
     U_rho solves P(A, B U) = CL where P is the regularized lower incomplete

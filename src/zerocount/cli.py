@@ -8,8 +8,8 @@ Monte Carlo experiments; ``jj-divergence`` tabulates the truncated-evidence
 diagnostic.
 
 Output discipline: every CSV/JSON payload starts with a metadata block
-(tool version, subcommand, tolerance config, and the seed plus PRNG identity
-for stochastic runs) and contains no timestamps, so identical requests
+(tool version, subcommand, the tolerance config for ``marginalize``, and the
+seed plus PRNG identity for stochastic runs) and contains no timestamps, so identical requests
 produce byte-identical output. Floats are serialized with ``repr`` (shortest
 round trip); table-reproduction cells are additionally rounded
 half-away-from-zero to 1 decimal, the precision of the reference tables.
@@ -105,7 +105,7 @@ def parse_tolerance(text: str | None) -> ToleranceConfig:
         if not sep or key not in {field.name for field in fields(ToleranceConfig)}:
             raise DomainError(f"unknown tolerance override {item!r}")
         try:
-            overrides[key] = int(raw) if key == "max_iter" else float(raw)
+            overrides[key] = float(raw)
         except ValueError:
             raise DomainError(f"bad tolerance value in {item!r}") from None
     return replace(DEFAULT_TOL, **overrides)
@@ -156,14 +156,12 @@ def parse_prior(text: str, t: float) -> PriorSpec:
     raise DomainError(f"unknown prior {text!r} (expected bl, jj, jr, me, or custom:a,b)")
 
 
-def _metadata(subcommand: str, tol: ToleranceConfig, seed: int | None = None) -> dict:
+def _metadata(subcommand: str, seed: int | None = None,
+              tol: ToleranceConfig | None = None) -> dict:
     """The metadata block that starts every CSV and JSON payload."""
-    meta = {
-        "tool": "zerocount",
-        "version": __version__,
-        "subcommand": subcommand,
-        "tolerance": asdict(tol),
-    }
+    meta = {"tool": "zerocount", "version": __version__, "subcommand": subcommand}
+    if tol is not None:
+        meta["tolerance"] = asdict(tol)
     if seed is not None:
         meta["seed"] = seed
         meta.update(prng_metadata())
@@ -178,7 +176,8 @@ def _csv_text(meta: dict, notes, header: list[str], rows) -> str:
     buf = io.StringIO()
     buf.write(f"# zerocount {meta['version']}\n")
     buf.write(f"# subcommand: {meta['subcommand']}\n")
-    buf.write(f"# tolerance: {_pairs(meta['tolerance'])}\n")
+    if "tolerance" in meta:
+        buf.write(f"# tolerance: {_pairs(meta['tolerance'])}\n")
     if "seed" in meta:
         buf.write(f"# seed: {meta['seed']}\n")
         buf.write(f"# prng: {meta['prng_algorithm']} ({meta['prng_library']})\n")
@@ -195,15 +194,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _render(args, tol, payload: dict, lines: list[str], *, notes=(), header=None, rows=None,
-            seed=None) -> None:
+def _render(args, payload: dict, lines: list[str], *, notes=(), header=None, rows=None,
+            seed=None, tol=None) -> None:
     """Write one command's record to stdout in the chosen ``--format``.
 
     JSON is the metadata block plus ``payload``. CSV is the metadata as ``#``
     lines, then ``notes``, ``header`` and ``rows``; a flat ``payload`` given
     without ``rows`` becomes one row. The table format prints ``lines``.
     """
-    meta = _metadata(args.command, tol, seed)
+    meta = _metadata(args.command, seed, tol)
     if args.format == "json":
         sys.stdout.write(_json_text({"metadata": meta, **payload}))
     elif args.format == "csv":
@@ -222,8 +221,8 @@ def _write_file(out_dir: str, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _write_csv(args, tol, name: str, header: list[str], rows, notes=()) -> None:
-    meta = _metadata(f"{args.command}/{name}", tol)
+def _write_csv(args, name: str, header: list[str], rows, notes=()) -> None:
+    meta = _metadata(f"{args.command}/{name}")
     _write_file(args.out, f"{name}.csv", _csv_text(meta, notes, header, rows))
 
 
@@ -236,7 +235,7 @@ _ESTIMATE_HEADER = [
 ]
 
 
-def _prior_row(spec: PriorSpec, data: CountData, cls: list[float], tol) -> dict:
+def _prior_row(spec: PriorSpec, data: CountData, cls: list[float]) -> dict:
     """One prior's record: posterior, moments and upper limits, or why it is improper."""
     label = spec.kind.value.upper() if spec.kind is not PriorKind.CUSTOM else (
         f"custom(a={spec.a!r}, b={spec.b!r})"
@@ -246,7 +245,7 @@ def _prior_row(spec: PriorSpec, data: CountData, cls: list[float], tol) -> dict:
         post = posterior_from_sufficient(data.total, data.n, data.t, spec)
     except ImproperPosteriorError as exc:
         return {**row, "improper": True, "message": str(exc)}
-    limits = [upper_limit(post, cl, tol=tol) for cl in cls]
+    limits = [upper_limit(post, cl) for cl in cls]
     return {
         **row,
         "improper": False,
@@ -272,7 +271,6 @@ def cmd_estimate(args) -> int:
         counts = parse_counts_arg(args.counts)
     else:
         counts = read_counts_file(args.counts_file)
-    tol = parse_tolerance(args.tol)
     data = CountData(counts, t=args.t)
     ml = ml_estimates(data)
     cls = args.cl or [0.95]
@@ -323,7 +321,7 @@ def cmd_estimate(args) -> int:
             for lim in limits
         ]
 
-    records = [_prior_row(spec, data, cls, tol) for spec in priors]
+    records = [_prior_row(spec, data, cls) for spec in priors]
     rows = []
     for rec in records:
         head = f"prior {rec['prior']} (a={rec['a']:g}, b={rec['b']:g}): "
@@ -354,7 +352,7 @@ def cmd_estimate(args) -> int:
         "simple_probability": simple,
         "priors": records,
     }
-    _render(args, tol, payload, lines, notes=notes, header=_ESTIMATE_HEADER, rows=rows)
+    _render(args, payload, lines, notes=notes, header=_ESTIMATE_HEADER, rows=rows)
     return EXIT_IMPROPER if all(rec["improper"] for rec in records) else EXIT_OK
 
 
@@ -375,8 +373,6 @@ def _zero_record_posteriors() -> dict[str, GammaPosterior]:
 
 
 def cmd_tables(args) -> int:
-    tol = parse_tolerance(args.tol)
-
     table3 = []
     for alpha in _TABLE3_ALPHAS:
         u_theta, _ = simple_probability_upper_limit(1, 1.0, alpha)
@@ -389,7 +385,7 @@ def cmd_tables(args) -> int:
             }
         )
     _write_csv(
-        args, tol, "table3", ["alpha", "cl", "u_theta"],
+        args, "table3", ["alpha", "cl", "u_theta"],
         [[r["alpha"], r["cl"], f"{r['u_theta_rounded']:.1f}"] for r in table3],
     )
 
@@ -408,14 +404,14 @@ def cmd_tables(args) -> int:
                 "risk_var": entry.risk_var,
             }
         )
-    _write_csv(args, tol, "table4", list(table4[0]), [list(r.values()) for r in table4])
+    _write_csv(args, "table4", list(table4[0]), [list(r.values()) for r in table4])
 
     posts = _zero_record_posteriors()
     table5 = []
     for cl in _TABLE_CLS:
         row = {"cl": cl}
         for key, post in posts.items():
-            lim = upper_limit(post, cl, tol=tol)
+            lim = upper_limit(post, cl)
             row[key] = {
                 "u_theta_exact": lim.U_theta,
                 "u_theta_rounded": round_half_away(lim.U_theta),
@@ -423,13 +419,13 @@ def cmd_tables(args) -> int:
             }
         table5.append(row)
     _write_csv(
-        args, tol, "table5", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
+        args, "table5", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
         [[r["cl"]] + [f"{r[key]['u_theta_rounded']:.1f}" for key in posts] for r in table5],
     )
 
     if args.format == "json":
         payload = {
-            "metadata": _metadata("tables", tol),
+            "metadata": _metadata("tables"),
             "table3": table3,
             "table4": table4,
             "table5": table5,
@@ -447,16 +443,14 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
 
 
 def cmd_figures(args) -> int:
-    tol = parse_tolerance(args.tol)
-
     _write_csv(
-        args, tol, "fig1", ["theta", "zero_class_probability"],
+        args, "fig1", ["theta", "zero_class_probability"],
         [[th, prob_all_zero(1, th)] for th in _frange(0.0, 6.0, 0.01)],
     )
 
     kinds = (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)
     _write_csv(
-        args, tol, "fig2", ["rho", "bl", "jj", "jr", "me"],
+        args, "fig2", ["rho", "bl", "jj", "jr", "me"],
         [
             [rho] + [prior_density(kind, rho, t=1.0, normalized=True) for kind in kinds]
             for rho in _frange(0.01, 5.0, 0.01)
@@ -465,16 +459,16 @@ def cmd_figures(args) -> int:
 
     curves = (GammaDist(a=1.0, b=1.0), GammaDist(a=0.5, b=1.0), GammaDist(a=1.0, b=2.0))
     _write_csv(
-        args, tol, "fig3", ["theta", "bl", "jr", "me"],
+        args, "fig3", ["theta", "bl", "jr", "me"],
         [[th] + [gamma_pdf(th, curve) for curve in curves] for th in _frange(0.01, 6.0, 0.01)],
         notes=["# bayes_means: bl=1.0 jr=0.5 me=0.5"],
     )
 
     posts = _zero_record_posteriors()
     _write_csv(
-        args, tol, "fig4", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
+        args, "fig4", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
         [
-            [cl] + [upper_limit(post, cl, tol=tol).U_theta for post in posts.values()]
+            [cl] + [upper_limit(post, cl).U_theta for post in posts.values()]
             for cl in _frange(0.50, 0.99, 0.005)
         ],
     )
@@ -482,7 +476,7 @@ def cmd_figures(args) -> int:
     zp = ZPoissonParams(theta=4.5, psi=10.8907923667246459)
     nb = NBParams(theta=4.0, a=8.0)
     _write_csv(
-        args, tol, "fig5", ["x", "poisson", "zpoisson", "nb"],
+        args, "fig5", ["x", "poisson", "zpoisson", "nb"],
         [[x, poisson_pmf(x, 4.0), zpoisson_pmf(x, zp), nb_pmf(x, nb)] for x in range(51)],
     )
     return EXIT_OK
@@ -535,10 +529,10 @@ def cmd_marginalize(args) -> int:
         "claimed_density": comp.claimed_density.tolist(),
     }
     _render(
-        args, tol, {**summary, **columns}, lines,
+        args, {**summary, **columns}, lines,
         notes=[f"# {key}: {_fmt(value)}" for key, value in summary.items()],
         header=["theta", "numeric_density", "claimed_density"],
-        rows=zip(*columns.values()),
+        rows=zip(*columns.values()), tol=tol,
     )
     return EXIT_OK
 
@@ -568,7 +562,6 @@ def _build_model(args):
 
 
 def cmd_simulate(args) -> int:
-    tol = parse_tolerance(args.tol)
     model = _build_model(args)
     summary = summarize(sample(model, args.draws, args.seed))
     record = {
@@ -590,16 +583,13 @@ def cmd_simulate(args) -> int:
         f"sample_variance={summary.sample_variance:.6g}",
         f"dispersion={disp}",
     ]
-    _render(args, tol, record, lines, seed=args.seed)
+    _render(args, record, lines, seed=args.seed)
     return EXIT_OK
 
 
 def cmd_coverage(args) -> int:
-    tol = parse_tolerance(args.tol)
     prior = parse_prior(args.prior, args.t)
-    result = coverage_experiment(
-        args.rho, args.t, args.n, prior, args.cl, args.reps, args.seed, tol=tol
-    )
+    result = coverage_experiment(args.rho, args.t, args.n, prior, args.cl, args.reps, args.seed)
     record = {
         "true_rho": args.rho,
         "t": args.t,
@@ -615,7 +605,7 @@ def cmd_coverage(args) -> int:
         f"coverage={result.coverage:.6g} standard_error={result.standard_error:.6g} "
         f"reps={result.reps}"
     ]
-    _render(args, tol, record, lines, seed=args.seed)
+    _render(args, record, lines, seed=args.seed)
     return EXIT_OK
 
 
@@ -623,7 +613,6 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_jj_divergence(args) -> int:
-    tol = parse_tolerance(args.tol)
     try:
         eps_values = [float(piece) for piece in args.eps.split(",") if piece.strip()]
     except ValueError:
@@ -649,7 +638,7 @@ def cmd_jj_divergence(args) -> int:
         for row in rows
     ]
     _render(
-        args, tol, {"u_theta": args.u_theta, "rows": rows}, lines,
+        args, {"u_theta": args.u_theta, "rows": rows}, lines,
         header=list(rows[0]), rows=[list(row.values()) for row in rows],
     )
     return EXIT_OK
@@ -658,15 +647,11 @@ def cmd_jj_divergence(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-_TOL_HELP = "tolerance overrides, e.g. abs_tol=1e-13,max_iter=400"
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="output rendering (default: table)",
     )
-    parser.add_argument("--tol", help=_TOL_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,18 +673,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cl", type=float, action="append", help="credibility level (repeatable)")
     p.add_argument("--alpha", type=float, help="tail mass for the simple-probability limit")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("tables", help="emit the reference tables as CSV")
     p.add_argument("--out", default=".", help="output directory")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_tables)
 
     # figures writes only CSV files, so it takes no --format
     p = sub.add_parser("figures", help="emit the reference figure datasets as CSV")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tol", help=_TOL_HELP)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("marginalize", help="marginalize a two-parameter posterior")
@@ -711,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="quadrature strategy",
     )
     p.add_argument("--a-lower", type=float, default=0.0, help="shape cutoff (nb only)")
-    _add_common(p)
+    p.add_argument("--tol", help="quadrature tolerances, e.g. abs_tol=1e-13,quad_rel_tol=1e-10")
+    _add_format(p)
     p.set_defaults(func=cmd_marginalize)
 
     p = sub.add_parser("simulate", help="sample a count model and summarize")
@@ -722,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", "--bins", dest="draws", type=int, required=True,
                    help="number of draws")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("coverage", help="frequentist coverage of Bayesian upper limits")
@@ -733,14 +718,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cl", type=float, default=0.95, help="credibility level")
     p.add_argument("--reps", type=int, required=True, help="number of replicates")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("jj-divergence", help="truncated-evidence diagnostic for the JJ prior")
     p.add_argument("--eps", default="1e-2,1e-4,1e-6,1e-8",
                    help="comma-separated truncation points")
     p.add_argument("--u-theta", type=float, default=1.0, help="upper limit in the alpha ratio")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_jj_divergence)
 
     return parser

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
 from .errors import DomainError, ImproperPosteriorError, _require_int
-from .numerics import ToleranceConfig, reg_inc_gamma_lower
+from .numerics import reg_inc_gamma_lower
 
 if TYPE_CHECKING:
     import numpy as np
@@ -178,7 +178,6 @@ def coverage_experiment(
     cl: float,
     reps: int,
     seed: int,
-    tol: ToleranceConfig | None = None,
 ) -> CoverageResult:
     """Fraction of replicates whose upper limit covers the true rate.
 
@@ -213,7 +212,7 @@ def coverage_experiment(
             replicate=idx,
         )
     limits = {
-        s: upper_limit(posterior_from_sufficient(int(s), n, t, prior), cl, tol=tol).U_rho
+        s: upper_limit(posterior_from_sufficient(int(s), n, t, prior), cl).U_rho
         for s in np.unique(totals)
     }
     covered = np.array([limits[s] for s in totals]) >= true_rho

@@ -3,7 +3,7 @@
 Provides the log-gamma function, the regularized lower incomplete gamma
 ``P(a, x)`` and its inverse, the exponential integral ``E1``, and adaptive
 quadrature over semi-infinite intervals. All routines are deterministic and
-pure; accuracy is steered by :class:`ToleranceConfig`.
+pure; the quadrature's accuracy is steered by :class:`ToleranceConfig`.
 
 The incomplete gamma uses the classical split, a power series for
 ``x < a + 1`` and a Lentz-style continued fraction for the complementary
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, QuadratureError, _require_int
+from .errors import ConvergenceError, DomainError, QuadratureError
 
 __all__ = [
     "ToleranceConfig",
@@ -55,20 +55,17 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Accuracy targets shared by solvers and quadrature.
+    """Accuracy targets of the quadrature and the Poisson expectations.
 
     Attributes
     ----------
     abs_tol : float
-        Absolute target for root residuals and integral tails.
-    max_iter : int
-        Iteration budget for bracketing and root polishing.
+        Absolute target for integrals and truncated series tails.
     quad_rel_tol : float
         Relative error target for adaptive quadrature.
     """
 
     abs_tol: float = 1e-12
-    max_iter: int = 200
     quad_rel_tol: float = 1e-9
 
     def __post_init__(self):
@@ -76,7 +73,6 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-        _require_int(self.max_iter, "max_iter", 1)
 
 
 DEFAULT_TOL = ToleranceConfig()

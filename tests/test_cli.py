@@ -65,10 +65,12 @@ class TestHelpers:
 
     def test_parse_tolerance_default_and_overrides(self):
         assert parse_tolerance(None) is DEFAULT_TOL
-        tol = parse_tolerance("abs_tol=1e-13,max_iter=400")
+        tol = parse_tolerance("abs_tol=1e-13")
         assert tol.abs_tol == 1e-13
-        assert tol.max_iter == 400
         assert tol.quad_rel_tol == DEFAULT_TOL.quad_rel_tol
+        assert parse_tolerance("quad_rel_tol=1e-10,abs_tol=1e-14") == type(DEFAULT_TOL)(
+            abs_tol=1e-14, quad_rel_tol=1e-10
+        )
 
     def test_parse_tolerance_rejects_unknown_key(self):
         with pytest.raises(DomainError):
@@ -279,7 +281,8 @@ class TestTables:
     def test_metadata_block(self, tables_dir):
         meta, _, _ = read_csv_file(tables_dir / "table3.csv")
         assert meta[0] == f"# zerocount {__version__}"
-        assert any(line.startswith("# tolerance:") for line in meta)
+        # no tolerance reaches the tables, so none is printed
+        assert not any(line.startswith("# tolerance:") for line in meta)
 
     def test_json_mirror_keeps_full_precision(self, tables_dir):
         payload = json.loads((tables_dir / "tables.json").read_text())
@@ -466,10 +469,28 @@ class TestExitCodes:
         assert run_cli(capsys, "estimate")[0] == 2
 
     def test_bad_tolerance_override(self, capsys):
-        for override in ("bogus=1", "rel_tol=1", "max_iter=1.5", "abs_tol=x"):
-            code, out, err = run_cli(capsys, "estimate", "--counts", "0", "--tol", override)
+        for override in ("bogus=1", "rel_tol=1", "max_iter=5", "abs_tol=x"):
+            code, out, err = run_cli(
+                capsys, "marginalize", "--model", "zpoisson", "--x", "0", "--tol", override
+            )
             assert code == 2, override
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--counts", "0"),
+            ("tables", "--out", "."),
+            ("figures", "--out", "."),
+            ("simulate", "--model", "poisson", "--theta", "1", "--draws", "1"),
+            ("coverage", "--rho", "1", "--prior", "bl", "--reps", "1"),
+            ("jj-divergence",),
+        ],
+    )
+    def test_tol_is_marginalize_only(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--tol", "abs_tol=1e-13")
+        assert code == 2
+        assert "unrecognized arguments: --tol" in err
 
     def test_non_finite_input_exits_2(self, capsys):
         # bad input, not a numerical failure (4) or a misleading message
@@ -479,7 +500,8 @@ class TestExitCodes:
             (("jj-divergence", "--eps", "inf"), "epsilon"),
             (("jj-divergence", "--u-theta", "inf"), "U_theta"),
             (("marginalize", "--model", "nb", "--x", "0", "--a-lower", "inf"), "a_lower"),
-            (("estimate", "--counts", "0", "--prior", "bl", "--tol", "abs_tol=inf"), "abs_tol"),
+            (("marginalize", "--model", "zpoisson", "--x", "0", "--tol", "abs_tol=inf"),
+             "abs_tol"),
             (("marginalize", "--model", "zpoisson", "--x", "0", "--tol", "quad_rel_tol=inf"),
              "quad_rel_tol"),
             (("coverage", "--rho", "0", "--t", "inf", "--prior", "bl", "--reps", "10"), "t"),

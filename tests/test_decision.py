@@ -20,7 +20,7 @@ from zerocount.distributions import expectation_over_poisson
 from zerocount.errors import DomainError, ImproperPosteriorError
 from zerocount.numerics import ToleranceConfig
 
-TIGHT = ToleranceConfig(abs_tol=1e-14, max_iter=200, quad_rel_tol=1e-9)
+TIGHT = ToleranceConfig(abs_tol=1e-14, quad_rel_tol=1e-9)
 
 ME = prior_params(PriorKind.ME, t=1.0)
 BL = prior_params(PriorKind.BL)

@@ -28,9 +28,9 @@ E_M1 = 0.367879441171442322
 E_M2 = 0.135335283236612692
 E_M3 = 0.049787068367863943
 
-TIGHT = ToleranceConfig(abs_tol=1e-15, max_iter=200, quad_rel_tol=1e-11)
+TIGHT = ToleranceConfig(abs_tol=1e-15, quad_rel_tol=1e-11)
 # forces relative convergence even when the integrand is exponentially small
-SCALEFREE = ToleranceConfig(abs_tol=1e-300, max_iter=200, quad_rel_tol=1e-9)
+SCALEFREE = ToleranceConfig(abs_tol=1e-300, quad_rel_tol=1e-9)
 
 
 class TestZPoissonJoint:

@@ -24,14 +24,14 @@ from zerocount.numerics import (
 )
 
 # Tightened configuration for the dual-route identity checks below.
-TIGHT = ToleranceConfig(abs_tol=1e-15, max_iter=200, quad_rel_tol=1e-13)
+TIGHT = ToleranceConfig(abs_tol=1e-15, quad_rel_tol=1e-13)
 
 
 class TestToleranceConfig:
     def test_defaults(self):
         assert DEFAULT_TOL.abs_tol == 1e-12
-        assert DEFAULT_TOL.max_iter == 200
         assert DEFAULT_TOL.quad_rel_tol == 1e-9
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["abs_tol", "quad_rel_tol"]
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -44,7 +44,7 @@ class TestToleranceConfig:
             {"abs_tol": -1e-12},
             {"quad_rel_tol": 0.0},
             {"quad_rel_tol": -1.0},
-            {"max_iter": 0},
+            {"abs_tol": -math.inf},
             {"abs_tol": math.inf},
             {"abs_tol": math.nan},
             {"quad_rel_tol": math.inf},

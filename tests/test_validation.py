@@ -26,7 +26,7 @@ from zerocount.distributions import NBParams, PoissonParams, ZPoissonParams, poi
 from zerocount.errors import DomainError
 from zerocount.marginal import make_theta_grid, nb_marginal_numeric
 from zerocount.montecarlo import coverage_experiment, sample
-from zerocount.numerics import ToleranceConfig, inv_reg_inc_gamma_lower, reg_inc_gamma_lower
+from zerocount.numerics import inv_reg_inc_gamma_lower, reg_inc_gamma_lower
 
 BL = prior_params(PriorKind.BL)
 POISSON = PoissonParams(theta=1.0)
@@ -50,7 +50,6 @@ CALLS = {
     "simple_limit_inf_n": lambda: simple_probability_upper_limit(INF, 1.0, 0.05),
     "fisher_information_nan_n": lambda: fisher_information(NAN, 1.0),
     "theta_grid_inf_x": lambda: make_theta_grid(INF),
-    "tolerance_inf_max_iter": lambda: ToleranceConfig(max_iter=INF),
 }
 
 
