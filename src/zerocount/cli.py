@@ -9,10 +9,11 @@ diagnostic.
 
 Output discipline: every CSV/JSON payload starts with a metadata block
 (tool version, subcommand, the tolerance config for ``marginalize``, and the
-seed plus PRNG identity for stochastic runs) and contains no timestamps, so identical requests
-produce byte-identical output. Floats are serialized with ``repr`` (shortest
-round trip); table-reproduction cells are additionally rounded
-half-away-from-zero to 1 decimal, the precision of the reference tables.
+seed plus PRNG identity for stochastic runs) and contains no timestamps, so
+identical requests produce byte-identical output. Floats are serialized with
+``repr`` (shortest round trip); table-reproduction cells are additionally
+rounded half-away-from-zero to 1 decimal, the precision of the reference
+tables.
 
 Exit codes: 0 success, 2 input error, 3 improper posterior (when no
 requested prior survives), 4 numerical failure.

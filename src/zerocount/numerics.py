@@ -42,8 +42,9 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 
-# Internal iteration budgets for series/continued fractions; these are not
-# user-facing accuracy knobs, they only guard against runaway loops.
+# Internal iteration budgets for series, continued fractions and the gamma
+# inverse; these are not user-facing accuracy knobs, they only guard against
+# runaway loops.
 _MAX_TERMS = 10_000
 _MAX_PANELS = 4096
 _MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
@@ -160,17 +161,6 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     )
 
 
-def _normal_upper_quantile(q: float) -> float:
-    """The ``z`` with standard normal upper tail ``q <= 1/2``, to 4.5e-4.
-
-    Abramowitz & Stegun 26.2.23; a starting value needs no more.
-    """
-    t = math.sqrt(-2.0 * math.log(q))
-    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-
-
 def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     """Solve ``P(a, x) = p`` for ``x``, with ``0 < p < 1``.
 
@@ -196,11 +186,13 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
     lower = p <= 0.5
     tail = p if lower else 1.0 - p
-    z = _normal_upper_quantile(tail)
+    # the normal quantile of the smaller tail to 4.5e-4 (A&S 26.2.23)
+    t = math.sqrt(-2.0 * math.log(tail))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
     s = 1.0 / (9.0 * a)
     cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
-    x = max(a * cube**3 if cube > 0.0 else 0.0,
-            math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    x = max(a * max(cube, 0.0) ** 3, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
 
     log_gamma_a = math.lgamma(a)
     lo, hi, last = 0.0, math.inf, math.inf

@@ -68,9 +68,8 @@ class TestHelpers:
         tol = parse_tolerance("abs_tol=1e-13")
         assert tol.abs_tol == 1e-13
         assert tol.quad_rel_tol == DEFAULT_TOL.quad_rel_tol
-        assert parse_tolerance("quad_rel_tol=1e-10,abs_tol=1e-14") == type(DEFAULT_TOL)(
-            abs_tol=1e-14, quad_rel_tol=1e-10
-        )
+        tol = parse_tolerance("quad_rel_tol=1e-10,abs_tol=1e-14")
+        assert (tol.abs_tol, tol.quad_rel_tol) == (1e-14, 1e-10)
 
     def test_parse_tolerance_rejects_unknown_key(self):
         with pytest.raises(DomainError):
