@@ -5,13 +5,30 @@ Provides the log-gamma function, the regularized lower incomplete gamma
 quadrature over semi-infinite intervals. All routines are deterministic and
 pure; the quadrature's accuracy is steered by :class:`ToleranceConfig`.
 
-The incomplete gamma uses the classical split, a power series for
-``x < a + 1`` and a Lentz-style continued fraction for the complementary
-function otherwise, which keeps the accuracy uniform over the shape and
-quantile ranges the posterior solver visits. The inverse is one Halley
-iteration on the smaller tail, started near the root (Wilson-Hilferty), kept
-inside the bracket its residual signs give, and stopped on step size once the
-steps reach one ulp or the rounding of ``P``; there is no tolerance to set.
+The incomplete gamma ``P(a, x)`` and ``Q = 1 - P`` come from one of three
+regions, each at a bounded number of terms (200 at most, under 100 on the
+test grids), and each sums one tail, or both, so that the smaller tail keeps
+its relative accuracy:
+
+- large shapes, ``a > 50`` and ``|x - a| < 0.3a``: Temme's uniform
+  expansion (DLMF 8.12; Temme, SIAM J. Math. Anal. 10, 1979) in ``erfc`` and
+  a 9-row table of its coefficients, returning the smaller tail directly;
+- small shapes, ``a < 1/2`` and ``x < 3/2``: DiDonato & Morris' series, which
+  sums ``Q`` without forming ``1 - P``; ``a = 1/2`` is ``erf``/``erfc``;
+- everywhere else the classical split: the power series for ``P`` when
+  ``x < a + 1`` (and, for non-integer ``1/2 < a < 3``, up to
+  ``x < 1.5a + 1.2``, where ``Q >= 1/21`` and the series is shorter than the
+  continued fraction), Lentz's continued fraction for ``Q`` beyond. Above
+  ``a = 50`` their prefactor ``x^a e^-x / Gamma(a)`` is formed from
+  ``a (s - ln(1 + s))``, ``s = (x - a)/a``, and Stirling's series, not from the
+  rounded ``a ln x``.
+
+The regions follow Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012). The
+inverse is one Halley iteration on the smaller tail, on ``ln P`` while ``P``
+is off by more than half of ``p`` in the lower tail, started near the root
+(Wilson-Hilferty), kept inside the bracket its residual signs give, and
+stopped on step size once the steps reach one ulp or the rounding of ``P``;
+there is no tolerance to set.
 
 Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
 integrand gets a panel's 15 abscissae as an ndarray and returns shape
@@ -45,13 +62,87 @@ EULER_GAMMA = 0.5772156649015329
 # Internal iteration budgets for series, continued fractions and the gamma
 # inverse; these are not user-facing accuracy knobs, they only guard against
 # runaway loops.
-_MAX_TERMS = 10_000
+_MAX_TERMS = 200
 _MAX_PANELS = 4096
 _MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
 _MAX_OCTAVES = 64
 _MAX_HALLEY = 100
 _SERIES_EPS = 1e-16
 _TINY = 1e-300
+_TWO_PI = 2.0 * math.pi
+
+# Regions of P(a, x), see the module docstring
+_TEMME_MIN_SHAPE = 50.0
+_TEMME_BAND = 0.3
+_SMALL_SHAPE = 0.5
+_SMALL_SHAPE_X = 1.5
+
+# d_{k,n} of Temme's expansion, C_k(eta) = sum_n d_{k,n} eta^n (DLMF 8.12.12):
+# the doubles of the exact rationals, derived with Lagrange inversion of
+# eta(s) and the recursion over Stirling's coefficients (as in scipy's
+# special/_precompute/gammainc_asy.py, which builds cephes' table). Row k
+# keeps the terms that reach 1e-18 of the tail for a > 50 and |x - a| < 0.3a;
+# tests/test_numerics.py checks them against that derivation.
+_TEMME_D = (
+    (
+        -0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+        0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
+        -2.185448510679992e-06, -1.85406221071516e-06, 8.296711340953087e-07,
+        -1.7665952736826078e-07, 6.707853543401498e-09, 1.0261809784240309e-08,
+        -4.382036018453353e-09, 9.14769958223679e-10,
+    ),
+    (
+        -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+        -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+        -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+        4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+        1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+    ),
+    (
+        0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+        2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+        -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+        -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+        -1.409252991086752e-08,
+    ),
+    (
+        0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+        0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+        1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+        -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+    ),
+    (
+        -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+        -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+        1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+        8.907507532205309e-07,
+    ),
+    (
+        -0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+        -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+        -1.3594048189768693e-05, 8.018470256334202e-06,
+    ),
+    (
+        0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+        7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
+    ),
+    (
+        0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
+        0.0002812695154763237,
+    ),
+    (
+        -0.0006526239185953094, 0.0008394987206720873,
+    ),
+)
+
+# (-1)^k (zeta(k) - 1) / k for k = 2..14, the Taylor coefficients of
+# ln Gamma(1 + a) beyond (1 - gamma) a - ln(1 + a), from mpmath
+_LGAMMA1P_ZETA = (
+    0.3224670334241132, -0.0673523010531981, 0.020580808427784546, -0.007385551028673986,
+    0.0028905103307415234, -0.001192753911703261, 0.0005096695247430425,
+    -0.00022315475845357939, 9.945751278180853e-05, -4.492623673813314e-05,
+    2.050721277567069e-05, -9.439488275268397e-06, 4.374866789907488e-06,
+)
 
 
 @dataclass(frozen=True)
@@ -96,7 +187,8 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
 
     ``P(a, x) = gamma(a, x) / Gamma(a)`` is the Gamma(a, 1) CDF at ``x``:
     monotone nondecreasing in ``x``, 0 at ``x = 0``, and 1 in the limit.
-    Both evaluation branches iterate to machine-level convergence.
+    The smaller of ``P`` and ``1 - P`` is accurate to about 1e-13 relative;
+    see the module docstring for the regions.
     """
     if not (0.0 < a < math.inf):
         raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
@@ -108,17 +200,35 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
 def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     """``(P(a, x), Q(a, x))`` for valid ``a`` and ``x``.
 
-    The series branch sums ``P`` and the continued fraction sums ``Q``; the
-    other tail is one minus it, so only the summed tail keeps its relative
-    accuracy far out.
+    Each branch sums one tail, or both for small shapes, and returns the
+    other as one minus it; see the module docstring for the regions.
     """
     if x == 0.0:
         return 0.0, 1.0
     if x == math.inf:
         return 1.0, 0.0
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
+    if a > _TEMME_MIN_SHAPE:
+        exponent = _temme_exponent(a, x)
+        if abs(x - a) < _TEMME_BAND * a:
+            return _temme(a, x, exponent)
+        # x^a e^-x / Gamma(a) = e^-E sqrt(a / 2 pi) / Gamma*(a), free of the
+        # rounding of a ln x, which is about ulp(a ln a)
+        a_inv = 1.0 / a
+        r2 = a_inv * a_inv
+        log_gamma_star = a_inv * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680)))
+        log_prefactor = 0.5 * math.log(a / _TWO_PI) - exponent - log_gamma_star
+    elif a == 0.5:
+        # the Jeffreys shape: P = erf(sqrt(x)), Q = erfc(sqrt(x))
+        root = math.sqrt(x)
+        return math.erf(root), math.erfc(root)
+    elif a < _SMALL_SHAPE and x < _SMALL_SHAPE_X:
+        return _small_shape_pq(a, x)
+    else:
+        log_prefactor = a * math.log(x) - x - math.lgamma(a)
 
-    if x < a + 1.0:
+    # For non-integer a < 3 the continued fraction needs 40-90 terms just
+    # above x = a + 1, the series 20-30; the series serves while Q >= ~1/20
+    if x < a + 1.0 or (_SMALL_SHAPE < a < 3.0 and a % 1.0 and x < 1.5 * a + 1.2):
         # ascending series for P(a, x)
         denom = a
         term = 1.0 / a
@@ -136,7 +246,12 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         p = min(1.0, total * math.exp(log_prefactor))
         return p, 1.0 - p
 
-    # Lentz continued fraction for the complementary Q(a, x)
+    # Lentz continued fraction for the complementary Q(a, x), which is below
+    # x^a e^-x / Gamma(a) here: when that underflows, so does Q (and for x
+    # past 2^53 the fraction could not settle, its steps lost in b)
+    scale = math.exp(log_prefactor)
+    if scale == 0.0:
+        return 1.0, 0.0
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -154,18 +269,97 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _SERIES_EPS:
-            q = math.exp(log_prefactor) * h
+            q = scale * h
             return min(1.0, max(0.0, 1.0 - q)), q
     raise ConvergenceError(
         f"incomplete gamma continued fraction stalled at a={a!r}, x={x!r}"
     )
 
 
+def _temme_exponent(a: float, x: float) -> float:
+    """``E = a (s - ln(1 + s))`` with ``s = (x - a)/a``, to a few ulp of E.
+
+    With ``u = (x - a)/(x + a)``, ``ln(1 + s) = 2 atanh(u)`` turns E into
+    ``(x - a) u - 2a u^3 (1/3 + u^2/5 + ...)``: no cancellation, and
+    ``x - a`` is exact near ``a``. Far from ``a`` the direct form is as good.
+    """
+    d = x - a
+    u = d / (0.5 * x + 0.5 * a) * 0.5
+    if abs(u) >= 0.5:
+        return d - a * (math.log(x) - math.log(a) if x < a * 1e-300 else math.log(x / a))
+    u2 = u * u
+    power, total = 1.0, 1.0 / 3.0
+    for k in range(5, 200, 2):
+        power *= u2
+        total += power / k
+        if power < total * k * _SERIES_EPS:
+            break
+    return d * u - a * (2.0 * u * u2 * total)
+
+
+def _temme(a: float, x: float, exponent: float) -> tuple[float, float]:
+    """Temme's uniform expansion (DLMF 8.12.3-8.12.4) for large ``a``, x near a.
+
+    ``Q = erfc(eta sqrt(a/2))/2 + R`` and ``P = erfc(-eta sqrt(a/2))/2 - R``
+    with ``a eta^2 / 2 = E`` and ``R = e^-E / sqrt(2 pi a) sum_k C_k(eta) a^-k``;
+    returns the smaller tail and one minus it.
+    """
+    eta = math.copysign(math.sqrt(2.0 * exponent / a), x - a)
+    total, scale = 0.0, 1.0
+    for row in _TEMME_D:
+        c = 0.0
+        for coef in reversed(row):
+            c = c * eta + coef
+        total += c * scale
+        scale /= a
+        if scale < 1e-15:  # later rows, below 1e-3 a^-k, no longer count
+            break
+    remainder = total * math.exp(-exponent) / math.sqrt(_TWO_PI * a)
+    half_erfc = 0.5 * math.erfc(math.sqrt(exponent))
+    if x < a:
+        p = half_erfc - remainder
+        return p, 1.0 - p
+    q = half_erfc + remainder
+    return 1.0 - q, q
+
+
+def _small_shape_pq(a: float, x: float) -> tuple[float, float]:
+    """Both tails for ``a < 1/2`` and ``x < 3/2`` (after DiDonato & Morris).
+
+    ``P = x^a / Gamma(1 + a) (1 + a J)`` with ``J = sum_{n>=1} (-x)^n /
+    (n! (a + n))``, and ``Q = -expm1(t) - e^t a J`` with ``t = a ln x -
+    ln Gamma(1 + a)``: a small Q is summed, not left as ``1 - P``.
+    """
+    j, term = 0.0, 1.0
+    for n in range(1, _MAX_TERMS):
+        term *= -x / n
+        part = term / (a + n)
+        j += part
+        if abs(part) <= -j * _SERIES_EPS:  # J < 0 for every x > 0
+            break
+    else:
+        raise ConvergenceError(f"incomplete gamma series stalled at a={a!r}, x={x!r}")
+    if a < 0.1:
+        # ln Gamma(1 + a) = (1 - gamma) a - ln(1 + a) + sum_k (-1)^k (zeta(k) - 1) a^k / k,
+        # free of the rounding of 1 + a, which is larger than Q / 1e16 here
+        zeta_sum = 0.0
+        for coef in reversed(_LGAMMA1P_ZETA):
+            zeta_sum = zeta_sum * a + coef
+        log_gamma_1p = a * (1.0 - EULER_GAMMA) - math.log1p(a) + a * a * zeta_sum
+    else:
+        log_gamma_1p = math.lgamma(1.0 + a)
+    t = a * math.log(x) - log_gamma_1p
+    power = math.exp(t)
+    return power * (1.0 + a * j), -math.expm1(t) - power * a * j
+
+
 def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     """Solve ``P(a, x) = p`` for ``x``, with ``0 < p < 1``.
 
     One Halley iteration on the smaller tail, ``P - p`` for ``p <= 1/2`` and
-    ``(1 - p) - Q`` otherwise, started at the Wilson-Hilferty value but no
+    ``(1 - p) - Q`` otherwise, or ``ln P - ln p`` while ``P`` is below ``p/2``
+    or above ``3p/2``, so deep lower tails take a few steps, not dozens. It
+    starts at the Wilson-Hilferty value but no
     lower than ``(p Gamma(a + 1))^(1/a)``, a lower bound on the root because
     ``P(a, x) <= x^a / Gamma(a + 1)``. The residual signs keep a bracket; a
     step that would leave it halves the bracket instead, or doubles ``x``
@@ -194,7 +388,7 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
     x = max(a * max(cube, 0.0) ** 3, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
 
-    log_gamma_a = math.lgamma(a)
+    log_gamma_a, log_p = math.lgamma(a), math.log(p)
     lo, hi, last = 0.0, math.inf, math.inf
     for _ in range(_MAX_HALLEY):
         if x == 0.0:  # the root underflows
@@ -210,8 +404,19 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         # Newton's correction f / density (capped: far out, the guard steps
         # instead), then Halley's factor from the density's log-derivative
         log_density = (a - 1.0) * math.log(x) - x - log_gamma_a
-        newton = math.copysign(math.exp(min(math.log(abs(f)) - log_density, 700.0)), f)
-        halley = 1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0)
+        curvature = (a - 1.0) / x - 1.0
+        if lower and abs(f) > 0.5 * p:
+            # P off by more than half of p: iterate on ln P - ln p, which is
+            # near linear where P spans orders of magnitude (the deep tail).
+            # Where P underflows, its first series term x^a e^-x / Gamma(a + 1)
+            # stands in, a lower bound
+            log_p_x = math.log(p_x) if p_x > 0.0 else log_density + math.log(x) - math.log(a)
+            ratio = math.exp(min(log_p_x - log_density, 700.0))  # P / density
+            newton = (log_p_x - log_p) * ratio
+            curvature -= 1.0 / ratio
+        else:
+            newton = math.copysign(math.exp(min(math.log(abs(f)) - log_density, 700.0)), f)
+        halley = 1.0 - 0.5 * newton * curvature
         step = newton / halley if 0.0 < halley < math.inf else math.nan
         if abs(step) < 1e-8 * x and (abs(step) <= math.ulp(x) or abs(step) > 0.5 * last):
             return x - step

@@ -96,6 +96,20 @@ class TestRegIncGammaLower:
             reg_inc_gamma_lower(0.5, 1.92073), 0.950000035166252575, rtol=1e-12
         )
 
+    def test_huge_shape_at_the_median(self):
+        # the series needed ~10^7 terms here and raised; mpmath's series cannot
+        # converge either, so the reference is scipy.special.gammainc (1.17.1),
+        # which equals 1/2 + (1/3 - ...)/sqrt(2 pi a) from the exact d_{k,0}
+        np.testing.assert_allclose(
+            reg_inc_gamma_lower(1e12, 1e12), 0.5000001329807602, rtol=1e-15, atol=0
+        )
+
+    def test_huge_argument_saturates(self):
+        # Q underflows with the continued fraction's prefactor, which could
+        # not settle once x passed 2^53
+        assert numerics._gamma_pq(0.05735840335074297, 6.535661950733763e89) == (1.0, 0.0)
+        assert numerics._gamma_pq(67881277.6678195, 8.126175282122717e273) == (1.0, 0.0)
+
     def test_at_zero_and_saturation(self):
         assert reg_inc_gamma_lower(2.5, 0.0) == 0.0
         assert reg_inc_gamma_lower(2.5, 1e4) == 1.0
@@ -139,6 +153,263 @@ class TestRegIncGammaLower:
             reg_inc_gamma_lower(-2.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_gamma_lower(1.0, -0.1)
+
+
+# (a, x, P, Q) from mpmath at 120 digits (P as x^a e^-x / Gamma(a + 1) times
+# 1F1(1; a + 1; x), Q = 1 - P, checked against mpmath's gammainc below
+# a = 1000), rounded to doubles. x sits at smaller tails of 0.2, 1e-6 and
+# 1e-60 on both sides, and 1e-13 either side of every switch between regions:
+# x = 3/2 for a < 1/2, 1.5a + 1.2 for non-integer 1/2 < a < 3, a + 1 up to
+# a = 50, a -+ 0.3a above it, and a = 1/2, 3 and 50 themselves. Points whose
+# smaller tail is below 1e-70 are left out.
+FORWARD_REFERENCES = (
+    (1e-06, 0.26473704390035446, 0.999999, 9.999999999999995e-07),
+    (1e-06, 1.49999999999985, 0.9999998999802843, 1.0001971577314906e-07),
+    (1e-06, 1.5000000000001499, 0.9999998999802843, 1.0001971577310443e-07),
+    (1e-06, 119.54762321449276, 1.0, 1.000000000000006e-60),
+    (0.001, 6.912934354188501e-98, 0.7999999999999999, 0.20000000000000004),
+    (0.001, 1.49999999999985, 0.999899847040343, 0.00010015295965703674),
+    (0.001, 1.5000000000001499, 0.999899847040343, 0.00010015295965699207),
+    (0.001, 5.12002508378954, 0.999999, 9.99999999999998e-07),
+    (0.001, 126.40546004855226, 1.0, 1.0000000000000062e-60),
+    (0.05, 5.844632057286552e-121, 9.999999999999997e-07, 0.999999),
+    (0.05, 6.128540904101326e-15, 0.20000000000000004, 0.7999999999999999),
+    (0.05, 0.006781997575174137, 0.8, 0.19999999999999998),
+    (0.05, 1.49999999999985, 0.9946644061205129, 0.005335593879487157),
+    (0.05, 1.5000000000001499, 0.9946644061205152, 0.005335593879484818),
+    (0.05, 8.696862667919895, 0.999999, 9.999999999999997e-07),
+    (0.05, 130.5508552925047, 1.0, 1.0000000000000056e-60),
+    (0.3, 6.972699096409037e-201, 9.999999999999911e-61, 1.0),
+    (0.3, 6.97269909640939e-21, 1.0000000000000019e-06, 0.999999),
+    (0.3, 0.0032703395246849493, 0.20000000000000007, 0.7999999999999999),
+    (0.3, 0.4600738869878513, 0.8, 0.2),
+    (0.3, 1.49999999999985, 0.9578905367041022, 0.04210946329589782),
+    (0.3, 1.5000000000001499, 0.957890536704119, 0.04210946329588097),
+    (0.3, 10.984835632135779, 0.999999, 1.0000000000000014e-06),
+    (0.3, 133.62758136997076, 1.0, 9.999999999999777e-61),
+    (0.49999999999995, 1.0, 0.8427007929497343, 0.15729920705026562),
+    (0.49999999999995, 2.0, 0.9544997361036484, 0.04550026389635163),
+    (0.5, 7.85398163397479e-121, 1.0000000000000196e-60, 1.0),
+    (0.5, 7.853981633978593e-13, 1e-06, 0.999999),
+    (0.5, 0.0320923773336508, 0.20000000000000004, 0.7999999999999999),
+    (0.5, 0.8211872075748946, 0.7999999999999963, 0.20000000000000373),
+    (0.5, 1.49999999999985, 0.9167354833364342, 0.08326451666356582),
+    (0.5, 1.5000000000001499, 0.916735483336465, 0.083264516663535),
+    (0.5, 11.964063488467414, 0.999999, 1.000000000000001e-06),
+    (0.5, 135.12597027829707, 1.0, 9.9999999999999e-61),
+    (0.50000000000005, 1.0, 0.8427007929496954, 0.15729920705030462),
+    (0.50000000000005, 2.0, 0.9544997361036348, 0.04550026389636519),
+    (0.7, 1.683732939061459e-86, 9.999999999999921e-61, 1.0),
+    (0.7, 2.3395393357732745e-09, 1.0000000000000031e-06, 0.999999),
+    (0.7, 0.09233859795061868, 0.20000000000000004, 0.7999999999999999),
+    (0.7, 1.1506443435653346, 0.8000000000000008, 0.1999999999999992),
+    (0.7, 2.249999999999775, 0.9421595675302011, 0.05784043246979884),
+    (0.7, 2.2500000000002247, 0.9421595675302298, 0.057840432469770206),
+    (0.7, 12.768858085344487, 0.999999, 1.0000000000000008e-06),
+    (0.7, 136.41734177163914, 1.0, 1.000000000000005e-60),
+    (1.0, 1.0000000000000139e-60, 1.0000000000000139e-60, 1.0),
+    (1.0, 1.0000005000003338e-06, 1.0000000000000004e-06, 0.999999),
+    (1.0, 0.22314355131420974, 0.19999999999999998, 0.8),
+    (1.0, 1.6094379124341, 0.7999999999999999, 0.20000000000000007),
+    (1.0, 1.9999999999998, 0.8646647167633602, 0.13533528323663976),
+    (1.0, 2.0000000000002, 0.8646647167634144, 0.13533528323658564),
+    (1.0, 13.815510557964274, 0.999999, 1.0000000000000004e-06),
+    (1.0, 138.15510557964274, 1.0, 1.0000000000000048e-60),
+    (1.5, 1.2089939655123503e-40, 9.999999999999976e-61, 1.0),
+    (1.5, 0.00012090524360062132, 9.99999999999999e-07, 0.999999),
+    (1.5, 0.5025870065261746, 0.19999999999999998, 0.8),
+    (1.5, 2.320813838043724, 0.8000000000000003, 0.1999999999999998),
+    (1.5, 3.449999999999655, 0.9248456574361893, 0.0751543425638107),
+    (1.5, 3.450000000000345, 0.9248456574362351, 0.07515434256376483),
+    (1.5, 15.332424853106799, 0.999999, 1.0000000000000006e-06),
+    (1.5, 140.75292442613096, 1.0, 1.0000000000000196e-60),
+    (2.5, 1.6167038902915715e-24, 1.0000000000000114e-60, 1.0),
+    (2.5, 0.0064480801032485435, 9.99999999999998e-07, 0.999999),
+    (2.5, 1.1712671529205605, 0.20000000000000004, 0.7999999999999999),
+    (2.5, 3.6446380633244826, 0.8000000000000003, 0.19999999999999973),
+    (2.5, 4.9499999999995055, 0.9218812023396942, 0.07811879766030581),
+    (2.5, 4.950000000000495, 0.9218812023397522, 0.07811879766024775),
+    (2.5, 17.944093439836433, 0.999999, 1.0000000000000023e-06),
+    (2.5, 145.34943591627496, 1.0, 9.999999999999885e-61),
+    (2.9999999999997, 4.5, 0.8264219290900073, 0.1735780709099926),
+    (3.0, 1.8171205928321334e-20, 9.999999999999896e-61, 1.0),
+    (3.0, 0.018254282963279297, 1.0000000000000006e-06, 0.999999),
+    (3.0, 1.5350442026446436, 0.20000000000000004, 0.7999999999999999),
+    (3.0, 3.9999999999996, 0.7618966944463971, 0.23810330555360298),
+    (3.0, 4.0000000000004, 0.7618966944465142, 0.23810330555348577),
+    (3.0, 4.279029860125333, 0.7999999999999999, 0.20000000000000004),
+    (3.0, 19.129168188604844, 0.999999, 9.999999999999995e-07),
+    (3.0, 147.4626708717913, 1.0, 9.99999999999982e-61),
+    (3.0000000000002998, 4.5, 0.8264219290899206, 0.1735780709100794),
+    (7.5, 3.5723928540712025e-08, 1.0000000000000085e-60, 1.0),
+    (7.5, 0.6079999579469528, 1.0000000000000002e-06, 0.999999),
+    (7.5, 5.153479503312644, 0.20000000000000018, 0.7999999999999998),
+    (7.5, 8.49999999999915, 0.6811355945475835, 0.31886440545241646),
+    (7.5, 8.500000000000849, 0.6811355945477868, 0.31886440545221323),
+    (7.5, 9.655328555295458, 0.8000000000000002, 0.19999999999999984),
+    (7.5, 28.24672124988669, 0.999999, 1.0000000000000016e-06),
+    (7.5, 163.80226279300783, 1.0, 1.0000000000000076e-60),
+    (30.0, 0.12091565519526183, 9.999999999999795e-61, 1.0),
+    (30.0, 10.71085865075884, 9.999999999999932e-07, 0.999999),
+    (30.0, 25.32030896555818, 0.19999999999999993, 0.8),
+    (30.0, 30.9999999999969, 0.5953478209653964, 0.4046521790346036),
+    (30.0, 31.000000000003098, 0.5953478209658252, 0.4046521790341749),
+    (30.0, 34.48603436958551, 0.7999999999999999, 0.20000000000000012),
+    (30.0, 63.5481801248681, 0.999999, 9.999999999999847e-07),
+    (30.0, 223.96980549965636, 1.0, 1.000000000000002e-60),
+    (49.999999999995, 50.0, 0.518808315472326, 0.481191684527674),
+    (49.999999999995, 60.0, 0.9155933189064146, 0.08440668109358536),
+    (50.0, 1.2600535232736672, 9.99999999999968e-61, 1.0),
+    (50.0, 23.25066535794657, 9.999999999999743e-07, 0.999999),
+    (50.0, 43.97266796137551, 0.2, 0.7999999999999999),
+    (50.0, 50.9999999999949, 0.5743948595165806, 0.4256051404834193),
+    (50.0, 51.000000000005095, 0.5743948595171382, 0.4256051404828618),
+    (50.0, 55.83335657914517, 0.8000000000000002, 0.19999999999999987),
+    (50.0, 91.06338855977383, 0.999999, 9.999999999999817e-07),
+    (50.0, 267.6926576430016, 1.0, 9.999999999999739e-61),
+    (50.000000000004995, 50.0, 0.518808315471761, 0.481191684528239),
+    (50.000000000004995, 60.0, 0.9155933189062019, 0.08440668109379815),
+    (50.5, 1.3082444586719506, 1.0000000000000005e-60, 1.0),
+    (50.5, 23.58492772620111, 1.000000000000017e-06, 0.999999),
+    (50.5, 35.34999999999646, 0.009531453604998652, 0.9904685463950014),
+    (50.5, 35.35000000000353, 0.009531453605031001, 0.990468546394969),
+    (50.5, 44.44288036465899, 0.20000000000000007, 0.7999999999999999),
+    (50.5, 56.36313945935877, 0.8, 0.19999999999999998),
+    (50.5, 65.64999999999344, 0.9770071042243311, 0.022992895775668914),
+    (50.5, 65.65000000000657, 0.9770071042244157, 0.022992895775584294),
+    (50.5, 91.7299439507133, 0.999999, 1.000000000000022e-06),
+    (50.5, 268.72623093011345, 1.0, 1.0000000000000033e-60),
+    (100.0, 10.598594272387789, 1.0000000000000128e-60, 1.0),
+    (100.0, 59.43632069812289, 9.999999999999978e-07, 0.999999),
+    (100.0, 69.999999999993, 0.00043037259497851187, 0.9995696274050215),
+    (100.0, 70.00000000000699, 0.00043037259498126705, 0.9995696274050188),
+    (100.0, 91.50139540313432, 0.19999999999999998, 0.8),
+    (100.0, 108.30439161901411, 0.7999999999999999, 0.2000000000000001),
+    (100.0, 129.99999999998698, 0.9972495916326842, 0.0027504083673157865),
+    (100.0, 130.000000000013, 0.9972495916327027, 0.002750408367297286),
+    (100.0, 154.91904599503897, 0.999999, 1.0000000000000052e-06),
+    (100.0, 362.8404769403811, 1.0, 9.999999999999895e-61),
+    (1000.0, 566.7126148444644, 9.999999999998286e-61, 1.0),
+    (1000.0, 699.99999999993, 1.0158583345025996e-26, 1.0),
+    (1000.0, 700.0000000000699, 1.0158583345639939e-26, 1.0),
+    (1000.0, 856.8146512793919, 1.0000000000000031e-06, 0.999999),
+    (1000.0, 973.293038491621, 0.1999999999999995, 0.8000000000000005),
+    (1000.0, 1026.5125359294482, 0.7999999999999998, 0.20000000000000015),
+    (1000.0, 1157.5779110089263, 0.999999, 1.0000000000000095e-06),
+    (1000.0, 1299.99999999987, 1.0, 1.8736155716355813e-18),
+    (1000.0, 1300.0000000001298, 1.0, 1.8736155715216286e-18),
+    (1000.0, 1611.3299384247923, 1.0, 9.99999999999312e-61),
+    (10000.0, 8448.342357462905, 1.0000000000000308e-60, 1.0),
+    (10000.0, 9531.835117189807, 1.0000000000000046e-06, 0.999999),
+    (10000.0, 9915.742124149649, 0.1999999999999995, 0.8000000000000005),
+    (10000.0, 10084.063429072321, 0.8, 0.2),
+    (10000.0, 10482.561164638855, 0.999999, 1.000000000000027e-06),
+    (10000.0, 11730.184142221335, 1.0, 9.999999999999798e-61),
+    (100000.0, 94903.63568973969, 9.999999999999862e-61, 1.0),
+    (100000.0, 98504.02706509772, 1.0000000000000258e-06, 0.999999),
+    (100000.0, 99733.75923816286, 0.20000000000000595, 0.799999999999994),
+    (100000.0, 100266.04631293981, 0.7999999999999982, 0.2000000000000018),
+    (100000.0, 101510.36958868102, 0.999999, 1.000000000000033e-06),
+    (100000.0, 105274.93939799478, 1.0, 1.000000000000217e-60),
+)
+
+
+class TestForwardAgainstMpmath:
+    @pytest.mark.parametrize("a", sorted({row[0] for row in FORWARD_REFERENCES}))
+    def test_smaller_tail_to_1e13(self, a):
+        for _, x, p, q in (row for row in FORWARD_REFERENCES if row[0] == a):
+            got_p, got_q = numerics._gamma_pq(a, x)
+            (tail, got_tail), (rest, got_rest) = sorted([(p, got_p), (q, got_q)])
+            assert abs(got_tail - tail) <= 1e-13 * tail, (a, x)
+            assert abs(got_rest - rest) <= 1e-13, (a, x)
+            assert reg_inc_gamma_lower(a, x) == got_p
+
+
+class TestTemmeCoefficients:
+    # d_{k,n} of DLMF 8.12.12 derived in exact rational arithmetic (Lagrange
+    # inversion of eta(s), s = x/a - 1, then the recursion over Stirling's
+    # coefficients g_k), frozen at 36 digits
+    TEMME_D = (
+        (
+            "-0.333333333333333333333333333333333333", "0.0833333333333333333333333333333333333",
+            "-0.0148148148148148148148148148148148148", "0.00115740740740740740740740740740740741",
+            "0.000352733686067019400352733686067019400", "-0.000178755144032921810699588477366255144",
+            "0.0000391926317852243778169704095630021556", "-0.00000218544851067999216147364295512443661",
+            "-0.00000185406221071515996070179883622956325", "8.29671134095308600501624213166443227E-7",
+            "-1.76659527368260793043600542457424030E-7", "6.70785354340149858036939710029613572E-9",
+            "1.02618097842403080425739573227252951E-8", "-4.38203601845335318655297462244719123E-9",
+            "9.14769958223679023418248817633113681E-10",
+        ),
+        (
+            "-0.00185185185185185185185185185185185185", "-0.00347222222222222222222222222222222222",
+            "0.00264550264550264550264550264550264550", "-0.000990226337448559670781893004115226337",
+            "0.000205761316872427983539094650205761317", "-4.01877572016460905349794238683127572E-7",
+            "-0.0000180985503344899778370285914867533523", "0.00000764916091608111008463742149809169210",
+            "-0.00000161209008945634460037752218822177670", "4.64712780280743434226135033938722401E-9",
+            "1.37863344691572095931187533077488877E-7", "-5.75254560351770496402194531835048307E-8",
+            "1.19516285997781473243076536699698169E-8", "-1.75432417197476476237547551202312502E-11",
+            "-1.00915437106004126274577504686681675E-9",
+        ),
+        (
+            "0.00413359788359788359788359788359788360", "-0.00268132716049382716049382716049382716",
+            "0.000771604938271604938271604938271604938", "0.00000200938786008230452674897119341563786",
+            "-0.000107366532263651605215391223621676297", "0.0000529234488291201254164217127180090143",
+            "-0.0000127606351886187277133779191392360117", "3.42357873409613807419020039047473890E-8",
+            "0.00000137219573090629332055943852926020279", "-6.29899213838005502290672234278391876E-7",
+            "1.42806142060642417915846008822771748E-7", "-2.04770984219908660149195854409200226E-10",
+            "-1.40925299108675210532930244154315272E-8",
+        ),
+        (
+            "0.000649434156378600823045267489711934156", "0.000229472093621399176954732510288065844",
+            "-0.000469189494395255712128140111679206329", "0.000267720632062838852962309752433209223",
+            "-0.0000756180167188397641072538191879755666", "-2.39650511386729665193314027333231723E-7",
+            "0.0000110826541153473023614770299726861227", "-0.00000567495282699159656749963105701560205",
+            "0.00000142309007324358839145518944705804330", "-2.78610802915281422405802158211174452E-11",
+            "-1.69584040919302772898641687958202670E-7", "8.09946490538808236335278504852724081E-8",
+        ),
+        (
+            "-0.000861888290916711698604702719929057378", "0.000784039221720066627474034881442288850",
+            "-0.000299072480303190179733389609932819809", "-0.00000146384525788434181781232535690697556",
+            "0.0000664149821546512218665853782451862013", "-0.0000396836504717943466443123507595386882",
+            "0.0000113757269706784190980552042885831759", "2.50749722623753280165221942390057007E-10",
+            "-0.00000169541495365583060147164356781525752", "8.90750753220530968882898422505515924E-7",
+        ),
+        (
+            "-0.000336798553366358150308767592718210002", "-0.0000697281375836585777429398828575783308",
+            "0.000277275324495939207873364251965075010", "-0.000199325705161888477003360405280844238",
+            "0.0000679778047793720783881640176604435742", "1.41906292064396701483392727105575757E-7",
+            "-0.0000135940481897686932784583938837504469", "0.00000801847025633420153971925719804196840",
+        ),
+        (
+            "0.000531307936463992223165748542977623910", "-0.000592166437353693882864836225604401187",
+            "0.000270878209671804482771279183488328692", "7.90235323266032787212032944390816666E-7",
+            "-0.0000815396936756196875092890088464682624", "0.0000561168275310624965003775619041471695",
+        ),
+        (
+            "0.000344367606892377671254279625108523655", "0.0000517179090826059219337057843002058823",
+            "-0.000334931610811422363116635090580012327", "0.000281269515476323702273722110707777978",
+        ),
+        (
+            "-0.000652623918595309418922034919726622692", "0.000839498720672087279993357516764983445",
+        ),
+    )
+    # (-1)^k (zeta(k) - 1) / k for k = 2..14, from mpmath at 50 digits
+    LGAMMA1P_ZETA = (
+        "0.322467033424113218236207583323012595", "-0.0673523010531980951332460538371499969",
+        "0.0205808084277845478790009241352919757", "-0.00738555102867398526627309729140683361",
+        "0.00289051033074152328575298829848675465", "-0.00119275391170326097711393569282810851",
+        "0.000509669524743042422335654813581558157", "-0.000223154758453579379761418803601340054",
+        "0.0000994575127818085337145958900319017006", "-0.0000449262367381331417002075024063578608",
+        "0.0000205072127756706915531665039783059134", "-0.00000943948827526839590398742510441505494",
+        "0.00000437486678990748780418179322395241053",
+    )
+
+    def test_literals_equal_frozen_derivation(self):
+        frozen = tuple(tuple(float(v) for v in row) for row in self.TEMME_D)
+        assert numerics._TEMME_D == frozen
+
+    def test_lgamma1p_literals_equal_frozen_values(self):
+        assert numerics._LGAMMA1P_ZETA == tuple(float(v) for v in self.LGAMMA1P_ZETA)
 
 
 class TestInvRegIncGammaLower:
@@ -288,13 +559,11 @@ PROBE_ROOTS = {
 def inverse_bound(a):
     """Relative accuracy the inverse reaches at shape ``a``.
 
-    Past a few thousand, rounding in P's prefactor ``a ln x - x`` (about
-    ulp(a ln a)) moves P near the root by up to 3.4e-11 at a = 3e4, which is
-    5e-13 of the root; the inverse cannot be closer than P allows.
+    Above a = 50 the forward P no longer rounds ``a ln x`` (about ulp(a ln a),
+    which cost up to 6.6e-13 of the root at a = 1e5); on this grid the roots
+    for a > 100 are within 2.1e-16 (0 from a = 1e4 up).
     """
-    if a <= 100.0:
-        return 1e-14
-    return 2e-13 if a <= 1e4 else 2e-12
+    return 1e-14 if a <= 100.0 else 1e-15
 
 
 class TestInverseAgainstMpmath:
@@ -306,7 +575,14 @@ class TestInverseAgainstMpmath:
     @pytest.mark.parametrize("a, p", sorted(PROBE_ROOTS))
     def test_limit_probe_inputs(self, a, p):
         np.testing.assert_allclose(
-            inv_reg_inc_gamma_lower(a, p), PROBE_ROOTS[a, p], rtol=2e-12, atol=0
+            inv_reg_inc_gamma_lower(a, p), PROBE_ROOTS[a, p], rtol=1e-15, atol=0
+        )
+
+    def test_tiny_shape_upper_tail(self):
+        # Q = 5.9e-7 at a = 1.2e-6 is summed, not left as 1 - P (which put
+        # this root 1e-9 off); root of Q(a, x) = 1 - p from mpmath at 60 digits
+        np.testing.assert_allclose(
+            inv_reg_inc_gamma_lower(1.2e-6, 0.99999941), 0.5613295436461045, rtol=1e-14, atol=0
         )
 
     def test_root_below_the_smallest_double_is_a_convergence_error(self):
@@ -339,6 +615,24 @@ class TestInverseWorkCount:
                 counts.append(calls)
         assert sum(counts) / len(counts) <= 5.0
         assert max(counts) <= 10
+
+    @pytest.mark.parametrize("a", [100.0, 300.0, 556.6167494495816, 1000.0])
+    @pytest.mark.parametrize("p", [1e-100, 1e-200, 1e-290, 3.059533864394524e-305])
+    def test_deep_lower_tail(self, monkeypatch, a, p):
+        # iterating on P itself took up to 34 evaluations here (a = 556.6,
+        # p = 3.06e-305, where P at the start underflows); ln P takes at most 6
+        calls = 0
+        gamma_pq = numerics._gamma_pq
+
+        def counting(a, x):
+            nonlocal calls
+            calls += 1
+            return gamma_pq(a, x)
+
+        monkeypatch.setattr(numerics, "_gamma_pq", counting)
+        x = inv_reg_inc_gamma_lower(a, p)
+        assert calls <= 10
+        assert abs(reg_inc_gamma_lower(a, x) / p - 1.0) <= 1e-12
 
 
 class TestExpIntegralE1:
