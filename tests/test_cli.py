@@ -520,12 +520,19 @@ class TestExitCodes:
             assert err.startswith("error: t must be large enough"), err
 
     def test_starved_solver_exits_4(self, capsys):
-        # the series for P(a, x) near x = a needs more terms than its budget
+        # the root of P(0.0005, x) = 0.5 is about 5e-603, below every double
         code, out, err = run_cli(
-            capsys, "estimate", "--counts", "10000000", "--prior", "bl", "--cl", "0.5",
+            capsys, "estimate", "--counts", "0", "--prior", "custom:0.0005,1", "--cl", "0.5",
         )
         assert code == 4
-        assert "error:" in err
+        assert err.startswith("error: incomplete gamma inverse did not converge"), err
+
+    def test_large_total_at_the_median_exits_0(self, capsys):
+        # once exit 4 ("series stalled"); the root of P(10000001, x) = 1/2
+        # from mpmath at 60 digits is 10000000.666666668
+        payload = run_json(capsys, "estimate", "--counts", "10000000", "--prior", "bl", "--cl", "0.5")
+        (limit,) = payload["priors"][0]["upper_limits"]
+        assert abs(limit["u_rho"] - 10000000.666666668) <= 1e-15 * 1e7
 
 
 class TestJJDivergence:

@@ -84,7 +84,7 @@ CASES = {
 CASES.update(
     {
         "error_starved_solver": [
-            "estimate", "--counts", "10000000", "--prior", "bl", "--cl", "0.5",
+            "estimate", "--counts", "0", "--prior", "custom:0.0005,1", "--cl", "0.5",
         ],
         "error_bad_counts": ["estimate", "--counts", "0,x"],
         "error_negative_x": ["marginalize", "--model", "zpoisson", "--x", "-1"],
