@@ -605,11 +605,16 @@ def integrate_semi_infinite(
         mapped = lambda u: g(lower + (1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
         return shaped(_adaptive(mapped, 0.0, 1.0, tol.abs_tol, tol.quad_rel_tol, shaped))
 
-    total, start, width, quiet_extensions = 0.0, lower, 1.0, 0
+    total, start, width, quiet_extensions, previous = 0.0, lower, 1.0, 0, math.inf
     for _ in range(_MAX_OCTAVES):
         value = _adaptive(g, start, start + width, tol.abs_tol / 4, tol.quad_rel_tol / 4, shaped)
         total = total + value
-        quiet = np.all(np.abs(value) <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
+        # an octave below tolerance is quiet only once the octaves stop
+        # growing: mass far from lower leaves the first ones tiny but rising
+        size = np.abs(value)
+        quiet = np.all((size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
+                       & (size <= previous))
+        previous = size
         quiet_extensions = quiet_extensions + 1 if quiet else 0
         if quiet_extensions == 2:
             return shaped(total)

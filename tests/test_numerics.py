@@ -731,6 +731,15 @@ class TestIntegrateSemiInfinite:
         assert excinfo.value.partial_sum is not None
         assert excinfo.value.error_estimate is not None
 
+    def test_doubling_waits_for_the_octaves_to_stop_growing(self):
+        # the Gamma(51, 1) density holds 7e-44 of its mass in [0, 7]: those
+        # octaves are below tolerance but rising, so they are not quiet
+        log_norm = log_gamma(51.0)
+        value = integrate_semi_infinite(
+            lambda x: np.exp(50.0 * np.log(x) - x - log_norm), strategy="doubling"
+        )
+        np.testing.assert_allclose(value, 1.0, rtol=1e-9)
+
     def test_divergent_integrand_doubling(self):
         with pytest.raises(QuadratureError) as excinfo:
             integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), strategy="doubling")
