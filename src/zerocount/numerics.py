@@ -200,7 +200,7 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
 def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     """``(P(a, x), Q(a, x))`` for valid ``a`` and ``x``.
 
-    Each branch sums one tail, or both for small shapes, and returns the
+    Each branch sums one tail, or both for ``a <= 1/2``, and returns the
     other as one minus it; see the module docstring for the regions.
     """
     if x == 0.0:
@@ -227,7 +227,7 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         log_prefactor = a * math.log(x) - x - math.lgamma(a)
 
     # For non-integer a < 3 the continued fraction needs 40-90 terms just
-    # above x = a + 1, the series 20-30; the series serves while Q >= ~1/20
+    # above x = a + 1, the series 20-30; the series serves while Q >= 1/21
     if x < a + 1.0 or (_SMALL_SHAPE < a < 3.0 and a % 1.0 and x < 1.5 * a + 1.2):
         # ascending series for P(a, x)
         denom = a
@@ -284,9 +284,9 @@ def _temme_exponent(a: float, x: float) -> float:
     ``x - a`` is exact near ``a``. Far from ``a`` the direct form is as good.
     """
     d = x - a
-    u = d / (0.5 * x + 0.5 * a) * 0.5
+    u = d / (0.5 * x + 0.5 * a) * 0.5  # x + a itself may overflow
     if abs(u) >= 0.5:
-        return d - a * (math.log(x) - math.log(a) if x < a * 1e-300 else math.log(x / a))
+        return d - a * (math.log(x / a) if x > _TINY * a else math.log(x) - math.log(a))
     u2 = u * u
     power, total = 1.0, 1.0 / 3.0
     for k in range(5, 200, 2):
@@ -340,8 +340,8 @@ def _small_shape_pq(a: float, x: float) -> tuple[float, float]:
     else:
         raise ConvergenceError(f"incomplete gamma series stalled at a={a!r}, x={x!r}")
     if a < 0.1:
-        # ln Gamma(1 + a) = (1 - gamma) a - ln(1 + a) + sum_k (-1)^k (zeta(k) - 1) a^k / k,
-        # free of the rounding of 1 + a, which is larger than Q / 1e16 here
+        # ln Gamma(1 + a) = (1 - gamma) a - ln(1 + a) + sum_k (-1)^k (zeta(k) - 1) a^k / k:
+        # lgamma(1 + a) would carry the rounding of 1 + a, up to 1e-9 of Q here
         zeta_sum = 0.0
         for coef in reversed(_LGAMMA1P_ZETA):
             zeta_sum = zeta_sum * a + coef
@@ -401,17 +401,18 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
             lo = x
         else:
             hi = x
-        # Newton's correction f / density (capped: far out, the guard steps
-        # instead), then Halley's factor from the density's log-derivative
+        # Newton's correction f / f' (capped: far out, the guard steps
+        # instead), then Halley's factor 1 - (f / f') f'' / (2 f'), where
+        # f'' / f' is the log-derivative of the density f'
         log_density = (a - 1.0) * math.log(x) - x - log_gamma_a
         curvature = (a - 1.0) / x - 1.0
         if lower and abs(f) > 0.5 * p:
-            # P off by more than half of p: iterate on ln P - ln p, which is
-            # near linear where P spans orders of magnitude (the deep tail).
-            # Where P underflows, its first series term x^a e^-x / Gamma(a + 1)
-            # stands in, a lower bound
+            # P off by more than half of p: iterate on ln P - ln p instead,
+            # near linear where P spans orders of magnitude (the deep tail);
+            # its f'' / f' gains -density / P. Where P underflows, its first
+            # series term x^a e^-x / Gamma(a + 1), a lower bound, stands in
             log_p_x = math.log(p_x) if p_x > 0.0 else log_density + math.log(x) - math.log(a)
-            ratio = math.exp(min(log_p_x - log_density, 700.0))  # P / density
+            ratio = math.exp(max(-700.0, min(log_p_x - log_density, 700.0)))  # P / density
             newton = (log_p_x - log_p) * ratio
             curvature -= 1.0 / ratio
         else:
