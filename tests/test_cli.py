@@ -530,7 +530,9 @@ class TestExitCodes:
     def test_large_total_at_the_median_exits_0(self, capsys):
         # once exit 4 ("series stalled"); the root of P(10000001, x) = 1/2
         # from mpmath at 60 digits is 10000000.666666668
-        payload = run_json(capsys, "estimate", "--counts", "10000000", "--prior", "bl", "--cl", "0.5")
+        payload = run_json(
+            capsys, "estimate", "--counts", "10000000", "--prior", "bl", "--cl", "0.5",
+        )
         (limit,) = payload["priors"][0]["upper_limits"]
         assert abs(limit["u_rho"] - 10000000.666666668) <= 1e-15 * 1e7
 

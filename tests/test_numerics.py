@@ -328,80 +328,80 @@ class TestForwardAgainstMpmath:
 class TestTemmeCoefficients:
     # d_{k,n} of DLMF 8.12.12 derived in exact rational arithmetic (Lagrange
     # inversion of eta(s), s = x/a - 1, then the recursion over Stirling's
-    # coefficients g_k), frozen at 36 digits
+    # coefficients g_k), frozen at 30 digits
     TEMME_D = (
         (
-            "-0.333333333333333333333333333333333333", "0.0833333333333333333333333333333333333",
-            "-0.0148148148148148148148148148148148148", "0.00115740740740740740740740740740740741",
-            "0.000352733686067019400352733686067019400", "-0.000178755144032921810699588477366255144",
-            "0.0000391926317852243778169704095630021556", "-0.00000218544851067999216147364295512443661",
-            "-0.00000185406221071515996070179883622956325", "8.29671134095308600501624213166443227E-7",
-            "-1.76659527368260793043600542457424030E-7", "6.70785354340149858036939710029613572E-9",
-            "1.02618097842403080425739573227252951E-8", "-4.38203601845335318655297462244719123E-9",
-            "9.14769958223679023418248817633113681E-10",
+            "-3.33333333333333333333333333333e-1", "8.33333333333333333333333333333e-2",
+            "-1.48148148148148148148148148148e-2", "1.15740740740740740740740740741e-3",
+            "3.52733686067019400352733686067e-4", "-1.78755144032921810699588477366e-4",
+            "3.91926317852243778169704095630e-5", "-2.18544851067999216147364295512e-6",
+            "-1.85406221071515996070179883623e-6", "8.29671134095308600501624213166e-7",
+            "-1.76659527368260793043600542457e-7", "6.70785354340149858036939710030e-9",
+            "1.02618097842403080425739573227e-8", "-4.38203601845335318655297462245e-9",
+            "9.14769958223679023418248817633e-10",
         ),
         (
-            "-0.00185185185185185185185185185185185185", "-0.00347222222222222222222222222222222222",
-            "0.00264550264550264550264550264550264550", "-0.000990226337448559670781893004115226337",
-            "0.000205761316872427983539094650205761317", "-4.01877572016460905349794238683127572E-7",
-            "-0.0000180985503344899778370285914867533523", "0.00000764916091608111008463742149809169210",
-            "-0.00000161209008945634460037752218822177670", "4.64712780280743434226135033938722401E-9",
-            "1.37863344691572095931187533077488877E-7", "-5.75254560351770496402194531835048307E-8",
-            "1.19516285997781473243076536699698169E-8", "-1.75432417197476476237547551202312502E-11",
-            "-1.00915437106004126274577504686681675E-9",
+            "-1.85185185185185185185185185185e-3", "-3.47222222222222222222222222222e-3",
+            "2.64550264550264550264550264550e-3", "-9.90226337448559670781893004115e-4",
+            "2.05761316872427983539094650206e-4", "-4.01877572016460905349794238683e-7",
+            "-1.80985503344899778370285914868e-5", "7.64916091608111008463742149809e-6",
+            "-1.61209008945634460037752218822e-6", "4.64712780280743434226135033939e-9",
+            "1.37863344691572095931187533077e-7", "-5.75254560351770496402194531835e-8",
+            "1.19516285997781473243076536700e-8", "-1.75432417197476476237547551202e-11",
+            "-1.00915437106004126274577504687e-9",
         ),
         (
-            "0.00413359788359788359788359788359788360", "-0.00268132716049382716049382716049382716",
-            "0.000771604938271604938271604938271604938", "0.00000200938786008230452674897119341563786",
-            "-0.000107366532263651605215391223621676297", "0.0000529234488291201254164217127180090143",
-            "-0.0000127606351886187277133779191392360117", "3.42357873409613807419020039047473890E-8",
-            "0.00000137219573090629332055943852926020279", "-6.29899213838005502290672234278391876E-7",
-            "1.42806142060642417915846008822771748E-7", "-2.04770984219908660149195854409200226E-10",
-            "-1.40925299108675210532930244154315272E-8",
+            "4.13359788359788359788359788360e-3", "-2.68132716049382716049382716049e-3",
+            "7.71604938271604938271604938272e-4", "2.00938786008230452674897119342e-6",
+            "-1.07366532263651605215391223622e-4", "5.29234488291201254164217127180e-5",
+            "-1.27606351886187277133779191392e-5", "3.42357873409613807419020039047e-8",
+            "1.37219573090629332055943852926e-6", "-6.29899213838005502290672234278e-7",
+            "1.42806142060642417915846008823e-7", "-2.04770984219908660149195854409e-10",
+            "-1.40925299108675210532930244154e-8",
         ),
         (
-            "0.000649434156378600823045267489711934156", "0.000229472093621399176954732510288065844",
-            "-0.000469189494395255712128140111679206329", "0.000267720632062838852962309752433209223",
-            "-0.0000756180167188397641072538191879755666", "-2.39650511386729665193314027333231723E-7",
-            "0.0000110826541153473023614770299726861227", "-0.00000567495282699159656749963105701560205",
-            "0.00000142309007324358839145518944705804330", "-2.78610802915281422405802158211174452E-11",
-            "-1.69584040919302772898641687958202670E-7", "8.09946490538808236335278504852724081E-8",
+            "6.49434156378600823045267489712e-4", "2.29472093621399176954732510288e-4",
+            "-4.69189494395255712128140111679e-4", "2.67720632062838852962309752433e-4",
+            "-7.56180167188397641072538191880e-5", "-2.39650511386729665193314027333e-7",
+            "1.10826541153473023614770299727e-5", "-5.67495282699159656749963105702e-6",
+            "1.42309007324358839145518944706e-6", "-2.78610802915281422405802158211e-11",
+            "-1.69584040919302772898641687958e-7", "8.09946490538808236335278504853e-8",
         ),
         (
-            "-0.000861888290916711698604702719929057378", "0.000784039221720066627474034881442288850",
-            "-0.000299072480303190179733389609932819809", "-0.00000146384525788434181781232535690697556",
-            "0.0000664149821546512218665853782451862013", "-0.0000396836504717943466443123507595386882",
-            "0.0000113757269706784190980552042885831759", "2.50749722623753280165221942390057007E-10",
-            "-0.00000169541495365583060147164356781525752", "8.90750753220530968882898422505515924E-7",
+            "-8.61888290916711698604702719929e-4", "7.84039221720066627474034881442e-4",
+            "-2.99072480303190179733389609933e-4", "-1.46384525788434181781232535691e-6",
+            "6.64149821546512218665853782452e-5", "-3.96836504717943466443123507595e-5",
+            "1.13757269706784190980552042886e-5", "2.50749722623753280165221942390e-10",
+            "-1.69541495365583060147164356782e-6", "8.90750753220530968882898422506e-7",
         ),
         (
-            "-0.000336798553366358150308767592718210002", "-0.0000697281375836585777429398828575783308",
-            "0.000277275324495939207873364251965075010", "-0.000199325705161888477003360405280844238",
-            "0.0000679778047793720783881640176604435742", "1.41906292064396701483392727105575757E-7",
-            "-0.0000135940481897686932784583938837504469", "0.00000801847025633420153971925719804196840",
+            "-3.36798553366358150308767592718e-4", "-6.97281375836585777429398828576e-5",
+            "2.77275324495939207873364251965e-4", "-1.99325705161888477003360405281e-4",
+            "6.79778047793720783881640176604e-5", "1.41906292064396701483392727106e-7",
+            "-1.35940481897686932784583938838e-5", "8.01847025633420153971925719804e-6",
         ),
         (
-            "0.000531307936463992223165748542977623910", "-0.000592166437353693882864836225604401187",
-            "0.000270878209671804482771279183488328692", "7.90235323266032787212032944390816666E-7",
-            "-0.0000815396936756196875092890088464682624", "0.0000561168275310624965003775619041471695",
+            "5.31307936463992223165748542978e-4", "-5.92166437353693882864836225604e-4",
+            "2.70878209671804482771279183488e-4", "7.90235323266032787212032944391e-7",
+            "-8.15396936756196875092890088465e-5", "5.61168275310624965003775619041e-5",
         ),
         (
-            "0.000344367606892377671254279625108523655", "0.0000517179090826059219337057843002058823",
-            "-0.000334931610811422363116635090580012327", "0.000281269515476323702273722110707777978",
+            "3.44367606892377671254279625109e-4", "5.17179090826059219337057843002e-5",
+            "-3.34931610811422363116635090580e-4", "2.81269515476323702273722110708e-4",
         ),
         (
-            "-0.000652623918595309418922034919726622692", "0.000839498720672087279993357516764983445",
+            "-6.52623918595309418922034919727e-4", "8.39498720672087279993357516765e-4",
         ),
     )
-    # (-1)^k (zeta(k) - 1) / k for k = 2..14, from mpmath at 50 digits
+    # (-1)^k (zeta(k) - 1) / k for k = 2..14, from mpmath at 60 digits
     LGAMMA1P_ZETA = (
-        "0.322467033424113218236207583323012595", "-0.0673523010531980951332460538371499969",
-        "0.0205808084277845478790009241352919757", "-0.00738555102867398526627309729140683361",
-        "0.00289051033074152328575298829848675465", "-0.00119275391170326097711393569282810851",
-        "0.000509669524743042422335654813581558157", "-0.000223154758453579379761418803601340054",
-        "0.0000994575127818085337145958900319017006", "-0.0000449262367381331417002075024063578608",
-        "0.0000205072127756706915531665039783059134", "-0.00000943948827526839590398742510441505494",
-        "0.00000437486678990748780418179322395241053",
+        "3.22467033424113218236207583323e-1", "-6.73523010531980951332460538371e-2",
+        "2.05808084277845478790009241353e-2", "-7.38555102867398526627309729141e-3",
+        "2.89051033074152328575298829849e-3", "-1.19275391170326097711393569283e-3",
+        "5.09669524743042422335654813582e-4", "-2.23154758453579379761418803601e-4",
+        "9.94575127818085337145958900319e-5", "-4.49262367381331417002075024064e-5",
+        "2.05072127756706915531665039783e-5", "-9.43948827526839590398742510442e-6",
+        "4.37486678990748780418179322395e-6",
     )
 
     def test_literals_equal_frozen_derivation(self):
