@@ -613,8 +613,8 @@ def integrate_semi_infinite(
         # an octave below tolerance is quiet only once the octaves stop
         # growing: mass far from lower leaves the first ones tiny but rising
         size = np.abs(value)
-        quiet = np.all((size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
-                       & (size <= previous))
+        quiet = bool(np.all(size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
+                     and np.all(size <= previous))
         previous = size
         quiet_extensions = quiet_extensions + 1 if quiet else 0
         if quiet_extensions == 2:
