@@ -187,8 +187,8 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
 
     ``P(a, x) = gamma(a, x) / Gamma(a)`` is the Gamma(a, 1) CDF at ``x``:
     monotone nondecreasing in ``x``, 0 at ``x = 0``, and 1 in the limit.
-    The smaller of ``P`` and ``1 - P`` is accurate to about 1e-13 relative;
-    see the module docstring for the regions.
+    The smaller of ``P`` and ``1 - P`` is accurate to about 1e-13 relative
+    in tails down to 1e-70; see the module docstring for the regions.
     """
     if not (0.0 < a < math.inf):
         raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
