@@ -228,7 +228,7 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
 
     # For non-integer a < 3 the continued fraction needs 40-90 terms just
     # above x = a + 1, the series 20-30; the series serves while Q >= 1/21
-    if x < a + 1.0 or (_SMALL_SHAPE < a < 3.0 and a % 1.0 and x < 1.5 * a + 1.2):
+    if x < a + 1.0 or (_SMALL_SHAPE < a < 3.0 and a % 1.0 != 0.0 and x < 1.5 * a + 1.2):
         # ascending series for P(a, x)
         denom = a
         term = 1.0 / a

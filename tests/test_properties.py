@@ -68,7 +68,7 @@ def switches(a):
         return (numerics._SMALL_SHAPE_X,)
     if a == 0.5:
         return ()
-    return (1.5 * a + 1.2,) if a < 3.0 and a % 1.0 else (a + 1.0,)
+    return (1.5 * a + 1.2,) if a < 3.0 and a % 1.0 != 0.0 else (a + 1.0,)
 
 
 def smaller_tail(a, x):
