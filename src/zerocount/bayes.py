@@ -28,7 +28,7 @@ from enum import Enum
 
 from .classical import CountData
 from .distributions import GammaDist, gamma_moment
-from .errors import DomainError, ImproperPosteriorError, _require_int
+from .errors import DomainError, ImproperPosteriorError, _require_int, _require_real
 from .numerics import (
     DEFAULT_TOL,
     EULER_GAMMA,
@@ -75,10 +75,8 @@ class PriorSpec:
     b: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a < math.inf):
-            raise DomainError(f"prior shape a must be finite and >= 0, got {self.a!r}")
-        if not (0.0 <= self.b < math.inf):
-            raise DomainError(f"prior rate b must be finite and >= 0, got {self.b!r}")
+        _require_real(self.a, "prior shape a", 0.0)
+        _require_real(self.b, "prior rate b", 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,7 @@ def prior_params(kind: PriorKind, t: float | None = None) -> PriorSpec:
     if kind is PriorKind.JR:
         return PriorSpec(PriorKind.JR, 0.5, 0.0)
     if kind is PriorKind.ME:
-        if t is None or not (t > 0.0):
-            raise DomainError(f"ME prior requires t > 0, got {t!r}")
-        return PriorSpec(PriorKind.ME, 1.0, float(t))
+        return PriorSpec(PriorKind.ME, 1.0, float(_require_real(t, "t", 0.0, strict=True)))
     raise DomainError("custom priors have no catalog row; construct PriorSpec directly")
 
 
@@ -159,21 +155,15 @@ def prior_density(
     (1, 1). This is a plotting convention only and never enters inference.
     """
     kind = PriorKind(kind)
-    if not (rho >= 0.0):
-        raise DomainError(f"rho must be >= 0, got {rho!r}")
+    _require_real(rho, "rho", 0.0, strict=kind in (PriorKind.JJ, PriorKind.JR))
     if kind is PriorKind.BL:
         return 1.0
     if kind is PriorKind.JJ:
-        if rho == 0.0:
-            raise DomainError("JJ prior diverges at rho = 0")
         return 1.0 / rho
     if kind is PriorKind.JR:
-        if rho == 0.0:
-            raise DomainError("JR prior diverges at rho = 0")
         return 1.0 / math.sqrt(rho)
     if kind is PriorKind.ME:
-        if t is None or not (t > 0.0):
-            raise DomainError(f"ME prior requires t > 0, got {t!r}")
+        _require_real(t, "t", 0.0, strict=True)
         value = t * math.exp(-rho * t)
         if normalized:
             # divide by the value at rho = 1 so the curve passes through (1,1)
@@ -188,8 +178,7 @@ def posterior_from_sufficient(
     """Build the Gamma posterior from the sufficient statistic directly."""
     S = _require_int(S, "S")
     n = _require_int(n, "n", 1)
-    if not (t > 0.0):
-        raise DomainError(f"t must be > 0, got {t!r}")
+    _require_real(t, "t", 0.0, strict=True)
     a_post = S + prior.a
     b_post = n * t + prior.b
     if a_post <= 0.0:
@@ -234,8 +223,7 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
     relative residual at U_rho: (P - CL)/CL for CL <= 1/2, else
     ((1 - CL) - Q)/(1 - CL) with Q = 1 - P summed directly.
     """
-    if not (0.0 < CL < 1.0):
-        raise DomainError(f"CL must lie in (0, 1), got {CL!r}")
+    _require_real(CL, "CL", 0.0, 1.0, strict=True)
     u_rho = inv_reg_inc_gamma_lower(post.A, CL) / post.B
     p, q = _gamma_pq(post.A, post.B * u_rho)
     residual = (p - CL) / CL if CL <= 0.5 else ((1.0 - CL) - q) / (1.0 - CL)
@@ -250,8 +238,7 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
 def fisher_information(n: int, rho: float) -> float:
     """Fisher information n/rho carried by n measurements about the rate."""
     n = _require_int(n, "n", 1)
-    if not (rho > 0.0):
-        raise DomainError(f"rho must be > 0, got {rho!r}")
+    _require_real(rho, "rho", 0.0, strict=True)
     return n / rho
 
 
@@ -262,8 +249,7 @@ def jj_truncated_evidence(epsilon: float) -> float:
     the lower endpoint at epsilon leaves E1(epsilon), which grows like
     -gamma_E - ln(epsilon) as the cutoff is removed.
     """
-    if not (0.0 < epsilon < math.inf):
-        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    _require_real(epsilon, "epsilon", 0.0, strict=True)
     return exp_integral_e1(epsilon)
 
 
@@ -276,10 +262,8 @@ def jj_divergence_demo(epsilon: float, U_theta: float) -> float:
     mass at the origin and any fixed upper limit becomes certain. That is
     the quantitative sense in which the JJ prior fails for all-zero data.
     """
-    if not (0.0 < epsilon < math.inf):
-        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    if not (0.0 < U_theta < math.inf):
-        raise DomainError(f"U_theta must be finite and > 0, got {U_theta!r}")
+    _require_real(epsilon, "epsilon", 0.0, strict=True)
+    _require_real(U_theta, "U_theta", 0.0, strict=True)
     denominator = -EULER_GAMMA - math.log(epsilon)
     if denominator <= 0.0:
         raise DomainError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_real
 
 __all__ = [
     "CountData",
@@ -43,14 +43,11 @@ class CountData:
     t: float = 1.0
 
     def __init__(self, counts: Sequence[int], t: float = 1.0):
-        values = tuple(counts)
+        values = tuple(_require_int(c, "count") for c in counts)
         if len(values) == 0:
             raise DomainError("counts must contain at least one measurement")
-        for c in values:
-            _require_int(c, "count")
-        if not (0.0 < t < math.inf):
-            raise DomainError(f"t must be finite and > 0, got {t!r}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in values))
+        _require_real(t, "t", 0.0, strict=True)
+        object.__setattr__(self, "counts", values)
         object.__setattr__(self, "t", float(t))
 
     @property
@@ -121,8 +118,7 @@ def log_likelihood(theta: float, data: CountData) -> float:
     raised: the likelihood is genuinely zero there) and 0 for an all-zero
     record.
     """
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     s = data.total
     if theta == 0.0:
         return 0.0 if s == 0 else -math.inf
@@ -139,8 +135,7 @@ def simple_probability_estimates(
     dividing by t and t^2 converts to the rate.
     """
     n = _require_int(n, "n", 1)
-    if not (t > 0.0):
-        raise DomainError(f"t must be > 0, got {t!r}")
+    _require_real(t, "t", 0.0, strict=True)
     mean_theta = 1.0 / n
     var_theta = 1.0 / n**2
     return (mean_theta, var_theta, *_per_unit_time(mean_theta, var_theta, t, t))
@@ -155,10 +150,8 @@ def simple_probability_upper_limit(
     alpha when U_theta = ln(1/alpha)/n.
     """
     n = _require_int(n, "n", 1)
-    if not (t > 0.0):
-        raise DomainError(f"t must be > 0, got {t!r}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _require_real(t, "t", 0.0, strict=True)
+    _require_real(alpha, "alpha", 0.0, 1.0, strict=True)
     u_theta = math.log(1.0 / alpha) / n
     return (u_theta, u_theta / t)
 
@@ -171,8 +164,6 @@ def one_count_upper_limit(t: float, calibration: float = 1.0) -> float:
     detection efficiency). This is a non-statistical convention: no
     confidence level is attached to the number.
     """
-    if not (t > 0.0):
-        raise DomainError(f"t must be > 0, got {t!r}")
-    if not (calibration > 0.0):
-        raise DomainError(f"calibration must be > 0, got {calibration!r}")
+    _require_real(t, "t", 0.0, strict=True)
+    _require_real(calibration, "calibration", 0.0, strict=True)
     return 1.0 / (t * calibration)

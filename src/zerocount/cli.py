@@ -66,6 +66,7 @@ from .errors import (
     DomainError,
     ImproperPosteriorError,
     QuadratureError,
+    _require_real,
 )
 from .marginal import make_theta_grid, nb_marginal_numeric, zpoisson_marginal
 from .montecarlo import coverage_experiment, prng_metadata, sample, summarize
@@ -276,8 +277,7 @@ def cmd_estimate(args) -> int:
     ml = ml_estimates(data)
     cls = args.cl or [0.95]
     for cl in cls:
-        if not (0.0 < cl < 1.0):
-            raise DomainError(f"--cl must lie in (0, 1), got {cl!r}")
+        _require_real(cl, "--cl", 0.0, 1.0, strict=True)
     priors = [parse_prior(name, args.t) for name in args.prior or _STANDARD_PRIORS]
 
     counts_record = {"n": data.n, "total": data.total, "t": data.t}

@@ -15,13 +15,12 @@ direct expectation over the sampling distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .bayes import PriorKind, PriorSpec, prior_params
 from .distributions import expectation_over_poisson
-from .errors import DomainError, ImproperPosteriorError, _require_int
+from .errors import ImproperPosteriorError, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -114,16 +113,13 @@ def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) ->
     if mode is ThetaMode.PLUG_IN:
         theta = _require_int(s_or_theta, "S") / n
     else:
-        theta = s_or_theta
-        if not (theta >= 0.0):
-            raise DomainError(f"theta must be >= 0, got {theta!r}")
+        theta = _require_real(s_or_theta, "theta", 0.0)
     return (a - b * theta) / (n + b)
 
 
 def sampling_variance_mean(theta: float, n: int, b: float) -> float:
     """Sampling variance n theta / (n + b)^2 of the Bayesian mean."""
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     n = _require_int(n, "n", 1)
     return n * theta / (n + b) ** 2
 
@@ -211,8 +207,7 @@ def validate_risk_oracle(
     mean (n theta + a)/(n + b), variance n theta/(n + b)^2, and risk
     bias^2 + variance.
     """
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     n = _require_int(n, "n", 1)
     tol = tol if tol is not None else DEFAULT_TOL
     a, b = prior.a, prior.b

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, _require_int
+from .errors import ConvergenceError, DomainError, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig, log_gamma
 
 __all__ = [
@@ -50,8 +50,7 @@ class PoissonParams:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta < math.inf):
-            raise DomainError(f"theta must be finite and >= 0, got {self.theta!r}")
+        _require_real(self.theta, "theta", 0.0)
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,10 @@ class DetectorConfig:
     t: float
 
     def __post_init__(self):
-        if not (self.n_atoms > 0.0):
-            raise DomainError(f"n_atoms must be > 0, got {self.n_atoms!r}")
-        if not (self.decay_const > 0.0):
-            raise DomainError(f"decay_const must be > 0, got {self.decay_const!r}")
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise DomainError(
-                f"efficiency must lie in [0, 1], got {self.efficiency!r}"
-            )
-        if not (self.t > 0.0):
-            raise DomainError(f"t must be > 0, got {self.t!r}")
+        _require_real(self.n_atoms, "n_atoms", 0.0, strict=True)
+        _require_real(self.decay_const, "decay_const", 0.0, strict=True)
+        _require_real(self.efficiency, "efficiency", 0.0, 1.0)
+        _require_real(self.t, "t", 0.0, strict=True)
 
     @property
     def p(self) -> float:
@@ -106,10 +99,8 @@ class GammaDist:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise DomainError(f"shape a must be > 0, got {self.a!r}")
-        if not (self.b > 0.0):
-            raise DomainError(f"rate b must be > 0, got {self.b!r}")
+        _require_real(self.a, "shape a", 0.0, strict=True)
+        _require_real(self.b, "rate b", 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -124,10 +115,8 @@ class ZPoissonParams:
     psi: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.inf):
-            raise DomainError(f"theta must be finite and > 0, got {self.theta!r}")
-        if not (1.0 <= self.psi < math.inf):
-            raise DomainError(f"psi must be finite and >= 1, got {self.psi!r}")
+        _require_real(self.theta, "theta", 0.0, strict=True)
+        _require_real(self.psi, "psi", 1.0)
         # allow psi = 1/P0 up to roundoff; beyond that the zero mass exceeds 1
         if self.psi * math.exp(-self.theta) > 1.0 + 1e-12:
             raise DomainError(
@@ -148,17 +137,14 @@ class NBParams:
     a: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.inf):
-            raise DomainError(f"theta must be finite and > 0, got {self.theta!r}")
-        if not (0.0 < self.a < math.inf):
-            raise DomainError(f"shape a must be finite and > 0, got {self.a!r}")
+        _require_real(self.theta, "theta", 0.0, strict=True)
+        _require_real(self.a, "shape a", 0.0, strict=True)
 
 
 def poisson_pmf(x: int, theta: float) -> float:
     """Poisson probability of observing ``x`` counts at parameter ``theta``."""
     x = _require_int(x, "x")
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     if theta == 0.0:
         return 1.0 if x == 0 else 0.0
     return math.exp(x * math.log(theta) - theta - log_gamma(x + 1.0))
@@ -170,16 +156,14 @@ def poisson_moments(theta: float) -> tuple[float, float, float]:
     Dispersion is identically 1; the theta = 0 point mass keeps that value
     by convention so downstream dispersion plots have no holes.
     """
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     return (theta, theta, 1.0)
 
 
 def prob_all_zero(n: int, theta: float) -> float:
     """Probability that ``n`` independent measurements all read zero counts."""
     n = _require_int(n, "n", 1)
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     return math.exp(-n * theta)
 
 
@@ -190,8 +174,7 @@ def adhoc_zero_density(theta: float, n: int) -> float:
     This is the simple-probability route to inference: no prior, just the
     zero-class likelihood treated as a distribution for theta.
     """
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     n = _require_int(n, "n", 1)
     return n * math.exp(-n * theta)
 
@@ -204,8 +187,7 @@ def gamma_pdf(rho: float, dist: GammaDist) -> float:
     are returned directly so grid evaluations starting at 0 need no special
     casing by the caller.
     """
-    if not (rho >= 0.0):
-        raise DomainError(f"rho must be >= 0, got {rho!r}")
+    _require_real(rho, "rho", 0.0)
     if rho == 0.0:
         if dist.a < 1.0:
             return math.inf
@@ -237,10 +219,7 @@ def zpoisson_pmf(x: int, params: ZPoissonParams) -> float:
     the remainder in Poisson proportions.
     """
     x = _require_int(x, "x")
-    p0 = params.p0
-    zero_mass = params.psi * p0
-    if zero_mass > 1.0 + 1e-12:
-        raise DomainError(f"psi * P0 = {zero_mass!r} exceeds 1")
+    zero_mass = params.psi * params.p0
     if x == 0:
         return min(1.0, zero_mass)
     # guard roundoff when psi sits exactly at 1/P0
@@ -307,8 +286,7 @@ def expectation_over_poisson(
     ConvergenceError
         If the truncation bound is not met by x = 10 * (theta + 10).
     """
-    if not (theta >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0)
     tol = tol if tol is not None else DEFAULT_TOL
     if theta == 0.0:
         return float(f(0))

@@ -4,7 +4,15 @@ The hierarchy is intentionally small: callers that want to distinguish bad
 input from numerical trouble can catch ``DomainError`` versus
 ``ConvergenceError``/``QuadratureError``; everything derives from
 ``ZeroCountError`` so blanket handling stays possible.
+
+Arguments are checked by two private validators that raise ``DomainError``
+naming the parameter: ``_require_int`` for counts, sizes and seeds, and
+``_require_real`` for real values, which must be finite and inside their
+stated interval.
 """
+
+import math
+import numbers
 
 __all__ = [
     "ZeroCountError",
@@ -81,3 +89,24 @@ def _require_int(value, name: str, minimum: int = 0) -> int:
     if not valid:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _require_real(value, name: str, low: float, high: float = math.inf, *, strict: bool = False):
+    """Return ``value`` if it is a finite real in ``[low, high]``, or ``(low, high)`` if ``strict``.
+
+    Bool, non-numbers, infinite and NaN values raise ``DomainError``, whose
+    message names the parameter and its interval.
+    """
+    # an upper limit runs four checks; an in-range float skips the rest
+    if type(value) is float and (low < value if strict else low <= value) and value < high:
+        return value
+    try:
+        valid = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            math.isfinite(value) and (low < value < high if strict else low <= value <= high))
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    if not valid:
+        closing = ")" if strict or high == math.inf else "]"
+        interval = f"{'(' if strict else '['}{low:g}, {high:g}{closing}"
+        raise DomainError(f"{name} must be finite and in {interval}, got {value!r}")
+    return value

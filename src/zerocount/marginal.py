@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .distributions import GammaDist, gamma_pdf
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig, integrate_semi_infinite
 
 if TYPE_CHECKING:
@@ -74,8 +74,7 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
     import numpy as np
 
     x = _require_int(x, "x")
-    if not (step > 0.0):
-        raise DomainError(f"step must be > 0, got {step!r}")
+    _require_real(step, "step", 0.0, strict=True)
     upper = x / 2.0 + 12.0
     n_points = int(round(upper / step)) + 1
     return np.linspace(0.0, upper, n_points)
@@ -99,11 +98,22 @@ def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _require_reals(values, name: str, low: float, *, strict: bool = False) -> np.ndarray:
+    """``values`` as a float ndarray whose every entry passes ``_require_real``."""
+    import numpy as np
+
+    array = np.asarray(values, dtype=float)
+    # the extremes decide: a NaN makes both NaN, an infinity is the max
+    for extreme in (array.min(), array.max()) if array.size else ():
+        _require_real(float(extreme), name, low, strict=strict)
+    return array
+
+
 def _comparison(x: int, grid: np.ndarray, numeric: np.ndarray, residual: float):
     import numpy as np
 
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: Gamma(x+1, 2)
-    claimed = np.array([gamma_pdf(th, GammaDist(a=x + 1.0, b=2.0)) for th in grid])
+    claimed = np.array([gamma_pdf(th, GammaDist(a=x + 1.0, b=2.0)) for th in grid.tolist()])
     diff = np.abs(numeric - claimed)
     l1 = float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
     return MarginalComparison(x, grid, numeric, claimed, l1, float(diff.max()), residual)
@@ -142,14 +152,9 @@ def zpoisson_joint_posterior(theta, psi, x: int):
     4 (1 - psi) e^{-psi} for x = 1, and 0 for x >= 2. theta and psi may be
     arrays that broadcast; scalars give a float.
     """
-    import numpy as np
-
     x = _require_int(x, "x")
-    theta_arr, psi_arr = np.asarray(theta, dtype=float), np.asarray(psi, dtype=float)
-    if not np.all(theta_arr >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
-    if not np.all(psi_arr > 0.0):
-        raise DomainError(f"psi must be > 0, got {psi!r}")
+    theta_arr = _require_reals(theta, "theta", 0.0)
+    psi_arr = _require_reals(psi, "psi", 0.0, strict=True)
     out = _zpoisson_joint_in_psi(theta_arr, x)(psi_arr)
     return float(out) if out.ndim == 0 else out
 
@@ -215,11 +220,7 @@ def nb_joint_density(theta, a, x: int):
     import numpy as np
 
     x = _require_int(x, "x")
-    theta_arr, a_arr = np.asarray(theta, dtype=float), np.asarray(a, dtype=float)
-    if not np.all(theta_arr >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {theta!r}")
-    if not np.all(a_arr >= 0.0):
-        raise DomainError(f"a must be >= 0, got {a!r}")
+    theta_arr, a_arr = _require_reals(theta, "theta", 0.0), _require_reals(a, "a", 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _nb_joint(a_arr, theta_arr, x)
     out = np.where(a_arr == 0.0, np.exp(-theta_arr) if x == 0 else 0.0, out)
@@ -248,8 +249,7 @@ def nb_marginal_numeric(
     x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
-    if not (0.0 <= a_lower < math.inf):
-        raise DomainError(f"a_lower must be finite and >= 0, got {a_lower!r}")
+    _require_real(a_lower, "a_lower", 0.0)
 
     def raw_marginal(theta: np.ndarray) -> np.ndarray:
         return integrate_semi_infinite(

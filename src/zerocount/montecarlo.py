@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
-from .errors import DomainError, ImproperPosteriorError, _require_int
+from .errors import DomainError, ImproperPosteriorError, _require_int, _require_real
 from .numerics import reg_inc_gamma_lower
 
 if TYPE_CHECKING:
@@ -165,8 +165,7 @@ def dispersion_experiment(theta: float, n_bins: int, seed: int) -> SimSummary:
     scatters broadly around 1 even though the underlying process is purely
     Poisson.
     """
-    if not (theta > 0.0):
-        raise DomainError(f"theta must be > 0, got {theta!r}")
+    _require_real(theta, "theta", 0.0, strict=True)
     return summarize(sample(PoissonParams(theta=theta), n_bins, seed))
 
 
@@ -189,13 +188,10 @@ def coverage_experiment(
     """
     import numpy as np
 
-    if not (0.0 <= true_rho < math.inf):
-        raise DomainError(f"true_rho must be finite and >= 0, got {true_rho!r}")
-    if not (0.0 < t < math.inf):
-        raise DomainError(f"t must be finite and > 0, got {t!r}")
+    _require_real(true_rho, "true_rho", 0.0)
+    _require_real(t, "t", 0.0, strict=True)
     n = _require_int(n, "n", 1)
-    if not (0.0 < cl < 1.0):
-        raise DomainError(f"cl must lie in (0, 1), got {cl!r}")
+    _require_real(cl, "cl", 0.0, 1.0, strict=True)
     reps = _require_int(reps, "reps", 1)
     seed = _validate_seed(seed)
 

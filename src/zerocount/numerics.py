@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, QuadratureError
+from .errors import ConvergenceError, DomainError, QuadratureError, _require_real
 
 __all__ = [
     "ToleranceConfig",
@@ -162,9 +162,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("abs_tol", "quad_rel_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+            _require_real(getattr(self, name), name, 0.0, strict=True)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -177,8 +175,7 @@ def log_gamma(z: float) -> float:
     across the range this package uses; the wrapper adds the strict domain
     check the callers rely on.
     """
-    if not (z > 0.0):
-        raise DomainError(f"log_gamma requires z > 0, got {z!r}")
+    _require_real(z, "z", 0.0, strict=True)
     return math.lgamma(z)
 
 
@@ -190,9 +187,8 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
     The smaller of ``P`` and ``1 - P`` is accurate to about 1e-13 relative
     in tails down to 1e-70; see the module docstring for the regions.
     """
-    if not (0.0 < a < math.inf):
-        raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
-    if not (x >= 0.0):
+    _require_real(a, "shape parameter", 0.0, strict=True)
+    if not (x >= 0.0):  # x = inf is allowed: P(a, inf) = 1
         raise DomainError(f"x must be nonnegative, got {x!r}")
     return _gamma_pq(a, x)[0]
 
@@ -374,10 +370,8 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         If the forward ``P`` fails, the root underflows, or the loop runs out
         of its runaway budget; the exception carries the bracket.
     """
-    if not (0.0 < a < math.inf):
-        raise DomainError(f"shape parameter must be finite and positive, got {a!r}")
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
+    _require_real(a, "shape parameter", 0.0, strict=True)
+    _require_real(p, "p", 0.0, 1.0, strict=True)
     lower = p <= 0.5
     tail = p if lower else 1.0 - p
     # the normal quantile of the smaller tail to 4.5e-4 (A&S 26.2.23)
@@ -437,7 +431,7 @@ def exp_integral_e1(x: float) -> float:
     Power series about the origin for ``x <= 1`` (where
     ``E1(x) ~ -gamma_E - ln x``), Lentz continued fraction for ``x > 1``.
     """
-    if not (x > 0.0):
+    if not (x > 0.0):  # x = inf is allowed: E1(inf) = 0
         raise DomainError(f"E1 requires x > 0, got {x!r}")
     if x == math.inf:
         return 0.0
@@ -580,8 +574,7 @@ def integrate_semi_infinite(
     """
     import numpy as np
 
-    if not (lower >= 0.0):
-        raise DomainError(f"lower must be nonnegative, got {lower!r}")
+    _require_real(lower, "lower", 0.0)
     if strategy not in ("transform", "doubling"):
         raise DomainError(f"unknown quadrature strategy {strategy!r}")
     tol = tol if tol is not None else DEFAULT_TOL

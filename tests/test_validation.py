@@ -2,9 +2,9 @@
 
 Bool, non-integral, infinite and NaN values must raise ``DomainError``; none
 may escape as ``OverflowError`` or a bare ``ValueError``, and none may be
-silently accepted. Real-valued parameters reject infinity and NaN with a
-``DomainError`` that names the parameter, rather than failing later as a
-numerical error.
+silently accepted. Real-valued parameters reject infinity, NaN and
+non-numbers with a ``DomainError`` that names the parameter, rather than
+failing later as a numerical error.
 """
 
 import math
@@ -18,11 +18,21 @@ from zerocount.bayes import (
     jj_divergence_demo,
     jj_truncated_evidence,
     posterior_from_sufficient,
+    prior_density,
     prior_params,
 )
-from zerocount.classical import CountData, simple_probability_upper_limit
-from zerocount.decision import ThetaMode, bayes_mean_counts, bias_mean
-from zerocount.distributions import NBParams, PoissonParams, ZPoissonParams, poisson_pmf
+from zerocount.classical import CountData, log_likelihood, simple_probability_upper_limit
+from zerocount.decision import ThetaMode, bayes_mean_counts, bias_mean, validate_risk_oracle
+from zerocount.distributions import (
+    DetectorConfig,
+    GammaDist,
+    NBParams,
+    PoissonParams,
+    ZPoissonParams,
+    expectation_over_poisson,
+    gamma_pdf,
+    poisson_pmf,
+)
 from zerocount.errors import DomainError
 from zerocount.marginal import make_theta_grid, nb_marginal_numeric
 from zerocount.montecarlo import coverage_experiment, sample
@@ -86,6 +96,18 @@ NON_FINITE_CALLS = {
     "nb_params_inf_a": ("shape a", lambda: NBParams(theta=1.0, a=INF)),
     "coverage_inf_true_rho": ("true_rho", lambda: coverage_experiment(INF, 1.0, 1, BL, 0.95, 10, 0)),
     "coverage_inf_t": ("t", lambda: coverage_experiment(0.0, INF, 1, BL, 0.95, 10, 0)),
+    "poisson_pmf_inf_theta": ("theta", lambda: poisson_pmf(0, INF)),
+    "gamma_pdf_inf_rho": ("rho", lambda: gamma_pdf(INF, GammaDist(2.0, 1.0))),
+    "log_likelihood_inf_theta": ("theta", lambda: log_likelihood(INF, CountData([1]))),
+    "prior_density_inf_t": ("t", lambda: prior_density(PriorKind.ME, 1.0, t=INF)),
+    "expectation_inf_theta": ("theta", lambda: expectation_over_poisson(float, INF)),
+    "risk_oracle_inf_theta": ("theta", lambda: validate_risk_oracle(INF, 1, BL)),
+    "gamma_dist_inf_a": ("shape a", lambda: GammaDist(INF, 1.0)),
+    "detector_inf_n_atoms": ("n_atoms", lambda: DetectorConfig(INF, 1e-3, 0.5, 1.0)),
+    "posterior_inf_t": ("t", lambda: posterior_from_sufficient(0, 1, INF, BL)),
+    "theta_grid_inf_step": ("step", lambda: make_theta_grid(0, step=INF)),
+    # not a number at all: a DomainError, not a TypeError from the comparison
+    "poisson_pmf_str_theta": ("theta", lambda: poisson_pmf(0, "1")),
 }
 
 
