@@ -248,6 +248,15 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     scale = math.exp(log_prefactor)
     if scale == 0.0:
         return 1.0, 0.0
+    q = scale * _upper_gamma_fraction(a, x)
+    return min(1.0, max(0.0, 1.0 - q)), q
+
+
+def _upper_gamma_fraction(a: float, x: float) -> float:
+    """Lentz's continued fraction ``h`` with ``Q(a, x) = x^a e^-x / Gamma(a) h``.
+
+    Also ``E1(x) = e^-x h(0, x)``; it settles quickly for ``x > a + 1``.
+    """
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -265,8 +274,7 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _SERIES_EPS:
-            q = scale * h
-            return min(1.0, max(0.0, 1.0 - q)), q
+            return h
     raise ConvergenceError(
         f"incomplete gamma continued fraction stalled at a={a!r}, x={x!r}"
     )
@@ -448,26 +456,7 @@ def exp_integral_e1(x: float) -> float:
                 return total
             sign = -sign
         raise ConvergenceError(f"E1 series stalled at x={x!r}")
-
-    b = x + 1.0
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_TERMS):
-        an = -float(i * i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _SERIES_EPS:
-            return h * math.exp(-x)
-    raise ConvergenceError(f"E1 continued fraction stalled at x={x!r}")
+    return _upper_gamma_fraction(0.0, x) * math.exp(-x)
 
 
 # Nested Gauss-Kronrod pair G7/K15 (QUADPACK's QK15): the Gauss nodes are the
