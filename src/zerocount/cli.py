@@ -496,7 +496,9 @@ def cmd_marginalize(args) -> int:
         if args.a_lower != 0.0:
             raise DomainError("--a-lower applies only to the nb model")
         comp = zpoisson_marginal(args.x, grid, tol=tol, strategy=args.strategy)
-        verdict = "PASS" if comp.linf_distance < 1e-6 else "FAIL"
+        # the 1e-6 budget of make_theta_grid bounds both the shape and the norm
+        passed = comp.linf_distance < 1e-6 and comp.numeric_norm_residual < 1e-6
+        verdict = "PASS" if passed else "FAIL"
     elif model == "nb":
         comp = nb_marginal_numeric(
             args.x, grid, tol=tol, strategy=args.strategy, a_lower=args.a_lower

@@ -351,6 +351,16 @@ class TestMarginalize:
         assert payload["numeric_norm_residual"] < 1e-6
         npt.assert_allclose(payload["claimed_density"][0], 2.0, rtol=1e-14)
 
+    def test_failed_normalization_fails_the_verdict(self, capsys):
+        # the transform route misses the theta mass near 100, so the density
+        # matches the claimed form while its norm check reads 1
+        code, out, err = run_cli(
+            capsys, "marginalize", "--model", "zpoisson", "--x", "200", "--strategy", "doubling"
+        )
+        assert code == 0
+        assert "numeric_norm_residual=1\n" in out
+        assert "verdict: FAIL" in out
+
     def test_nb_is_report_only_with_visible_gap(self, capsys):
         payload = run_json(
             capsys, "marginalize", "--model", "nb", "--x", "0", "--step", "0.5"
