@@ -11,8 +11,9 @@ measured and reported, never asserted away).
 Each joint density is a numpy function over a (nuisance x theta) grid, so
 the whole comparison grid is one vector integral of
 :func:`integrate_semi_infinite`, and the evidence is an outer integral over
-theta whose integrand is one inner vector integral at a panel's 15 nodes. The
-residual reported is a genuine cross-check between the two strategies.
+theta whose integrand is one inner vector integral at the outer kernel's 15 or
+30 nodes (one panel, or both halves of a split one). The residual reported is
+a genuine cross-check between the two strategies.
 
 Note the deliberate domain widening: the joint posteriors are evaluated for
 any psi > 0 (not just the pmf validity range [1, 1/P0]) because the
@@ -196,17 +197,17 @@ def _nb_joint(a: np.ndarray, theta: np.ndarray, x: int) -> np.ndarray:
     Gamma(a + x) theta^x / (Gamma(a) x! (a + theta)^x) is the product over
     j < x of theta (a + j) / ((j + 1) (a + theta)), the rising factorial
     without lgamma; factors are at most max(1, a), so blocks of 8 cannot
-    overflow before their logs join the exponent.
+    overflow before their logs join the exponent. At theta = 0 a block is 0
+    and its log -inf: callers ignore numpy's divide warning around it.
     """
     import numpy as np
 
     log_joint = -(a * np.log1p(theta / a) + theta + a)
-    with np.errstate(divide="ignore"):
-        for first in range(0, x, 8):
-            block = 1.0
-            for j in range(first, min(first + 8, x)):
-                block = block * (theta * (a + j) / ((j + 1.0) * (a + theta)))
-            log_joint = log_joint + np.log(block)
+    for first in range(0, x, 8):
+        block = 1.0
+        for j in range(first, min(first + 8, x)):
+            block = block * (theta * (a + j) / ((j + 1.0) * (a + theta)))
+        log_joint = log_joint + np.log(block)
     return np.exp(log_joint)
 
 
@@ -246,6 +247,8 @@ def nb_marginal_numeric(
     it up forces the NB toward its Poisson limit and the marginal toward
     the claimed form.
     """
+    import numpy as np
+
     x = _require_int(x, "x")
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
@@ -256,12 +259,13 @@ def nb_marginal_numeric(
             lambda a: _nb_joint(a[:, None], theta, x), lower=a_lower, tol=tol, strategy=strategy
         )
 
-    evidence = integrate_semi_infinite(raw_marginal, lower=0.0, tol=tol, strategy=strategy)
-    # dual-route propriety check: re-integrate with the other strategy and
-    # compare against the evidence used for normalization
-    evidence_other = integrate_semi_infinite(
-        raw_marginal, lower=0.0, tol=tol, strategy=_other_strategy(strategy)
-    )
-    return _comparison(
-        x, grid, raw_marginal(grid) / evidence, abs(evidence_other / evidence - 1.0)
-    )
+    # one scope for every _nb_joint call below, theta = 0 included
+    with np.errstate(divide="ignore"):
+        evidence = integrate_semi_infinite(raw_marginal, lower=0.0, tol=tol, strategy=strategy)
+        # dual-route propriety check: re-integrate with the other strategy and
+        # compare against the evidence used for normalization
+        evidence_other = integrate_semi_infinite(
+            raw_marginal, lower=0.0, tol=tol, strategy=_other_strategy(strategy)
+        )
+        numeric = raw_marginal(grid) / evidence
+    return _comparison(x, grid, numeric, abs(evidence_other / evidence - 1.0))

@@ -31,9 +31,10 @@ stopped on step size once the steps reach one ulp or the rounding of ``P``;
 there is no tolerance to set.
 
 Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
-integrand gets a panel's 15 abscissae as an ndarray and returns shape
-``(15,)``, or ``(15, K)`` for K integrals over shared panels; numpy is
-imported only when it runs. Its failures always surface as
+integrand gets n = 15 abscissae for the first panel and n = 30 for each split
+(both halves in one call) as an ndarray, and returns shape ``(n,)``, or
+``(n, K)`` for K integrals over shared panels; numpy is imported only when it
+runs. Its failures always surface as
 :class:`~zerocount.errors.QuadratureError` carrying the partial sum.
 """
 
@@ -489,44 +490,48 @@ def _kronrod_rule():
 
 
 def _adaptive(g, a, b, abs_tol, rel_tol, shaped):
-    """Globally adaptive bisection of ``g`` (15 nodes -> (15, K)) on [a, b].
+    """Globally adaptive bisection of ``g`` ((n,) nodes -> (n, K)) on [a, b].
 
     Splits the panel whose worst component error over that component's
     tolerance ``max(abs_tol, rel_tol |I_k|)`` is largest, until every
-    component's summed error meets it; returns the (K,) integral.
+    component's summed error meets it; returns the (K,) integral. The first
+    panel is one call of ``g`` on its 15 nodes, and each split is one call on
+    both halves' 30 nodes, each half keeping its own K15 sum and G7 error.
     """
     import numpy as np
 
     nodes, k15, g7 = _kronrod_rule()
 
-    def panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        y = g(0.5 * (lo + hi) + half * nodes)
+    def rule(y, half):
         fine = k15 @ y
         return half * fine, np.abs(half * (fine - g7 @ y[1::2]))
 
     def fail(message):
         return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
 
-    total, total_err = panel(a, b)
+    half = 0.5 * (b - a)
+    total, total_err = rule(g(0.5 * (a + b) + half * nodes), half)
     bounds = [(a, b)]
     vals, errs = np.empty((16, total.size)), np.empty((16, total.size))
     vals[0], errs[0] = total, total_err
     while True:
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(total_err <= tol):
+        if (total_err <= tol).all():
             return total
         n = len(bounds)
         if n >= _MAX_PANELS:
             raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
-        i = int(np.argmax((errs[:n] / tol).max(axis=1)))
+        i = int((errs[:n] / tol).max(axis=1).argmax())
         lo, hi = bounds[i]
         if hi - lo <= _MIN_REL_WIDTH * max(abs(lo), abs(hi)):
             # the nodes are about to collapse onto each other: a singularity
             raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
         mid = 0.5 * (lo + hi)
-        left_val, left_err = panel(lo, mid)
-        right_val, right_err = panel(mid, hi)
+        left_half, right_half = 0.5 * (mid - lo), 0.5 * (hi - mid)
+        y = g(np.concatenate((0.5 * (lo + mid) + left_half * nodes,
+                              0.5 * (mid + hi) + right_half * nodes)))
+        left_val, left_err = rule(y[:15], left_half)
+        right_val, right_err = rule(y[15:], right_half)
         total = total + left_val + right_val - vals[i]
         total_err = total_err + left_err + right_err - errs[i]
         if n == len(vals):
@@ -544,10 +549,11 @@ def integrate_semi_infinite(
 ):
     """Integrate ``f`` over ``[lower, inf)``, one function or K at once.
 
-    ``f`` receives a panel's 15 abscissae as an ndarray and returns shape
-    ``(15,)``, giving a float, or ``(15, K)``, giving a ``(K,)`` ndarray of
-    K integrals that share their panels; each must meet
-    ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``.
+    ``f`` receives n = 15 or 30 abscissae as an ndarray, one panel's nodes
+    or both halves' of a split panel, and returns shape ``(n,)``, giving a
+    float, or ``(n, K)``, giving a ``(K,)`` ndarray of K integrals that share
+    their panels; each must meet ``max(tol.abs_tol, tol.quad_rel_tol *
+    |I_k|)``. Row j must depend only on abscissa j.
 
     ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
     ``"doubling"``, an independent route, sums panels of doubling width until
@@ -573,11 +579,14 @@ def integrate_semi_infinite(
         nonlocal vector
         y = np.asarray(f(x), dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != x.size:
-            raise DomainError(f"integrand must return shape (15,) or (15, K), got {y.shape}")
+            raise DomainError(
+                f"integrand must return shape (n,) or (n, K) for its n = {x.size} abscissae, "
+                f"got {y.shape}"
+            )
         vector = y.ndim == 2
         y = y.reshape(x.size, -1)
-        bad = ~np.isfinite(y).all(axis=1)
-        if bad.any():
+        if not np.isfinite(y).all():
+            bad = ~np.isfinite(y).all(axis=1)
             raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
         return y
 

@@ -279,17 +279,19 @@ class TestFrozenReferences:
 
 
 class TestWorkCount:
-    """Integrand calls (one per 15-node panel, inner and outer integrals
+    """Integrand calls (one on an integral's or octave's first 15-node panel,
+    then one per split on both halves' 30 nodes, inner and outer integrals
     alike) of the default marginals. The counts are deterministic; the caps
-    sit about 20% above what the G7/K15 kernel needs (811 and 1148 for NB
-    x = 1, 83 and 91 for z-Poisson x = 0), where the scalar per-theta
-    quadrature this replaced needed over 15,000 and 2,000 panels."""
+    sit about 20% above what the G7/K15 kernel needs (287 and 460 for NB
+    x = 1, 43 and 49 for z-Poisson x = 0). One call per panel needed 811,
+    1148, 83 and 91, and the scalar per-theta quadrature before that over
+    15,000 and 2,000 panels."""
 
     CAPS = {
-        ("nb", "transform"): 1000,
-        ("nb", "doubling"): 1400,
-        ("zpoisson", "transform"): 100,
-        ("zpoisson", "doubling"): 110,
+        ("nb", "transform"): 350,
+        ("nb", "doubling"): 560,
+        ("zpoisson", "transform"): 52,
+        ("zpoisson", "doubling"): 60,
     }
 
     @pytest.mark.parametrize("model,strategy", sorted(CAPS))

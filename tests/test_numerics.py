@@ -755,18 +755,32 @@ class TestIntegrateSemiInfinite:
 
     @pytest.mark.parametrize("strategy", ["transform", "doubling"])
     def test_vector_integrand(self, strategy):
-        # one call per panel: the 15 nodes in, a (15, K) block out
+        # one call on the first panel's 15 nodes, then one per split on both
+        # halves' 30 nodes; each call returns an (n, K) block
         rates = np.array([0.5, 1.0, 4.0, 50.0])
-        shapes = []
+        calls = []
 
         def f(x):
-            shapes.append(x.shape)
+            calls.append(x.copy())
             return np.exp(-np.outer(x, rates))
 
         value = integrate_semi_infinite(f, strategy=strategy)
         assert isinstance(value, np.ndarray) and value.shape == (4,)
         np.testing.assert_allclose(value, 1.0 / rates, rtol=1e-9)
-        assert set(shapes) == {(15,)}
+        shapes = [x.shape for x in calls]
+        assert shapes[0] == (15,) and set(shapes) == {(15,), (30,)}
+        for x in calls:
+            if x.size == 30:  # two disjoint panels
+                left, right = np.sort(x[:15]), np.sort(x[15:])
+                assert left[-1] < right[0] or right[-1] < left[0]
+        if strategy == "transform":
+            assert shapes.count((15,)) == 1
+        else:
+            # each doubling octave opens with one 15-node panel, and its
+            # splits stay left of the next octave's
+            starts = [i for i, shape in enumerate(shapes) if shape == (15,)]
+            for i, j in zip(starts, starts[1:]):
+                assert np.concatenate(calls[i:j]).max() < np.concatenate(calls[j:]).min()
         assert isinstance(integrate_semi_infinite(lambda x: np.exp(-x)), float)
 
     def test_every_component_meets_its_tolerance(self):
