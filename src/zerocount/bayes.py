@@ -181,6 +181,10 @@ def posterior_from_sufficient(
     _require_real(t, "t", 0.0, strict=True)
     a_post = S + prior.a
     b_post = n * t + prior.b
+    if b_post == math.inf:
+        raise DomainError(
+            f"exposure n t + b must be finite, got n={n}, t={t!r}, b={prior.b!r}"
+        )
     if a_post <= 0.0:
         raise ImproperPosteriorError(
             f"posterior shape S + a = {a_post} is not positive: the evidence "

@@ -87,8 +87,14 @@ def sufficient_statistic(data: CountData) -> tuple[int, float]:
 
 
 def _per_unit_time(mean: float, var: float, scale: float, t: float) -> tuple[float, float]:
-    # (mean / scale, var / scale^2); a tiny legal t can underflow scale^2 to 0
-    square = scale**2
+    # (mean / scale, var / scale^2); a tiny legal t can underflow scale^2 to 0,
+    # a huge one overflow it
+    try:
+        square = scale**2
+    except OverflowError:
+        square = math.inf
+    if square == math.inf:
+        raise DomainError(f"t must be small enough for finite rate estimates, got {t!r}")
     rate = (mean / scale, var / square if square > 0.0 else (0.0 if var == 0.0 else math.inf))
     if not all(map(math.isfinite, rate)):
         raise DomainError(f"t must be large enough for finite rate estimates, got {t!r}")

@@ -529,6 +529,15 @@ class TestExitCodes:
             assert code == 2, t
             assert err.startswith("error: t must be large enough"), err
 
+    def test_huge_t_exits_2(self, capsys):
+        # t^2 overflows: bad input named as such, not an OverflowError
+        # traceback (exit 1)
+        code, out, err = run_cli(
+            capsys, "estimate", "--counts", "0,0", "--t", "1e308", "--prior", "bl"
+        )
+        assert code == 2
+        assert err.startswith("error: t must be small enough"), err
+
     def test_starved_solver_exits_4(self, capsys):
         # the root of P(0.0005, x) = 0.5 is about 5e-603, below every double
         code, out, err = run_cli(

@@ -20,8 +20,14 @@ from zerocount.bayes import (
     posterior_from_sufficient,
     prior_density,
     prior_params,
+    upper_limit,
 )
-from zerocount.classical import CountData, log_likelihood, simple_probability_upper_limit
+from zerocount.classical import (
+    CountData,
+    log_likelihood,
+    ml_estimates,
+    simple_probability_upper_limit,
+)
 from zerocount.decision import ThetaMode, bayes_mean_counts, bias_mean, validate_risk_oracle
 from zerocount.distributions import (
     DetectorConfig,
@@ -115,4 +121,23 @@ NON_FINITE_CALLS = {
 def test_non_finite_float_raises_domain_error(case):
     name, call = NON_FINITE_CALLS[case]
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        call()
+
+
+# finite inputs whose exposure overflows: case -> (message prefix, call)
+OVERFLOW_CALLS = {
+    "ml_estimates_huge_t": (
+        "t must be small enough", lambda: ml_estimates(CountData([0, 0], t=1.4e154))
+    ),
+    "upper_limit_huge_exposure": (
+        "exposure n t \\+ b must be finite",
+        lambda: upper_limit(posterior_from_sufficient(3, 10, 1e308, BL), 0.95),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CALLS))
+def test_overflowing_exposure_raises_domain_error(case):
+    prefix, call = OVERFLOW_CALLS[case]
+    with pytest.raises(DomainError, match=f"^{prefix}"):
         call()
