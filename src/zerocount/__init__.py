@@ -3,7 +3,7 @@
 The package is organized by inference route:
 
 - :mod:`zerocount.distributions`: count models (Poisson, z-Poisson,
-  negative binomial, Gamma) and detector-rate plumbing;
+  negative binomial, Gamma) and Poisson expectations;
 - :mod:`zerocount.classical`: ML estimates and the simple-probability
   treatment of an all-zero record;
 - :mod:`zerocount.bayes`: Gamma-conjugate posteriors for the standard

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .classical import CountData
-from .distributions import GammaDist, gamma_moment
+from .distributions import GammaDist
 from .errors import DomainError, ImproperPosteriorError, _require_int, _require_real
 from .numerics import (
     DEFAULT_TOL,
@@ -49,9 +49,7 @@ __all__ = [
     "prior_density",
     "posterior",
     "posterior_from_sufficient",
-    "posterior_moment",
     "upper_limit",
-    "fisher_information",
     "jj_divergence_demo",
     "jj_truncated_evidence",
     "differential_entropy_gamma",
@@ -103,10 +101,11 @@ class GammaPosterior:
 
     @property
     def variance(self) -> float:
-        return self.A / self.B**2
-
-    def as_gamma(self) -> GammaDist:
-        return GammaDist(a=self.A, b=self.B)
+        try:
+            return self.A / self.B**2
+        except OverflowError:
+            # B past ~1.3e154: the variance itself is tiny, so divide twice
+            return self.A / self.B / self.B
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,15 @@ def posterior_from_sufficient(
     S = _require_int(S, "S")
     n = _require_int(n, "n", 1)
     _require_real(t, "t", 0.0, strict=True)
-    a_post = S + prior.a
-    b_post = n * t + prior.b
+    try:
+        a_post = S + prior.a
+        b_post = n * t + prior.b
+    except OverflowError:  # an int past the float range
+        name, value = ("S", S) if S > n else ("n", n)
+        raise DomainError(
+            f"{name} must be within the float range (about 1.8e308), "
+            f"got a {value.bit_length()}-bit integer"
+        ) from None
     if b_post == math.inf:
         raise DomainError(
             f"exposure n t + b must be finite, got n={n}, t={t!r}, b={prior.b!r}"
@@ -213,11 +219,6 @@ def posterior(data: CountData, prior: PriorSpec) -> GammaPosterior:
     return posterior_from_sufficient(data.total, data.n, data.t, prior)
 
 
-def posterior_moment(post: GammaPosterior, r: int) -> float:
-    """Raw posterior moment E[rho^r] = (A)_r / B^r."""
-    return gamma_moment(post.as_gamma(), r)
-
-
 def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
     """One-sided upper limit on rho (and theta) at confidence level CL.
 
@@ -237,13 +238,6 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
         U_theta=u_rho * post.source.t,
         solver_residual=residual,
     )
-
-
-def fisher_information(n: int, rho: float) -> float:
-    """Fisher information n/rho carried by n measurements about the rate."""
-    n = _require_int(n, "n", 1)
-    _require_real(rho, "rho", 0.0, strict=True)
-    return n / rho
 
 
 def jj_truncated_evidence(epsilon: float) -> float:

@@ -1,8 +1,8 @@
 """Classical (non-Bayesian) estimation for repeated count measurements.
 
-Implements the sufficient statistic, maximum-likelihood point and variance
-estimates, the simple-probability treatment of an all-zero record, and the
-non-statistical 1-count upper limit.
+Implements maximum-likelihood point and variance estimates, the
+simple-probability treatment of an all-zero record, and the non-statistical
+1-count upper limit.
 
 The all-zero case is the whole point of this package: the ML machinery then
 returns zeros for every estimate, which is reported through a ``pathological``
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, _require_int, _require_real
@@ -22,9 +21,7 @@ from .errors import DomainError, _require_int, _require_real
 __all__ = [
     "CountData",
     "MLReport",
-    "sufficient_statistic",
     "ml_estimates",
-    "log_likelihood",
     "simple_probability_estimates",
     "simple_probability_upper_limit",
     "one_count_upper_limit",
@@ -46,6 +43,14 @@ class CountData:
         values = tuple(_require_int(c, "count") for c in counts)
         if len(values) == 0:
             raise DomainError("counts must contain at least one measurement")
+        total = sum(values)
+        try:
+            float(total)  # every estimate divides the total as a float
+        except OverflowError:
+            raise DomainError(
+                "total count S must be within the float range (about 1.8e308), "
+                f"got a {total.bit_length()}-bit integer"
+            ) from None
         _require_real(t, "t", 0.0, strict=True)
         object.__setattr__(self, "counts", values)
         object.__setattr__(self, "t", float(t))
@@ -75,17 +80,6 @@ class MLReport:
     pathological: bool
 
 
-def sufficient_statistic(data: CountData) -> tuple[int, float]:
-    """Return (S, xbar): the total count and the sample mean.
-
-    S is exact (integer); the mean is computed from the exact ratio so that
-    e.g. 10 measurements totalling 1 give precisely 0.1.
-    """
-    s = data.total
-    xbar = float(Fraction(s, data.n))
-    return (s, xbar)
-
-
 def _per_unit_time(mean: float, var: float, scale: float, t: float) -> tuple[float, float]:
     # (mean / scale, var / scale^2); a tiny legal t can underflow scale^2 to 0,
     # a huge one overflow it
@@ -103,32 +97,17 @@ def _per_unit_time(mean: float, var: float, scale: float, t: float) -> tuple[flo
 
 def ml_estimates(data: CountData) -> MLReport:
     """Maximum-likelihood estimates of theta and rho with their variances."""
-    s, xbar = sufficient_statistic(data)
-    n, t = data.n, data.t
+    s, n, t = data.total, data.n, data.t
     rho_hat, var_rate = _per_unit_time(s, s, n * t, t)
     return MLReport(
-        theta_hat=xbar,
+        # int / int is correctly rounded, so 10 measurements totalling 1 give 0.1
+        theta_hat=s / n,
         rho_hat=rho_hat,
         var_counts=s / n,
         var_mean=s / n**2,
         var_rate=var_rate,
         pathological=(s == 0),
     )
-
-
-def log_likelihood(theta: float, data: CountData) -> float:
-    """Log-likelihood of ``theta``, up to an additive constant.
-
-    Returns S ln(theta) - n theta, the theta-dependent part. At theta = 0
-    the value is -inf whenever any count was observed (returned, not
-    raised: the likelihood is genuinely zero there) and 0 for an all-zero
-    record.
-    """
-    _require_real(theta, "theta", 0.0)
-    s = data.total
-    if theta == 0.0:
-        return 0.0 if s == 0 else -math.inf
-    return s * math.log(theta) - data.n * theta
 
 
 def simple_probability_estimates(

@@ -38,6 +38,7 @@ from .bayes import (
     PriorSpec,
     jj_divergence_demo,
     jj_truncated_evidence,
+    posterior,
     posterior_from_sufficient,
     prior_density,
     prior_params,
@@ -244,7 +245,7 @@ def _prior_row(spec: PriorSpec, data: CountData, cls: list[float]) -> dict:
     )
     row = {"prior": label, "a": spec.a, "b": spec.b}
     try:
-        post = posterior_from_sufficient(data.total, data.n, data.t, spec)
+        post = posterior(data, spec)
     except ImproperPosteriorError as exc:
         return {**row, "improper": True, "message": str(exc)}
     limits = [upper_limit(post, cl) for cl in cls]

@@ -28,11 +28,8 @@ __all__ = [
     "RiskReport",
     "AdmissibilityRanking",
     "RiskOracleReport",
-    "bayes_mean_counts",
     "bias_mean",
-    "sampling_variance_mean",
     "risk_mean",
-    "bayes_var",
     "bias_var",
     "risk_var",
     "compare_priors",
@@ -90,7 +87,7 @@ def _check_sn(S: int, n: int) -> tuple[int, int]:
     return _require_int(S, "S"), _require_int(n, "n", 1)
 
 
-def bayes_mean_counts(S: int, n: int, a: float, b: float) -> float:
+def _bayes_mean_counts(S: int, n: int, a: float, b: float) -> float:
     """Bayesian mean-count estimate (S + a)/(n + b) at t = 1."""
     S, n = _check_sn(S, n)
     if S + a <= 0.0:
@@ -117,7 +114,7 @@ def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) ->
     return (a - b * theta) / (n + b)
 
 
-def sampling_variance_mean(theta: float, n: int, b: float) -> float:
+def _sampling_variance_mean(theta: float, n: int, b: float) -> float:
     """Sampling variance n theta / (n + b)^2 of the Bayesian mean."""
     _require_real(theta, "theta", 0.0)
     n = _require_int(n, "n", 1)
@@ -130,7 +127,7 @@ def risk_mean(S: int, n: int, a: float, b: float) -> float:
     return (S + (a - b * S / n) ** 2) / (n + b) ** 2
 
 
-def bayes_var(S: int, n: int, a: float, b: float) -> float:
+def _bayes_var(S: int, n: int, a: float, b: float) -> float:
     """Bayesian variance estimate V_B = (S + a)/(n + b)^2 at t = 1."""
     S, n = _check_sn(S, n)
     return (S + a) / (n + b) ** 2
@@ -139,7 +136,7 @@ def bayes_var(S: int, n: int, a: float, b: float) -> float:
 def bias_var(S: int, n: int, a: float, b: float) -> float:
     """Plug-in bias of V_B against the ML count variance: V_B - S/n."""
     S, n = _check_sn(S, n)
-    return bayes_var(S, n, a, b) - S / n
+    return _bayes_var(S, n, a, b) - S / n
 
 
 def risk_var(S: int, n: int, a: float, b: float) -> float:
@@ -152,10 +149,10 @@ def _risk_report(S: int, n: int, prior: PriorSpec) -> RiskReport:
     a, b = prior.a, prior.b
     return RiskReport(
         prior=prior,
-        mean_estimate=bayes_mean_counts(S, n, a, b),
+        mean_estimate=_bayes_mean_counts(S, n, a, b),
         bias_mean=bias_mean(S, n, a, b, ThetaMode.PLUG_IN),
         risk_mean=risk_mean(S, n, a, b),
-        var_estimate=bayes_var(S, n, a, b),
+        var_estimate=_bayes_var(S, n, a, b),
         bias_var=bias_var(S, n, a, b),
         risk_var=risk_var(S, n, a, b),
         theta_mode=ThetaMode.PLUG_IN,
@@ -224,7 +221,7 @@ def validate_risk_oracle(
 
     closed_mean = (n * theta + a) / denom
     closed_bias = bias_mean(theta, n, a, b, ThetaMode.TRUE_THETA)
-    closed_var = sampling_variance_mean(theta, n, b)
+    closed_var = _sampling_variance_mean(theta, n, b)
     closed_risk = closed_bias**2 + closed_var
 
     return RiskOracleReport(

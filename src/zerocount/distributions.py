@@ -1,10 +1,10 @@
 """Count and rate distributions for rare-event measurements.
 
-Covers the Poisson count model and the detector behind it, the Gamma family
-used for rate priors and posteriors, and two overdispersed count models: the
-zero-inflated Poisson (z-Poisson) and the negative binomial. All pmf and pdf
-values are computed in log space and exponentiated once, so the routines stay
-usable far into the tails.
+Covers the Poisson count model, the Gamma family used for rate priors and
+posteriors, and two overdispersed count models: the zero-inflated Poisson
+(z-Poisson) and the negative binomial. All pmf and pdf values are computed in
+log space and exponentiated once, so the routines stay usable far into the
+tails.
 
 Boundary conventions are deliberate rather than errors: a Poisson with
 ``theta = 0`` is the point mass at zero with dispersion reported as 1, and a
@@ -20,25 +20,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, _require_int, _require_real
-from .numerics import DEFAULT_TOL, ToleranceConfig, log_gamma
+from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "PoissonParams",
-    "DetectorConfig",
     "GammaDist",
     "ZPoissonParams",
     "NBParams",
     "poisson_pmf",
-    "poisson_moments",
     "prob_all_zero",
-    "adhoc_zero_density",
     "gamma_pdf",
-    "gamma_moment",
     "zpoisson_pmf",
     "zpoisson_moments",
     "nb_pmf",
     "nb_dispersion",
-    "expected_theta",
     "expectation_over_poisson",
 ]
 
@@ -51,44 +46,6 @@ class PoissonParams:
 
     def __post_init__(self):
         _require_real(self.theta, "theta", 0.0)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Physical source-plus-detector description.
-
-    ``n_atoms`` radioactive atoms with decay constant ``decay_const`` are
-    observed for time ``t`` with detection efficiency ``efficiency``. The
-    per-atom detection probability is ``p = decay_const * t * efficiency``;
-    the Poisson treatment assumes p is small, and
-    :attr:`poisson_regime_warning` is set when p exceeds 0.1.
-    """
-
-    n_atoms: float
-    decay_const: float
-    efficiency: float
-    t: float
-
-    def __post_init__(self):
-        _require_real(self.n_atoms, "n_atoms", 0.0, strict=True)
-        _require_real(self.decay_const, "decay_const", 0.0, strict=True)
-        _require_real(self.efficiency, "efficiency", 0.0, 1.0)
-        _require_real(self.t, "t", 0.0, strict=True)
-
-    @property
-    def p(self) -> float:
-        """Per-atom detection probability over the measurement."""
-        return self.decay_const * self.t * self.efficiency
-
-    @property
-    def poisson_regime_warning(self) -> bool:
-        """True when p > 0.1 and the small-p Poisson approximation is dubious."""
-        return self.p > 0.1
-
-    @property
-    def rho(self) -> float:
-        """Detected event rate N * decay_const * efficiency."""
-        return self.n_atoms * self.decay_const * self.efficiency
 
 
 @dataclass(frozen=True)
@@ -147,17 +104,7 @@ def poisson_pmf(x: int, theta: float) -> float:
     _require_real(theta, "theta", 0.0)
     if theta == 0.0:
         return 1.0 if x == 0 else 0.0
-    return math.exp(x * math.log(theta) - theta - log_gamma(x + 1.0))
-
-
-def poisson_moments(theta: float) -> tuple[float, float, float]:
-    """Return (mean, variance, dispersion) of the Poisson counts.
-
-    Dispersion is identically 1; the theta = 0 point mass keeps that value
-    by convention so downstream dispersion plots have no holes.
-    """
-    _require_real(theta, "theta", 0.0)
-    return (theta, theta, 1.0)
+    return math.exp(x * math.log(theta) - theta - math.lgamma(x + 1.0))
 
 
 def prob_all_zero(n: int, theta: float) -> float:
@@ -165,18 +112,6 @@ def prob_all_zero(n: int, theta: float) -> float:
     n = _require_int(n, "n", 1)
     _require_real(theta, "theta", 0.0)
     return math.exp(-n * theta)
-
-
-def adhoc_zero_density(theta: float, n: int) -> float:
-    """Zero-class probability renormalized into a density in ``theta``.
-
-    Equals n e^{-n theta}, which integrates to 1 over theta in [0, inf).
-    This is the simple-probability route to inference: no prior, just the
-    zero-class likelihood treated as a distribution for theta.
-    """
-    _require_real(theta, "theta", 0.0)
-    n = _require_int(n, "n", 1)
-    return n * math.exp(-n * theta)
 
 
 def gamma_pdf(rho: float, dist: GammaDist) -> float:
@@ -198,18 +133,9 @@ def gamma_pdf(rho: float, dist: GammaDist) -> float:
         dist.a * math.log(dist.b)
         + (dist.a - 1.0) * math.log(rho)
         - dist.b * rho
-        - log_gamma(dist.a)
+        - math.lgamma(dist.a)
     )
     return math.exp(log_pdf)
-
-
-def gamma_moment(dist: GammaDist, r: int) -> float:
-    """Raw moment E[rho^r] = (a)_r / b^r with the ascending factorial (a)_r."""
-    r = _require_int(r, "r")
-    if r == 0:
-        return 1.0
-    log_ascending = log_gamma(dist.a + r) - log_gamma(dist.a)
-    return math.exp(log_ascending - r * math.log(dist.b))
 
 
 def zpoisson_pmf(x: int, params: ZPoissonParams) -> float:
@@ -250,9 +176,9 @@ def nb_pmf(x: int, params: NBParams) -> float:
     theta, a = params.theta, params.a
     log_pmf = (
         x * math.log(theta)
-        + log_gamma(a + x)
-        - log_gamma(a)
-        - log_gamma(x + 1.0)
+        + math.lgamma(a + x)
+        - math.lgamma(a)
+        - math.lgamma(x + 1.0)
         - x * math.log(a)
         - (x + a) * math.log1p(theta / a)
     )
@@ -262,11 +188,6 @@ def nb_pmf(x: int, params: NBParams) -> float:
 def nb_dispersion(params: NBParams) -> float:
     """Dispersion coefficient 1 + theta/a, always > 1."""
     return 1.0 + params.theta / params.a
-
-
-def expected_theta(cfg: DetectorConfig) -> float:
-    """Expected counts N * decay_const * efficiency * t for the detector."""
-    return cfg.rho * cfg.t
 
 
 def expectation_over_poisson(

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# Every grid point is one column of the marginal's vector integral, so memory
+# and time grow linearly with the grid: 10^5 points take about 150 MB and 2 s
+# (NB, x = 1), and step 1e-6 at x = 1 (12.5 million points) exhausts memory.
+_MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,19 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
 
     The endpoint leaves under 1e-7 of the claimed density's mass outside the
     grid even at x = 5, so grid-truncation cannot eat the 1e-6 normalization
-    budget.
+    budget. A step that gives more than 10^5 points raises ``DomainError``.
     """
-    import numpy as np
-
     x = _require_int(x, "x")
     _require_real(step, "step", 0.0, strict=True)
-    upper = x / 2.0 + 12.0
+    # an int past the float range has no endpoint: a DomainError naming x
+    upper = _require_real(x, "x", 0.0) / 2.0 + 12.0
+    if upper / step > _MAX_GRID_POINTS - 1:
+        raise DomainError(
+            f"step must give at most {_MAX_GRID_POINTS} grid points on "
+            f"[0, {upper:g}], got {step!r}"
+        )
+    import numpy as np
+
     n_points = int(round(upper / step)) + 1
     return np.linspace(0.0, upper, n_points)
 

@@ -1,9 +1,9 @@
 """Numerical primitives for the inference modules.
 
-Provides the log-gamma function, the regularized lower incomplete gamma
-``P(a, x)`` and its inverse, the exponential integral ``E1``, and adaptive
-quadrature over semi-infinite intervals. All routines are deterministic and
-pure; the quadrature's accuracy is steered by :class:`ToleranceConfig`.
+Provides the regularized lower incomplete gamma ``P(a, x)`` and its inverse,
+the exponential integral ``E1``, and adaptive quadrature over semi-infinite
+intervals. All routines are deterministic and pure; the quadrature's accuracy
+is steered by :class:`ToleranceConfig`.
 
 The incomplete gamma ``P(a, x)`` and ``Q = 1 - P`` come from one of three
 regions, each at a bounded number of terms (200 at most, under 100 on the
@@ -51,7 +51,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "EULER_GAMMA",
-    "log_gamma",
     "reg_inc_gamma_lower",
     "inv_reg_inc_gamma_lower",
     "exp_integral_e1",
@@ -167,17 +166,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def log_gamma(z: float) -> float:
-    """Return ``ln Gamma(z)`` for ``z > 0``.
-
-    Thin wrapper over :func:`math.lgamma`, which is accurate to a few ulp
-    across the range this package uses; the wrapper adds the strict domain
-    check the callers rely on.
-    """
-    _require_real(z, "z", 0.0, strict=True)
-    return math.lgamma(z)
 
 
 def reg_inc_gamma_lower(a: float, x: float) -> float:

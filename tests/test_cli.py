@@ -538,6 +538,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: t must be small enough"), err
 
+    def test_total_past_the_float_range_exits_2(self, capsys):
+        # once an OverflowError traceback (exit 1) from dividing the total
+        code, out, err = run_cli(capsys, "estimate", "--counts", "1" + "0" * 400, "--prior", "bl")
+        assert code == 2
+        assert err.startswith("error: total count S must be within the float range"), err
+
+    def test_tiny_posterior_variance_exits_0(self, capsys):
+        # B = 1e300, so B**2 overflows while A / B^2 = 3e-600 rounds to 0
+        payload = run_json(
+            capsys, "estimate", "--counts", "3", "--t", "1e154",
+            "--prior", "custom:1e-300,1e300", "--cl", "0.5",
+        )
+        (row,) = payload["priors"]
+        assert (row["var_rho"], row["var_theta"]) == (0.0, 0.0)
+
+    def test_oversized_theta_grid_exits_2(self, capsys):
+        # 12.5 million and 5e32 grid points: refused before any allocation
+        for x, step in (("1", "1e-6"), ("100000000000000000000000000000000", "0.1")):
+            code, out, err = run_cli(
+                capsys, "marginalize", "--model", "zpoisson", "--x", x, "--step", step
+            )
+            assert code == 2, x
+            assert err.startswith("error: step must give at most 100000 grid points"), err
+
     def test_starved_solver_exits_4(self, capsys):
         # the root of P(0.0005, x) = 0.5 is about 5e-603, below every double
         code, out, err = run_cli(
@@ -575,7 +599,9 @@ class TestJJDivergence:
 class TestNumpyLoading:
     """The closed-form commands never import numpy; the array commands do.
 
-    Each case runs in a fresh interpreter, since this one has numpy loaded.
+    Neither loads ``fractions`` (and with it ``decimal``): the estimates
+    divide ints directly. Each case runs in a fresh interpreter, since this
+    one has numpy loaded.
     """
 
     SCRIPT = """
@@ -585,26 +611,26 @@ from zerocount.cli import main
 assert "numpy" not in sys.modules, "numpy loaded on import"
 for argv in ARGV_LISTS:
     assert main(argv) == 0, argv
-print("numpy" in sys.modules)
+print(sorted({"numpy", "fractions", "decimal"} & set(sys.modules)))
 """
 
-    def numpy_loaded_after(self, argv_lists) -> bool:
+    def modules_loaded_after(self, argv_lists) -> str:
         env = dict(os.environ, PYTHONPATH=str(Path(zerocount.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT.replace("ARGV_LISTS", repr(argv_lists))],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1] == "True"
+        return proc.stdout.splitlines()[-1]
 
     def test_closed_form_commands_leave_numpy_unloaded(self, tmp_path):
         out = str(tmp_path)
-        assert not self.numpy_loaded_after([
+        assert self.modules_loaded_after([
             ["estimate", "--counts", "0,1"],
             ["tables", "--out", out],
             ["figures", "--out", out],
             ["jj-divergence"],
-        ])
+        ]) == "[]"
 
     @pytest.mark.parametrize(
         "argv",
@@ -614,4 +640,4 @@ print("numpy" in sys.modules)
         ],
     )
     def test_array_commands_load_numpy(self, argv):
-        assert self.numpy_loaded_after([argv])
+        assert self.modules_loaded_after([argv]) == "['numpy']"

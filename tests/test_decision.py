@@ -6,14 +6,14 @@ import pytest
 from zerocount.bayes import PriorKind, PriorSpec, prior_params
 from zerocount.decision import (
     ThetaMode,
-    bayes_mean_counts,
-    bayes_var,
+    _bayes_mean_counts,
+    _bayes_var,
+    _sampling_variance_mean,
     bias_mean,
     bias_var,
     compare_priors,
     risk_mean,
     risk_var,
-    sampling_variance_mean,
     validate_risk_oracle,
 )
 from zerocount.distributions import expectation_over_poisson
@@ -30,17 +30,17 @@ JJ = prior_params(PriorKind.JJ)
 
 class TestPointEstimates:
     def test_bayes_mean_counts(self):
-        assert bayes_mean_counts(0, 1, a=1.0, b=1.0) == 0.5
-        assert bayes_mean_counts(0, 1, a=1.0, b=0.0) == 1.0
-        assert bayes_mean_counts(6, 2, a=0.0, b=0.0) == 3.0
+        assert _bayes_mean_counts(0, 1, a=1.0, b=1.0) == 0.5
+        assert _bayes_mean_counts(0, 1, a=1.0, b=0.0) == 1.0
+        assert _bayes_mean_counts(6, 2, a=0.0, b=0.0) == 3.0
 
     def test_improper_combination(self):
         with pytest.raises(ImproperPosteriorError):
-            bayes_mean_counts(0, 1, a=0.0, b=0.0)
+            _bayes_mean_counts(0, 1, a=0.0, b=0.0)
 
     def test_bayes_var(self):
-        assert bayes_var(0, 1, a=1.0, b=1.0) == 0.25
-        assert bayes_var(4, 2, a=1.0, b=0.0) == 1.25
+        assert _bayes_var(0, 1, a=1.0, b=1.0) == 0.25
+        assert _bayes_var(4, 2, a=1.0, b=0.0) == 1.25
 
 
 class TestBiasForms:
@@ -66,10 +66,10 @@ class TestBiasForms:
 
 class TestSamplingVariance:
     def test_degenerate(self):
-        assert sampling_variance_mean(0.0, 1, 0.0) == 0.0
+        assert _sampling_variance_mean(0.0, 1, 0.0) == 0.0
 
     def test_direct(self):
-        assert sampling_variance_mean(1.0, 1, 1.0) == 0.25
+        assert _sampling_variance_mean(1.0, 1, 1.0) == 0.25
 
     def test_matches_summation_oracle(self):
         # Var(theta_B) over S ~ Poisson(n theta) at (theta=2, n=3, ME)
@@ -79,7 +79,7 @@ class TestSamplingVariance:
             lambda s: ((s + a) / (n + b) - mean) ** 2, n * theta, TIGHT
         )
         np.testing.assert_allclose(
-            var, sampling_variance_mean(theta, n, b), atol=1e-10
+            var, _sampling_variance_mean(theta, n, b), atol=1e-10
         )
 
 
@@ -95,7 +95,7 @@ class TestRiskForms:
 
     def test_hand_case(self):
         # S=4, n=2, BL: V_B = 5/4, bias = -3/4, risk = 9/16 + 4/16 = 13/16
-        assert bayes_var(4, 2, a=1.0, b=0.0) == 1.25
+        assert _bayes_var(4, 2, a=1.0, b=0.0) == 1.25
         assert bias_var(4, 2, a=1.0, b=0.0) == -0.75
         assert risk_var(4, 2, a=1.0, b=0.0) == 0.8125
 

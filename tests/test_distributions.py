@@ -10,19 +10,14 @@ import numpy as np
 import pytest
 
 from zerocount.distributions import (
-    DetectorConfig,
     GammaDist,
     NBParams,
     PoissonParams,
     ZPoissonParams,
-    adhoc_zero_density,
     expectation_over_poisson,
-    expected_theta,
-    gamma_moment,
     gamma_pdf,
     nb_dispersion,
     nb_pmf,
-    poisson_moments,
     poisson_pmf,
     prob_all_zero,
     zpoisson_moments,
@@ -62,11 +57,6 @@ class TestPoisson:
         total = sum(poisson_pmf(x, theta) for x in range(upper + 1))
         assert abs(total - 1.0) <= 1e-12
 
-    def test_moments(self):
-        assert poisson_moments(2.0) == (2.0, 2.0, 1.0)
-        assert poisson_moments(0.0) == (0.0, 0.0, 1.0)
-        assert poisson_moments(2.8787) == (2.8787, 2.8787, 1.0)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             poisson_pmf(0, -0.5)
@@ -84,23 +74,9 @@ class TestZeroClass:
             prob_all_zero(3, 1.0), 0.049787068367863943, rtol=1e-13
         )
 
-    def test_adhoc_density_values(self):
-        assert adhoc_zero_density(0.0, 2) == 2.0
-        np.testing.assert_allclose(
-            adhoc_zero_density(1.0, 1), 0.367879441171442322, rtol=1e-13
-        )
-
-    def test_adhoc_density_normalizes(self):
-        total = integrate_semi_infinite(
-            lambda ths: np.array([adhoc_zero_density(th, 5) for th in ths])
-        )
-        np.testing.assert_allclose(total, 1.0, rtol=1e-9)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             prob_all_zero(0, 1.0)
-        with pytest.raises(DomainError):
-            adhoc_zero_density(-0.1, 1)
 
 
 class TestGamma:
@@ -123,20 +99,6 @@ class TestGamma:
             lambda us: np.array([2.0 * u * gamma_pdf(u * u, dist) if u > 0 else 0.0 for u in us])
         )
         np.testing.assert_allclose(total, 1.0, rtol=1e-8)
-
-    def test_moments(self):
-        assert gamma_moment(GammaDist(a=1.0, b=2.0), 1) == 0.5
-        assert gamma_moment(GammaDist(a=1.0, b=2.0), 0) == 1.0
-        np.testing.assert_allclose(gamma_moment(GammaDist(a=3.0, b=2.0), 2), 3.0, rtol=1e-13)
-
-    def test_moment_identities(self):
-        dist = GammaDist(a=2.5, b=4.0)
-        mean = gamma_moment(dist, 1)
-        second = gamma_moment(dist, 2)
-        np.testing.assert_allclose(mean, dist.a / dist.b, rtol=1e-13)
-        np.testing.assert_allclose(
-            second - mean * mean, dist.a / dist.b**2, rtol=1e-12
-        )
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -239,31 +201,6 @@ class TestNegativeBinomial:
             NBParams(theta=-1.0, a=1.0)
         with pytest.raises(DomainError):
             NBParams(theta=1.0, a=0.0)
-
-
-class TestRateAndDetector:
-    def test_expected_theta_direct_product(self):
-        cfg = DetectorConfig(n_atoms=1e10, decay_const=1e-12, efficiency=0.5, t=3600.0)
-        np.testing.assert_allclose(expected_theta(cfg), 18.0, rtol=1e-13)
-        np.testing.assert_allclose(cfg.rho, 5e-3, rtol=1e-13)
-
-    def test_blind_detector(self):
-        cfg = DetectorConfig(n_atoms=1e10, decay_const=1e-12, efficiency=0.0, t=3600.0)
-        assert expected_theta(cfg) == 0.0
-
-    def test_theta_scales_linearly_in_t(self):
-        base = DetectorConfig(n_atoms=1e6, decay_const=1e-9, efficiency=0.3, t=100.0)
-        scaled = DetectorConfig(n_atoms=1e6, decay_const=1e-9, efficiency=0.3, t=700.0)
-        np.testing.assert_allclose(
-            expected_theta(scaled), 7.0 * expected_theta(base), rtol=1e-13
-        )
-
-    def test_poisson_regime_flag(self):
-        ok = DetectorConfig(n_atoms=10.0, decay_const=1e-4, efficiency=0.5, t=10.0)
-        assert not ok.poisson_regime_warning
-        bad = DetectorConfig(n_atoms=10.0, decay_const=0.05, efficiency=0.9, t=10.0)
-        assert bad.poisson_regime_warning
-        assert bad.p > 0.1
 
 
 class TestExpectationOverPoisson:

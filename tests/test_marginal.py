@@ -149,6 +149,13 @@ class TestGridHelpers:
         comp = zpoisson_marginal(0, list(np.linspace(0.0, 11.0, 23)))
         assert isinstance(comp, MarginalComparison)
 
+    def test_grid_size_is_capped(self):
+        # the cap is 10^5 points; x = 1 at step 1e-6 asked for 12.5 million
+        assert make_theta_grid(0, step=12.0 / 99_999).size == 100_000
+        for x, step in ((1, 1e-6), (0, 12.0 / 100_000), (10**31, 0.1), (10**308, 1e-300)):
+            with pytest.raises(DomainError, match="^step must give at most 100000 grid points"):
+                make_theta_grid(x, step)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             zpoisson_marginal(0, np.linspace(0.1, 12.0, 50))  # must start at 0

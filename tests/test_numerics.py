@@ -19,7 +19,6 @@ from zerocount.numerics import (
     exp_integral_e1,
     integrate_semi_infinite,
     inv_reg_inc_gamma_lower,
-    log_gamma,
     reg_inc_gamma_lower,
 )
 
@@ -55,32 +54,6 @@ class TestToleranceConfig:
         (name,) = kwargs
         with pytest.raises(DomainError, match=f"^{name} must be"):
             ToleranceConfig(**kwargs)
-
-
-class TestLogGamma:
-    def test_half_integer_value(self):
-        # ln Gamma(1/2) = ln sqrt(pi)
-        np.testing.assert_allclose(
-            log_gamma(0.5), 0.572364942924700087, rtol=1e-14
-        )
-
-    def test_factorials(self):
-        for n in range(1, 12):
-            np.testing.assert_allclose(
-                log_gamma(n + 1.0), math.log(math.factorial(n)), rtol=1e-13
-            )
-
-    def test_recurrence(self):
-        # Gamma(z+1) = z Gamma(z), checked in log space across the range
-        for z in np.geomspace(0.1, 100.0, 40):
-            lhs = log_gamma(z + 1.0)
-            rhs = log_gamma(z) + math.log(z)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
-    def test_domain(self, z):
-        with pytest.raises(DomainError):
-            log_gamma(z)
 
 
 class TestRegIncGammaLower:
@@ -126,7 +99,7 @@ class TestRegIncGammaLower:
     def test_complement_via_quadrature(self, a, x):
         # Independent route: Q(a, x) as the integral of the Gamma(a, 1)
         # density over the upper tail. P + Q must reproduce 1.
-        log_norm = log_gamma(a)
+        log_norm = math.lgamma(a)
 
         def density(u):
             return np.exp((a - 1.0) * np.log(u) - u - log_norm)
@@ -137,7 +110,7 @@ class TestRegIncGammaLower:
 
     def test_complement_doubling_route(self):
         a, x = 2.5, 1.0
-        log_norm = log_gamma(a)
+        log_norm = math.lgamma(a)
         q = integrate_semi_infinite(
             lambda u: np.exp((a - 1.0) * np.log(u) - u - log_norm),
             lower=x,
@@ -713,7 +686,7 @@ class TestIntegrateSemiInfinite:
         np.testing.assert_allclose(value, math.exp(-2.0), rtol=1e-9)
 
     def test_strategies_agree(self):
-        log_norm = log_gamma(2.5)
+        log_norm = math.lgamma(2.5)
         f = lambda x: x**1.5 * np.exp(-x - log_norm)
         via_transform = integrate_semi_infinite(f, strategy="transform")
         via_doubling = integrate_semi_infinite(f, strategy="doubling")
@@ -734,7 +707,7 @@ class TestIntegrateSemiInfinite:
     def test_doubling_waits_for_the_octaves_to_stop_growing(self):
         # the Gamma(51, 1) density holds 7e-44 of its mass in [0, 7]: those
         # octaves are below tolerance but rising, so they are not quiet
-        log_norm = log_gamma(51.0)
+        log_norm = math.lgamma(51.0)
         value = integrate_semi_infinite(
             lambda x: np.exp(50.0 * np.log(x) - x - log_norm), strategy="doubling"
         )

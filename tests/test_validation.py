@@ -14,7 +14,6 @@ import pytest
 from zerocount.bayes import (
     PriorKind,
     PriorSpec,
-    fisher_information,
     jj_divergence_demo,
     jj_truncated_evidence,
     posterior_from_sufficient,
@@ -24,13 +23,11 @@ from zerocount.bayes import (
 )
 from zerocount.classical import (
     CountData,
-    log_likelihood,
     ml_estimates,
     simple_probability_upper_limit,
 )
-from zerocount.decision import ThetaMode, bayes_mean_counts, bias_mean, validate_risk_oracle
+from zerocount.decision import ThetaMode, _bayes_mean_counts, bias_mean, validate_risk_oracle
 from zerocount.distributions import (
-    DetectorConfig,
     GammaDist,
     NBParams,
     PoissonParams,
@@ -62,9 +59,8 @@ CALLS = {
     "coverage_inf_reps": lambda: coverage_experiment(0.5, 1.0, 1, BL, 0.95, INF, 0),
     "bias_mean_bool_plug_in": lambda: bias_mean(True, 1, 1.0, 0.0, ThetaMode.PLUG_IN),
     "bias_mean_inf_plug_in": lambda: bias_mean(INF, 1, 1.0, 0.0, ThetaMode.PLUG_IN),
-    "bayes_mean_counts_nan": lambda: bayes_mean_counts(NAN, 1, 1.0, 0.0),
+    "bayes_mean_counts_nan": lambda: _bayes_mean_counts(NAN, 1, 1.0, 0.0),
     "simple_limit_inf_n": lambda: simple_probability_upper_limit(INF, 1.0, 0.05),
-    "fisher_information_nan_n": lambda: fisher_information(NAN, 1.0),
     "theta_grid_inf_x": lambda: make_theta_grid(INF),
 }
 
@@ -104,14 +100,13 @@ NON_FINITE_CALLS = {
     "coverage_inf_t": ("t", lambda: coverage_experiment(0.0, INF, 1, BL, 0.95, 10, 0)),
     "poisson_pmf_inf_theta": ("theta", lambda: poisson_pmf(0, INF)),
     "gamma_pdf_inf_rho": ("rho", lambda: gamma_pdf(INF, GammaDist(2.0, 1.0))),
-    "log_likelihood_inf_theta": ("theta", lambda: log_likelihood(INF, CountData([1]))),
     "prior_density_inf_t": ("t", lambda: prior_density(PriorKind.ME, 1.0, t=INF)),
     "expectation_inf_theta": ("theta", lambda: expectation_over_poisson(float, INF)),
     "risk_oracle_inf_theta": ("theta", lambda: validate_risk_oracle(INF, 1, BL)),
     "gamma_dist_inf_a": ("shape a", lambda: GammaDist(INF, 1.0)),
-    "detector_inf_n_atoms": ("n_atoms", lambda: DetectorConfig(INF, 1e-3, 0.5, 1.0)),
     "posterior_inf_t": ("t", lambda: posterior_from_sufficient(0, 1, INF, BL)),
     "theta_grid_inf_step": ("step", lambda: make_theta_grid(0, step=INF)),
+    "theta_grid_huge_x": ("x", lambda: make_theta_grid(10**400)),
     # not a number at all: a DomainError, not a TypeError from the comparison
     "poisson_pmf_str_theta": ("theta", lambda: poisson_pmf(0, "1")),
 }
@@ -124,8 +119,20 @@ def test_non_finite_float_raises_domain_error(case):
         call()
 
 
-# finite inputs whose exposure overflows: case -> (message prefix, call)
+# finite inputs whose exposure or total overflows a float:
+# case -> (message prefix, call)
 OVERFLOW_CALLS = {
+    "count_data_huge_total": (
+        "total count S must be within the float range", lambda: CountData([2**1023, 2**1023])
+    ),
+    "posterior_huge_S": (
+        "S must be within the float range",
+        lambda: posterior_from_sufficient(10**400, 1, 1.0, BL),
+    ),
+    "posterior_huge_n": (
+        "n must be within the float range",
+        lambda: posterior_from_sufficient(0, 10**400, 1.0, BL),
+    ),
     "ml_estimates_huge_t": (
         "t must be small enough", lambda: ml_estimates(CountData([0, 0], t=1.4e154))
     ),
