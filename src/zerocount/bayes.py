@@ -102,10 +102,19 @@ class GammaPosterior:
     @property
     def variance(self) -> float:
         try:
-            return self.A / self.B**2
+            square = self.B**2
         except OverflowError:
             # B past ~1.3e154: the variance itself is tiny, so divide twice
             return self.A / self.B / self.B
+        if square == 0.0:
+            # B below ~2e-162: divide twice, unless the variance itself overflows
+            variance = self.A / self.B / self.B
+            if variance == math.inf:
+                raise DomainError(
+                    f"posterior variance A/B^2 is past the float range for B = {self.B!r}"
+                )
+            return variance
+        return self.A / square
 
 
 @dataclass(frozen=True)

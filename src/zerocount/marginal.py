@@ -12,8 +12,12 @@ Each joint density is a numpy function over a (nuisance x theta) grid, so
 the whole comparison grid is one vector integral of
 :func:`integrate_semi_infinite`, and the evidence is an outer integral over
 theta whose integrand is one inner vector integral at the outer kernel's 15 or
-30 nodes (one panel, or both halves of a split one). The residual reported is
-a genuine cross-check between the two strategies.
+30 nodes (one panel, or both halves of a split one). Those inner integrals
+share a warm state: each starts from the nuisance partition the one before
+it converged on, all of its panels in one call, and still meets its own
+tolerance. The grid's integral, a column per grid point, starts cold from one
+panel, so no call of its integrand gets more than 30 rows. The residual
+reported is a genuine cross-check between the two strategies.
 
 Note the deliberate domain widening: the joint posteriors are evaluated for
 any psi > 0 (not just the pmf validity range [1, 1/P0]) because the
@@ -94,17 +98,22 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
 def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
     import numpy as np
 
+    # an int past the float range has no endpoint: a DomainError naming x
+    reach = _require_real(x, "x", 0.0) / 2.0 + 10.0
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("theta_grid must be a 1-d vector with at least 2 points")
+    if grid.size > _MAX_GRID_POINTS:
+        raise DomainError(
+            f"theta_grid must have at most {_MAX_GRID_POINTS} points, got {grid.size}"
+        )
     if grid[0] != 0.0:
         raise DomainError(f"theta_grid must start at 0, got {grid[0]!r}")
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("theta_grid must be strictly increasing")
-    if grid[-1] < x / 2.0 + 10.0:
+    if grid[-1] < reach:
         raise DomainError(
-            f"theta_grid must extend to at least x/2 + 10 = {x / 2.0 + 10.0}, "
-            f"got {grid[-1]!r}"
+            f"theta_grid must extend to at least x/2 + 10 = {reach}, got {grid[-1]!r}"
         )
     return grid
 
@@ -187,18 +196,21 @@ def zpoisson_marginal(
     grid = _validate_grid(x, theta_grid)
     tol = tol if tol is not None else DEFAULT_TOL
 
-    def marginal(theta: np.ndarray) -> np.ndarray:
+    def marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
         joint = _zpoisson_joint_in_psi(theta, x)
         return integrate_semi_infinite(
-            lambda psi: joint(psi[:, None]), lower=0.0, tol=tol, strategy=strategy
+            lambda psi: joint(psi[:, None]), lower=0.0, tol=tol, strategy=strategy, warm=warm
         )
 
     # independent check that the joint is a normalized posterior: integrate
-    # the marginal over theta with the other strategy
+    # the marginal over theta with the other strategy, its inner calls
+    # sharing one warm start (see nb_marginal_numeric)
+    warm: dict = {}
     total = integrate_semi_infinite(
-        marginal, lower=0.0, tol=tol, strategy=_other_strategy(strategy)
+        lambda theta: marginal(theta, warm), lower=0.0, tol=tol,
+        strategy=_other_strategy(strategy),
     )
-    return _comparison(x, grid, marginal(grid), abs(total - 1.0))
+    return _comparison(x, grid, marginal(grid, None), abs(total - 1.0))
 
 
 def _nb_joint(a: np.ndarray, theta: np.ndarray, x: int) -> np.ndarray:
@@ -264,18 +276,28 @@ def nb_marginal_numeric(
     tol = tol if tol is not None else DEFAULT_TOL
     _require_real(a_lower, "a_lower", 0.0)
 
-    def raw_marginal(theta: np.ndarray) -> np.ndarray:
+    def raw_marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
         return integrate_semi_infinite(
-            lambda a: _nb_joint(a[:, None], theta, x), lower=a_lower, tol=tol, strategy=strategy
+            lambda a: _nb_joint(a[:, None], theta, x),
+            lower=a_lower, tol=tol, strategy=strategy, warm=warm,
         )
+
+    # The evidence integrals' inner calls share one warm start: each begins
+    # from the a-partition the last one converged on. The call on the grid,
+    # with a column per grid point, starts cold, so that no call of its
+    # integrand gets more than one panel pair's 30 rows.
+    warm: dict = {}
+
+    def inner(theta: np.ndarray) -> np.ndarray:
+        return raw_marginal(theta, warm)
 
     # one scope for every _nb_joint call below, theta = 0 included
     with np.errstate(divide="ignore"):
-        evidence = integrate_semi_infinite(raw_marginal, lower=0.0, tol=tol, strategy=strategy)
+        evidence = integrate_semi_infinite(inner, lower=0.0, tol=tol, strategy=strategy)
         # dual-route propriety check: re-integrate with the other strategy and
         # compare against the evidence used for normalization
         evidence_other = integrate_semi_infinite(
-            raw_marginal, lower=0.0, tol=tol, strategy=_other_strategy(strategy)
+            inner, lower=0.0, tol=tol, strategy=_other_strategy(strategy)
         )
-        numeric = raw_marginal(grid) / evidence
+        numeric = raw_marginal(grid, None) / evidence
     return _comparison(x, grid, numeric, abs(evidence_other / evidence - 1.0))

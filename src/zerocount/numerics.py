@@ -31,10 +31,13 @@ stopped on step size once the steps reach one ulp or the rounding of ``P``;
 there is no tolerance to set.
 
 Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
-integrand gets n = 15 abscissae for the first panel and n = 30 for each split
-(both halves in one call) as an ndarray, and returns shape ``(n,)``, or
-``(n, K)`` for K integrals over shared panels; numpy is imported only when it
-runs. Its failures always surface as
+integrand gets n = 15 m abscissae for the m panels an integral starts from
+(all in one call) and n = 30 for each split (both halves in one call) as an
+ndarray, and returns shape ``(n,)``, or ``(n, K)`` for K integrals over
+shared panels; numpy is imported only when it runs. A cold integral starts
+from one panel (m = 1); a sequence of similar integrals can share a warm
+state, each then starting from the partition the last one converged on, at
+the same tolerance. Its failures always surface as
 :class:`~zerocount.errors.QuadratureError` carrying the partial sum.
 """
 
@@ -477,36 +480,46 @@ def _kronrod_rule():
     return np.array(_K15_NODES), np.array(_K15_WEIGHTS), np.array(_G7_WEIGHTS)
 
 
-def _adaptive(g, a, b, abs_tol, rel_tol, shaped):
-    """Globally adaptive bisection of ``g`` ((n,) nodes -> (n, K)) on [a, b].
+def _adaptive(g, edges, abs_tol, rel_tol, shaped):
+    """Globally adaptive bisection of ``g`` ((n,) nodes -> (n, K)) from a partition.
 
-    Splits the panel whose worst component error over that component's
-    tolerance ``max(abs_tol, rel_tol |I_k|)`` is largest, until every
-    component's summed error meets it; returns the (K,) integral. The first
-    panel is one call of ``g`` on its 15 nodes, and each split is one call on
-    both halves' 30 nodes, each half keeping its own K15 sum and G7 error.
+    ``edges`` are the m + 1 ascending edges of the starting panels; a cold
+    start is the one panel ``[a, b]``. Splits the panel whose worst component
+    error over that component's tolerance ``max(abs_tol, rel_tol |I_k|)`` is
+    largest, until every component's summed error meets it. The starting
+    panels are one call of ``g`` on their 15 m nodes, and each split is one
+    call on both halves' 30 nodes, each panel keeping its own K15 sum and G7
+    error. Returns the (K,) integral, the final partition's edges and its
+    panels' (n, K) K15 sums in the order of those edges.
     """
     import numpy as np
 
     nodes, k15, g7 = _kronrod_rule()
 
-    def rule(y, half):
+    def rule(lows, highs):
+        # m panels in one call: (15 m, K) values -> (m, K) K15 sums and G7 errors
+        half = 0.5 * (highs - lows)[:, None]
+        y = g((0.5 * (lows + highs)[:, None] + half * nodes).ravel())
+        y = y.reshape(half.size, 15, -1)
         fine = k15 @ y
-        return half * fine, np.abs(half * (fine - g7 @ y[1::2]))
+        return half * fine, np.abs(half * (fine - g7 @ y[:, 1::2]))
 
     def fail(message):
         return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
 
-    half = 0.5 * (b - a)
-    total, total_err = rule(g(0.5 * (a + b) + half * nodes), half)
-    bounds = [(a, b)]
-    vals, errs = np.empty((16, total.size)), np.empty((16, total.size))
-    vals[0], errs[0] = total, total_err
+    edges = np.asarray(edges, dtype=float)
+    bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    first_vals, first_errs = rule(edges[:-1], edges[1:])
+    total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
+    capacity = max(16, 2 * len(bounds))
+    vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
+    vals[:len(bounds)], errs[:len(bounds)] = first_vals, first_errs
     while True:
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if (total_err <= tol).all():
-            return total
         n = len(bounds)
+        if (total_err <= tol).all():
+            order = sorted(range(n), key=bounds.__getitem__)
+            return total, [bounds[i][0] for i in order] + [float(edges[-1])], vals[order]
         if n >= _MAX_PANELS:
             raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
         i = int((errs[:n] / tol).max(axis=1).argmax())
@@ -515,11 +528,8 @@ def _adaptive(g, a, b, abs_tol, rel_tol, shaped):
             # the nodes are about to collapse onto each other: a singularity
             raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
         mid = 0.5 * (lo + hi)
-        left_half, right_half = 0.5 * (mid - lo), 0.5 * (hi - mid)
-        y = g(np.concatenate((0.5 * (lo + mid) + left_half * nodes,
-                              0.5 * (mid + hi) + right_half * nodes)))
-        left_val, left_err = rule(y[:15], left_half)
-        right_val, right_err = rule(y[15:], right_half)
+        (left_val, right_val), (left_err, right_err) = rule(np.array([lo, mid]),
+                                                            np.array([mid, hi]))
         total = total + left_val + right_val - vals[i]
         total_err = total_err + left_err + right_err - errs[i]
         if n == len(vals):
@@ -529,24 +539,77 @@ def _adaptive(g, a, b, abs_tol, rel_tol, shaped):
         vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
 
 
+def _doubling(g, lower, edges, tol, shaped):
+    """Octaves of doubling width from ``[lower, lower + 1]`` until two in a row
+    add nothing beyond the tolerance in any component.
+
+    ``edges`` partition the first octaves (a cold start: the first octave as
+    one panel). One adaptive pass integrates all of them at one octave's
+    tolerance, and the quiet-octave rule is applied to their sums in turn;
+    only if it has not fired do the octaves beyond follow, one adaptive pass
+    each, cold. Returns the (K,) integral and the edges of the octaves used.
+    """
+    import numpy as np
+
+    abs_tol, rel_tol = tol.abs_tol / 4, tol.quad_rel_tol / 4
+    _, edges, vals = _adaptive(g, edges, abs_tol, rel_tol, shaped)
+    starts, start, width = [], lower, 1.0
+    while start < edges[-1]:
+        starts.append(start)
+        start, width = start + width, 2.0 * width
+    values = np.add.reduceat(vals, np.searchsorted(edges, starts), axis=0)
+
+    total, start, width, quiet_extensions, previous = 0.0, lower, 1.0, 0, math.inf
+    for octave in range(_MAX_OCTAVES):
+        if octave < len(values):
+            value = values[octave]
+        else:
+            value, octave_edges, _ = _adaptive(g, [start, start + width], abs_tol, rel_tol, shaped)
+            edges = edges + octave_edges[1:]
+        total = total + value
+        # an octave below tolerance is quiet only once the octaves stop
+        # growing: mass far from lower leaves the first ones tiny but rising
+        size = np.abs(value)
+        quiet = bool(np.all(size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
+                     and np.all(size <= previous))
+        previous = size
+        quiet_extensions = quiet_extensions + 1 if quiet else 0
+        start, width = start + width, 2.0 * width
+        if quiet_extensions == 2:
+            return total, edges[:np.searchsorted(edges, start, side="right")]
+    raise QuadratureError(
+        f"tail mass did not stabilize within {_MAX_OCTAVES} extensions",
+        partial_sum=shaped(total), error_estimate=float("nan"),
+    )
+
+
 def integrate_semi_infinite(
     f: Callable,
     lower: float = 0.0,
     tol: ToleranceConfig | None = None,
     strategy: str = "transform",
+    *,
+    warm: dict | None = None,
 ):
     """Integrate ``f`` over ``[lower, inf)``, one function or K at once.
 
-    ``f`` receives n = 15 or 30 abscissae as an ndarray, one panel's nodes
-    or both halves' of a split panel, and returns shape ``(n,)``, giving a
-    float, or ``(n, K)``, giving a ``(K,)`` ndarray of K integrals that share
-    their panels; each must meet ``max(tol.abs_tol, tol.quad_rel_tol *
-    |I_k|)``. Row j must depend only on abscissa j.
+    ``f`` receives n abscissae as an ndarray: 15 m for the m panels an
+    integral starts from, or 30 for both halves of a split panel. It returns
+    shape ``(n,)``, giving a float, or ``(n, K)``, giving a ``(K,)`` ndarray
+    of K integrals that share their panels; each must meet
+    ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``. Row j must depend only on
+    abscissa j.
 
     ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
     ``"doubling"``, an independent route, sums panels of doubling width until
     two in a row add nothing beyond the tolerance in any component. Both need
     mass reachable from ``lower``: a narrow bump far out can defeat them.
+
+    ``warm`` is private to the package: a dict shared by a sequence of calls
+    on similar integrands. A call starts from the final partition of the last
+    one with the same strategy and ``lower`` instead of from one panel, and
+    leaves its own there; if that start fails, the call starts again cold.
+    Only the starting partition changes, not the tolerance each result meets.
 
     Raises
     ------
@@ -583,23 +646,24 @@ def integrate_semi_infinite(
 
     if strategy == "transform":
         mapped = lambda u: g(lower + (1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
-        return shaped(_adaptive(mapped, 0.0, 1.0, tol.abs_tol, tol.quad_rel_tol, shaped))
 
-    total, start, width, quiet_extensions, previous = 0.0, lower, 1.0, 0, math.inf
-    for _ in range(_MAX_OCTAVES):
-        value = _adaptive(g, start, start + width, tol.abs_tol / 4, tol.quad_rel_tol / 4, shaped)
-        total = total + value
-        # an octave below tolerance is quiet only once the octaves stop
-        # growing: mass far from lower leaves the first ones tiny but rising
-        size = np.abs(value)
-        quiet = bool(np.all(size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
-                     and np.all(size <= previous))
-        previous = size
-        quiet_extensions = quiet_extensions + 1 if quiet else 0
-        if quiet_extensions == 2:
-            return shaped(total)
-        start, width = start + width, 2.0 * width
-    raise QuadratureError(
-        f"tail mass did not stabilize within {_MAX_OCTAVES} extensions",
-        partial_sum=shaped(total), error_estimate=float("nan"),
-    )
+        def route(edges):
+            return _adaptive(mapped, edges, tol.abs_tol, tol.quad_rel_tol, shaped)[:2]
+
+        cold = [0.0, 1.0]
+    else:
+        route = lambda edges: _doubling(g, lower, edges, tol, shaped)  # noqa: E731
+        cold = [lower, lower + 1.0]
+
+    key = (strategy, lower)
+    seed = warm.get(key) if warm is not None else None
+    try:
+        total, edges = route(seed or cold)
+    except QuadratureError:
+        if seed is None:
+            raise
+        # the partition another integrand left need not suit this one
+        total, edges = route(cold)
+    if warm is not None:
+        warm[key] = edges
+    return shaped(total)

@@ -155,6 +155,17 @@ class TestPosteriorMoments:
         post = posterior_from_sufficient(10**300, 1, 1e155, prior_params(PriorKind.JJ))
         np.testing.assert_allclose(post.variance, 1e-10, rtol=1e-15)
 
+    def test_variance_past_a_squared_rate_underflow(self):
+        # B**2 underflows to 0 below B ~ 2e-162; A/B^2 is still finite here
+        post = posterior_from_sufficient(0, 1, 1e-163, PriorSpec(PriorKind.CUSTOM, 1e-20, 0.0))
+        np.testing.assert_allclose(post.variance, 1e306, rtol=1e-15)
+
+    def test_variance_past_the_float_range_names_the_rate(self):
+        post = posterior_from_sufficient(0, 1, 1e-300, prior_params(PriorKind.BL))
+        assert math.isfinite(post.mean)
+        with pytest.raises(DomainError, match="past the float range for B = 1e-300"):
+            post.variance
+
     def test_jj_ml_identity_grid(self):
         # with counts observed, JJ reproduces the ML point and variance exactly
         prior = prior_params(PriorKind.JJ)

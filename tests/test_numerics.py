@@ -778,6 +778,76 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda x: np.exp(-x), strategy="romberg")
 
 
+class TestWarmStart:
+    """Calls that share a ``warm`` dict start from the last one's final partition."""
+
+    @staticmethod
+    def within_tolerance(value, exact, tol=DEFAULT_TOL):
+        return abs(value - exact) <= max(tol.abs_tol, tol.quad_rel_tol * abs(exact))
+
+    @staticmethod
+    def bump(center, width):
+        # exp(-((x - c)/w)^2) and its integral over [0, inf)
+        exact = 0.5 * math.sqrt(math.pi) * width * (1.0 + math.erf(center / width))
+        return (lambda x: np.exp(-(((x - center) / width) ** 2))), exact
+
+    @staticmethod
+    def counted(f, sizes):
+        def wrapped(x):
+            sizes.append(x.size)
+            return f(x)
+
+        return wrapped
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    def test_each_result_meets_its_tolerance_and_agrees_with_a_cold_call(self, strategy):
+        # x^k e^-x (integral k!) for k = 0..6, then a narrow bump after a wide one
+        sequence = [((lambda x, k=k: x**k * np.exp(-x)), math.factorial(k)) for k in range(7)]
+        sequence += [self.bump(20.0, 8.0), self.bump(2.0, 0.1)]
+        warm, warm_sizes, cold_sizes = {}, [], []
+        for f, exact in sequence:
+            seed = warm.get((strategy, 0.0))
+            start = len(warm_sizes)
+            value = integrate_semi_infinite(
+                self.counted(f, warm_sizes), strategy=strategy, warm=warm
+            )
+            if seed is not None:
+                # all m starting panels in one call, on their 15 m nodes
+                assert warm_sizes[start] == 15 * (len(seed) - 1)
+            cold = integrate_semi_infinite(self.counted(f, cold_sizes), strategy=strategy)
+            assert self.within_tolerance(value, exact), (value, exact)
+            assert self.within_tolerance(value, cold), (value, cold)
+        assert len(warm_sizes) < len(cold_sizes)
+
+    @pytest.mark.parametrize("strategy,reach", [("transform", 1e4), ("doubling", 200.0)])
+    def test_a_partition_left_by_another_integrand_never_raises(self, strategy, reach):
+        # e^-x/1000 leaves panels far beyond where a cold call of e^-x looks,
+        # and this e^-x is NaN there: the warm call must start again cold
+        def short(x):
+            return np.where(x < reach, np.exp(-x), np.nan)
+
+        def farthest(edges):  # the largest x a partition reaches below infinity
+            return (1.0 - edges[1]) / edges[1] if strategy == "transform" else edges[-1]
+
+        cold = integrate_semi_infinite(short, strategy=strategy)
+        warm = {}
+        integrate_semi_infinite(lambda x: np.exp(-x / 1000.0), strategy=strategy, warm=warm)
+        assert farthest(warm[strategy, 0.0]) > reach
+        assert integrate_semi_infinite(short, strategy=strategy, warm=warm) == cold
+        assert farthest(warm[strategy, 0.0]) < reach
+
+    def test_the_state_is_kept_per_strategy_and_lower_limit(self):
+        warm = {}
+        for strategy in ("transform", "doubling"):
+            for lower in (0.0, 2.0):
+                value = integrate_semi_infinite(
+                    lambda x: np.exp(-x), lower=lower, strategy=strategy, warm=warm
+                )
+                assert self.within_tolerance(value, math.exp(-lower))
+        assert sorted(warm) == [("doubling", 0.0), ("doubling", 2.0),
+                                ("transform", 0.0), ("transform", 2.0)]
+
+
 class TestKronrodRule:
     # The G7/K15 pair derived with mpmath at 50 digits (roots of P7 and of
     # the Stieltjes polynomial E8, weights from the moment equations),

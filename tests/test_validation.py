@@ -37,7 +37,7 @@ from zerocount.distributions import (
     poisson_pmf,
 )
 from zerocount.errors import DomainError
-from zerocount.marginal import make_theta_grid, nb_marginal_numeric
+from zerocount.marginal import make_theta_grid, nb_marginal_numeric, zpoisson_marginal
 from zerocount.montecarlo import coverage_experiment, sample
 from zerocount.numerics import inv_reg_inc_gamma_lower, reg_inc_gamma_lower
 
@@ -107,6 +107,8 @@ NON_FINITE_CALLS = {
     "posterior_inf_t": ("t", lambda: posterior_from_sufficient(0, 1, INF, BL)),
     "theta_grid_inf_step": ("step", lambda: make_theta_grid(0, step=INF)),
     "theta_grid_huge_x": ("x", lambda: make_theta_grid(10**400)),
+    "zpoisson_marginal_huge_x": ("x", lambda: zpoisson_marginal(10**400, make_theta_grid(0))),
+    "nb_marginal_huge_x": ("x", lambda: nb_marginal_numeric(10**400, make_theta_grid(0))),
     # not a number at all: a DomainError, not a TypeError from the comparison
     "poisson_pmf_str_theta": ("theta", lambda: poisson_pmf(0, "1")),
 }
@@ -148,3 +150,12 @@ def test_overflowing_exposure_raises_domain_error(case):
     prefix, call = OVERFLOW_CALLS[case]
     with pytest.raises(DomainError, match=f"^{prefix}"):
         call()
+
+
+@pytest.mark.parametrize("marginal", [zpoisson_marginal, nb_marginal_numeric])
+def test_caller_built_theta_grid_is_capped(marginal):
+    # make_theta_grid's cap holds for a grid built by the caller too: one
+    # point past it raises before any quadrature runs
+    grid = [12.0 * i / 100_000 for i in range(100_001)]
+    with pytest.raises(DomainError, match="^theta_grid must have at most 100000 points, got 100001"):
+        marginal(0, grid)
