@@ -18,7 +18,10 @@ its relative accuracy:
 - everywhere else the classical split: the power series for ``P`` when
   ``x < a + 1`` (and, for non-integer ``1/2 < a < 3``, up to
   ``x < 1.5a + 1.2``, where ``Q >= 1/21`` and the series is shorter than the
-  continued fraction), Lentz's continued fraction for ``Q`` beyond. Above
+  continued fraction), Lentz's continued fraction for ``Q`` beyond. For
+  integer and half-integer ``a <= 50`` (every catalog prior's posterior
+  shape) ``Q`` beyond is instead a finite sum of ``floor(a)`` terms, plus
+  ``erfc(sqrt(x))`` for half-integer ``a`` (DLMF 8.4.10 and 8.8.2). Above
   ``a = 50`` their prefactor ``x^a e^-x / Gamma(a)`` is formed from
   ``a (s - ln(1 + s))``, ``s = (x - a)/a``, and Stirling's series, not from the
   rounded ``a ln x``.
@@ -189,7 +192,12 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     """``(P(a, x), Q(a, x))`` for valid ``a`` and ``x``.
 
     Each branch sums one tail, or both for ``a <= 1/2``, and returns the
-    other as one minus it; see the module docstring for the regions.
+    other as one minus it; see the module docstring for the regions. Where
+    ``Q`` is summed (``x >= a + 1``, past the series) it is
+    ``x^a e^-x / Gamma(a)`` times a factor ``h``: Lentz's continued fraction,
+    or for integer and half-integer ``a <= 50`` the finite sum
+    ``h = sum_j (a-1)(a-2)...(a-j) / x^(j+1)``, ``j < floor(a)``, with
+    ``erfc(sqrt(x))`` added for half-integer ``a``.
     """
     if x == 0.0:
         return 0.0, 1.0
@@ -234,13 +242,24 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
         p = min(1.0, total * math.exp(log_prefactor))
         return p, 1.0 - p
 
-    # Lentz continued fraction for the complementary Q(a, x), which is below
-    # x^a e^-x / Gamma(a) here: when that underflows, so does Q (and for x
-    # past 2^53 the fraction could not settle, its steps lost in b)
+    # the complementary Q(a, x) is below x^a e^-x / Gamma(a) here: when that
+    # underflows, so does Q (and for x past 2^53 the fraction could not
+    # settle, its steps lost in b)
     scale = math.exp(log_prefactor)
     if scale == 0.0:
         return 1.0, 0.0
-    q = scale * _upper_gamma_fraction(a, x)
+    if a <= _TEMME_MIN_SHAPE and a % 0.5 == 0.0:
+        # the fraction's h as a finite sum: DLMF 8.4.10 for integer a, the
+        # recurrence 8.8.2 up from Q(1/2, x) = erfc(sqrt(x)) for half-integer
+        # a. Q is scale h, not a sum of x^k e^-x / k!, whose e^-x is subnormal
+        # past x = 708 while Q need not be
+        h, term = 0.0, 1.0 / x
+        for j in range(1, int(a) + 1):
+            h += term
+            term *= (a - j) / x
+        q = scale * h + (math.erfc(math.sqrt(x)) if a % 1.0 else 0.0)
+    else:
+        q = scale * _upper_gamma_fraction(a, x)
     return min(1.0, max(0.0, 1.0 - q)), q
 
 
@@ -603,7 +622,10 @@ def integrate_semi_infinite(
     ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
     ``"doubling"``, an independent route, sums panels of doubling width until
     two in a row add nothing beyond the tolerance in any component. Both need
-    mass reachable from ``lower``: a narrow bump far out can defeat them.
+    mass reachable from ``lower``: a narrow bump far out can defeat them, and
+    a narrow bump near ``lower`` can defeat the transform route, whose first
+    panel and its splits may place no node in it (width 0.1 at ``lower + 3``
+    integrates to about 1e-70, not 0.18), with no error raised.
 
     ``warm`` is private to the package: a dict shared by a sequence of calls
     on similar integrands. A call starts from the final partition of the last

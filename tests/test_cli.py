@@ -21,6 +21,7 @@ import zerocount
 from zerocount import __version__
 from zerocount.bayes import PriorKind
 from zerocount.cli import (
+    build_parser,
     main,
     parse_counts_arg,
     parse_prior,
@@ -28,7 +29,7 @@ from zerocount.cli import (
     read_counts_file,
     round_half_away,
 )
-from zerocount.errors import DomainError
+from zerocount.errors import DomainError, QuadratureError
 from zerocount.numerics import DEFAULT_TOL
 
 
@@ -353,13 +354,17 @@ class TestMarginalize:
 
     def test_failed_normalization_fails_the_verdict(self, capsys):
         # the transform route misses the theta mass near 100, so the density
-        # matches the claimed form while its norm check reads 1
-        code, out, err = run_cli(
-            capsys, "marginalize", "--model", "zpoisson", "--x", "200", "--strategy", "doubling"
-        )
-        assert code == 0
-        assert "numeric_norm_residual=1\n" in out
-        assert "verdict: FAIL" in out
+        # matches the claimed form while its norm check reads 1: a numeric
+        # failure (exit 4) that carries the theta integral, not a verdict
+        argv = ["marginalize", "--model", "zpoisson", "--x", "200", "--strategy", "doubling"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "numeric_norm_residual=1 is at or above the 1e-06 budget" in err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(QuadratureError) as caught:
+            args.func(args)
+        assert 0.0 <= caught.value.partial_sum < 1e-6
 
     def test_nb_is_report_only_with_visible_gap(self, capsys):
         payload = run_json(
