@@ -249,10 +249,8 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     if scale == 0.0:
         return 1.0, 0.0
     if a <= _TEMME_MIN_SHAPE and a % 0.5 == 0.0:
-        # the fraction's h as a finite sum: DLMF 8.4.10 for integer a, the
-        # recurrence 8.8.2 up from Q(1/2, x) = erfc(sqrt(x)) for half-integer
-        # a. Q is scale h, not a sum of x^k e^-x / k!, whose e^-x is subnormal
-        # past x = 708 while Q need not be
+        # Q as scale h, not as a sum of x^k e^-x / k!: e^-x is subnormal past
+        # x = 708 while Q need not be
         h, term = 0.0, 1.0 / x
         for j in range(1, int(a) + 1):
             h += term
