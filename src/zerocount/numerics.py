@@ -391,16 +391,19 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     _require_real(p, "p", 0.0, 1.0, strict=True)
     lower = p <= 0.5
     tail = p if lower else 1.0 - p
-    # the normal quantile of the smaller tail to 4.5e-4 (A&S 26.2.23)
-    t = math.sqrt(-2.0 * math.log(tail))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
-    s = 1.0 / (9.0 * a)
-    cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
-    x = max(a * max(cube, 0.0) ** 3, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    if a == 1.0:  # P(1, x) = 1 - e^-x: start at the root itself
+        x = -math.log1p(-p)
+    else:
+        # the normal quantile of the smaller tail to 4.5e-4 (A&S 26.2.23)
+        t = math.sqrt(-2.0 * math.log(tail))
+        z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+            1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+        s = 1.0 / (9.0 * a)
+        cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
+        x = max(a * max(cube, 0.0) ** 3, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
 
     log_gamma_a, log_p = math.lgamma(a), math.log(p)
-    lo, hi, last = 0.0, math.inf, math.inf
+    lo, hi = 0.0, math.inf
     for _ in range(_MAX_HALLEY):
         if x == 0.0:  # the root underflows
             break
@@ -430,12 +433,12 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
             newton = math.copysign(math.exp(min(math.log(abs(f)) - log_density, 700.0)), f)
         halley = 1.0 - 0.5 * newton * curvature
         step = newton / halley if 0.0 < halley < math.inf else math.nan
-        if abs(step) < 1e-8 * x and (abs(step) <= math.ulp(x) or abs(step) > 0.5 * last):
+        if abs(step) < 1e-8 * x:
             return x - step
         proposal = x - step
         if not lo < proposal < hi:
             proposal = 2.0 * x if hi == math.inf else 0.5 * (lo + hi)
-        last, x = abs(proposal - x), proposal
+        x = proposal
     raise ConvergenceError(
         f"incomplete gamma inverse did not converge for a={a!r}, p={p!r}",
         bracket=(lo, hi),

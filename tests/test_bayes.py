@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from zerocount import bayes, numerics
 from zerocount.bayes import (
     GammaPosterior,
     PriorKind,
@@ -295,6 +296,30 @@ class TestUpperLimits:
         result = upper_limit(post, 1.0 - 1e-12)
         np.testing.assert_allclose(result.U_theta, 27.63104323789336, rtol=1e-14)
         assert abs(result.solver_residual) <= 1e-12
+
+    @pytest.mark.parametrize("cl", [0.5, 0.9, 0.95, 0.99, 1 - 1e-12])
+    @pytest.mark.parametrize("kind", [PriorKind.BL, PriorKind.ME])
+    def test_zero_count_limit_is_one_evaluation(self, monkeypatch, kind, cl):
+        # the posterior shape is 1, where P(1, x) = 1 - e^-x: the inverse
+        # starts at the root and stops on its first step, so the limit costs
+        # one forward evaluation and the residual one more
+        calls = 0
+        gamma_pq = numerics._gamma_pq
+
+        def counting(a, x):
+            nonlocal calls
+            calls += 1
+            return gamma_pq(a, x)
+
+        monkeypatch.setattr(numerics, "_gamma_pq", counting)
+        monkeypatch.setattr(bayes, "_gamma_pq", counting)
+        n, t = 3, 2.5
+        post = posterior_from_sufficient(0, n, t, prior_params(kind, t=t))
+        result = upper_limit(post, cl)
+        assert calls == 2
+        # ME's prior adds t to the exposure n t
+        exposure = n * t + (t if kind is PriorKind.ME else 0.0)
+        np.testing.assert_allclose(result.U_rho, -math.log1p(-cl) / exposure, rtol=1e-14)
 
     @pytest.mark.parametrize("cl", [1e-9, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 1e-9])
     def test_residual_is_relative_to_the_matched_tail(self, cl):
