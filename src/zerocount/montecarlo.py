@@ -207,11 +207,12 @@ def coverage_experiment(
             total_counts=int(totals[idx]),
             replicate=idx,
         )
-    limits = {
-        s: upper_limit(posterior_from_sufficient(int(s), n, t, prior), cl).U_rho
-        for s in np.unique(totals)
-    }
-    covered = np.array([limits[s] for s in totals]) >= true_rho
+    values, inverse = np.unique(totals, return_inverse=True)
+    limits = np.array([
+        upper_limit(posterior_from_sufficient(int(s), n, t, prior), cl).U_rho
+        for s in values
+    ])
+    covered = limits[inverse] >= true_rho
     coverage = float(covered.mean())
     se = math.sqrt(coverage * (1.0 - coverage) / reps)
     return CoverageResult(coverage=coverage, standard_error=se, reps=reps)
