@@ -29,9 +29,10 @@ its relative accuracy:
 The regions follow Gil, Segura & Temme (SIAM J. Sci. Comput. 34, 2012). The
 inverse is one Halley iteration on the smaller tail, on ``ln P`` while ``P``
 is off by more than half of ``p`` in the lower tail, started near the root
-(Wilson-Hilferty), kept inside the bracket its residual signs give, and
-stopped on step size once the steps reach one ulp or the rounding of ``P``;
-there is no tolerance to set.
+(Wilson-Hilferty; for ``a = 1``, where ``P = 1 - e^-x``, at the root itself),
+kept inside the bracket its residual signs give, and ended by its first step
+below ``1e-8 x``: Halley's steps shrink cubically, so the iterate less that
+step is within about ``1e-24 x`` of the root. There is no tolerance to set.
 
 Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
 integrand gets n = 15 m abscissae for the m panels an integral starts from
@@ -374,12 +375,14 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     or above ``3p/2``, so deep lower tails take a few steps, not dozens. It
     starts at the Wilson-Hilferty value but no
     lower than ``(p Gamma(a + 1))^(1/a)``, a lower bound on the root because
-    ``P(a, x) <= x^a / Gamma(a + 1)``. The residual signs keep a bracket; a
+    ``P(a, x) <= x^a / Gamma(a + 1)``; for ``a = 1`` it starts at the root
+    ``-ln(1 - p)``. The residual signs keep a bracket; a
     step that would leave it halves the bracket instead, or doubles ``x``
-    while the bracket has no upper end. The loop stops once a step is below
-    ``1e-8 x`` and either within one ulp of ``x`` or more than half the step
-    before it, which means the rounding of ``P`` has been reached. Typical
-    inputs take three or four evaluations of ``P``.
+    while the bracket has no upper end. The first step below ``1e-8 x`` ends
+    the loop, which returns ``x`` less that step: Halley's method converges
+    cubically, so the root is then within about ``1e-24 x``, far below one
+    ulp. Catalog shapes at CL 0.9 to 0.99 take two or three evaluations of
+    ``P``, and ``a = 1`` takes one.
 
     Raises
     ------
