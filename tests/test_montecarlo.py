@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from zerocount.bayes import PriorKind, prior_params
+from zerocount.bayes import PriorKind, posterior_from_sufficient, prior_params, upper_limit
 from zerocount.distributions import NBParams, PoissonParams, ZPoissonParams, poisson_pmf, zpoisson_pmf
 from zerocount.errors import DomainError, ImproperPosteriorError
 from zerocount.montecarlo import (
@@ -226,6 +226,19 @@ class TestCoverageExperiment:
         result = coverage_experiment(2.0, 1.0, 3, ME, 0.90, reps=20_000, seed=55)
         assert isinstance(result, CoverageResult)
         assert 0.5 < result.coverage <= 1.0
+
+    def test_equals_one_limit_per_replicate(self):
+        # the reference solves each replicate's limit in a loop; the
+        # experiment solves one per distinct total and gathers them
+        rho, t, n, cl, reps, seed = 2.0, 1.0, 3, 0.9, 2000, 55
+        totals = np.random.default_rng(seed).poisson(n * rho * t, reps)
+        covered = [
+            upper_limit(posterior_from_sufficient(int(s), n, t, ME), cl).U_rho >= rho
+            for s in totals
+        ]
+        result = coverage_experiment(rho, t, n, ME, cl, reps=reps, seed=seed)
+        assert 0.0 < result.coverage < 1.0
+        assert result.coverage == sum(covered) / reps
 
     def test_determinism(self):
         a = coverage_experiment(0.5, 1.0, 2, ME, 0.9, reps=3000, seed=77)
