@@ -23,12 +23,11 @@ under truncation of the evidence integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .classical import CountData
 from .distributions import GammaDist
-from .errors import DomainError, ImproperPosteriorError, _require_int, _require_real
+from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
 from .numerics import (
     DEFAULT_TOL,
     EULER_GAMMA,
@@ -64,36 +63,40 @@ class PriorKind(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Record):
     """A prior as its Gamma (a, b) signature plus its catalog name."""
 
-    kind: PriorKind
-    a: float
-    b: float
+    __slots__ = ("kind", "a", "b")
 
-    def __post_init__(self):
-        _require_real(self.a, "prior shape a", 0.0)
-        _require_real(self.b, "prior rate b", 0.0)
+    def __init__(self, kind: PriorKind, a: float, b: float):
+        _require_real(a, "prior shape a", 0.0)
+        _require_real(b, "prior rate b", 0.0)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class PosteriorSource:
+class PosteriorSource(_Record):
     """The data and prior a posterior was built from."""
 
-    S: int
-    n: int
-    t: float
-    prior: PriorSpec
+    __slots__ = ("S", "n", "t", "prior")
+
+    def __init__(self, S: int, n: int, t: float, prior: PriorSpec):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "prior", prior)
 
 
-@dataclass(frozen=True)
-class GammaPosterior:
+class GammaPosterior(_Record):
     """Proper Gamma(A, B) posterior for the rate rho."""
 
-    A: float
-    B: float
-    source: PosteriorSource
+    __slots__ = ("A", "B", "source")
+
+    def __init__(self, A: float, B: float, source: PosteriorSource):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "source", source)
 
     @property
     def mean(self) -> float:
@@ -117,14 +120,16 @@ class GammaPosterior:
         return self.A / square
 
 
-@dataclass(frozen=True)
-class UpperLimitResult:
+class UpperLimitResult(_Record):
     """A one-sided Bayesian upper limit at confidence level ``CL``."""
 
-    CL: float
-    U_rho: float
-    U_theta: float
-    solver_residual: float
+    __slots__ = ("CL", "U_rho", "U_theta", "solver_residual")
+
+    def __init__(self, CL: float, U_rho: float, U_theta: float, solver_residual: float):
+        object.__setattr__(self, "CL", CL)
+        object.__setattr__(self, "U_rho", U_rho)
+        object.__setattr__(self, "U_theta", U_theta)
+        object.__setattr__(self, "solver_residual", solver_residual)
 
 
 def prior_params(kind: PriorKind, t: float | None = None) -> PriorSpec:

@@ -13,10 +13,9 @@ Bayesian routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, _require_int, _require_real
+from .errors import DomainError, _Record, _require_int, _require_real
 
 __all__ = [
     "CountData",
@@ -28,16 +27,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CountData:
+class CountData(_Record):
     """Counts from ``n`` repeated measurements of common duration ``t``.
 
     Unequal per-measurement durations are out of scope; the model assumes a
     single shared ``t``.
     """
 
-    counts: tuple[int, ...]
-    t: float = 1.0
+    __slots__ = ("counts", "t")
 
     def __init__(self, counts: Sequence[int], t: float = 1.0):
         values = tuple(_require_int(c, "count") for c in counts)
@@ -64,20 +61,23 @@ class CountData:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class MLReport:
+class MLReport(_Record):
     """Maximum-likelihood point estimates and their variance estimates.
 
     ``pathological`` is True exactly when the total count is zero; all five
     estimates are then 0 and carry no uncertainty information.
     """
 
-    theta_hat: float
-    rho_hat: float
-    var_counts: float
-    var_mean: float
-    var_rate: float
-    pathological: bool
+    __slots__ = ("theta_hat", "rho_hat", "var_counts", "var_mean", "var_rate", "pathological")
+
+    def __init__(self, theta_hat: float, rho_hat: float, var_counts: float, var_mean: float,
+                 var_rate: float, pathological: bool):
+        object.__setattr__(self, "theta_hat", theta_hat)
+        object.__setattr__(self, "rho_hat", rho_hat)
+        object.__setattr__(self, "var_counts", var_counts)
+        object.__setattr__(self, "var_mean", var_mean)
+        object.__setattr__(self, "var_rate", var_rate)
+        object.__setattr__(self, "pathological", pathological)
 
 
 def _per_unit_time(mean: float, var: float, scale: float, t: float) -> tuple[float, float]:

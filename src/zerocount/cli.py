@@ -28,7 +28,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -98,20 +97,24 @@ def _fmt(value) -> str:
 
 
 def parse_tolerance(text: str | None) -> ToleranceConfig:
-    """Parse ``--tol key=value,...`` overrides onto the default config."""
+    """Parse ``--tol key=value,...`` overrides onto the default config.
+
+    ``DEFAULT_TOL`` is ``ToleranceConfig()``, so the overrides go straight
+    to the constructor, whose defaults fill in the rest.
+    """
     if not text:
         return DEFAULT_TOL
     overrides = {}
     for item in text.split(","):
         key, sep, raw = item.partition("=")
         key = key.strip()
-        if not sep or key not in {field.name for field in fields(ToleranceConfig)}:
+        if not sep or key not in ToleranceConfig.__slots__:
             raise DomainError(f"unknown tolerance override {item!r}")
         try:
             overrides[key] = float(raw)
         except ValueError:
             raise DomainError(f"bad tolerance value in {item!r}") from None
-    return replace(DEFAULT_TOL, **overrides)
+    return ToleranceConfig(**overrides)
 
 
 def parse_counts_arg(text: str) -> list[int]:
@@ -164,7 +167,7 @@ def _metadata(subcommand: str, seed: int | None = None,
     """The metadata block that starts every CSV and JSON payload."""
     meta = {"tool": "zerocount", "version": __version__, "subcommand": subcommand}
     if tol is not None:
-        meta["tolerance"] = asdict(tol)
+        meta["tolerance"] = {name: getattr(tol, name) for name in tol.__slots__}
     if seed is not None:
         meta["seed"] = seed
         meta.update(prng_metadata())

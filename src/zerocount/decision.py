@@ -15,12 +15,11 @@ direct expectation over the sampling distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .bayes import PriorKind, PriorSpec, prior_params
 from .distributions import expectation_over_poisson
-from .errors import ImproperPosteriorError, _require_int, _require_real
+from .errors import ImproperPosteriorError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -42,39 +41,51 @@ class ThetaMode(str, Enum):
     TRUE_THETA = "TrueTheta"
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(_Record):
     """Point estimates with their bias and risk for one prior."""
 
-    prior: PriorSpec
-    mean_estimate: float
-    bias_mean: float
-    risk_mean: float
-    var_estimate: float
-    bias_var: float
-    risk_var: float
-    theta_mode: ThetaMode
+    __slots__ = ("prior", "mean_estimate", "bias_mean", "risk_mean", "var_estimate",
+                 "bias_var", "risk_var", "theta_mode")
+
+    def __init__(self, prior: PriorSpec, mean_estimate: float, bias_mean: float,
+                 risk_mean: float, var_estimate: float, bias_var: float, risk_var: float,
+                 theta_mode: ThetaMode):
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "mean_estimate", mean_estimate)
+        object.__setattr__(self, "bias_mean", bias_mean)
+        object.__setattr__(self, "risk_mean", risk_mean)
+        object.__setattr__(self, "var_estimate", var_estimate)
+        object.__setattr__(self, "bias_var", bias_var)
+        object.__setattr__(self, "risk_var", risk_var)
+        object.__setattr__(self, "theta_mode", theta_mode)
 
 
-@dataclass(frozen=True)
-class AdmissibilityRanking:
+class AdmissibilityRanking(_Record):
     """Priors ordered by ascending (risk_mean, risk_var)."""
 
-    entries: tuple[RiskReport, ...]
-    excluded: tuple[tuple[PriorKind, str], ...]
-    verdict: str
+    __slots__ = ("entries", "excluded", "verdict")
+
+    def __init__(self, entries: tuple[RiskReport, ...],
+                 excluded: tuple[tuple[PriorKind, str], ...], verdict: str):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "verdict", verdict)
 
 
-@dataclass(frozen=True)
-class RiskOracleReport:
+class RiskOracleReport(_Record):
     """Discrepancies between summation expectations and closed forms."""
 
-    theta: float
-    n: int
-    prior: PriorSpec
-    mean_discrepancy: float
-    variance_discrepancy: float
-    risk_discrepancy: float
+    __slots__ = ("theta", "n", "prior", "mean_discrepancy", "variance_discrepancy",
+                 "risk_discrepancy")
+
+    def __init__(self, theta: float, n: int, prior: PriorSpec, mean_discrepancy: float,
+                 variance_discrepancy: float, risk_discrepancy: float):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "mean_discrepancy", mean_discrepancy)
+        object.__setattr__(self, "variance_discrepancy", variance_discrepancy)
+        object.__setattr__(self, "risk_discrepancy", risk_discrepancy)
 
     @property
     def max_discrepancy(self) -> float:

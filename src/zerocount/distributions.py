@@ -16,10 +16,9 @@ the top end).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, _require_int, _require_real
+from .errors import ConvergenceError, DomainError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -38,64 +37,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PoissonParams:
+class PoissonParams(_Record):
     """Dimensionless Poisson count parameter."""
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        _require_real(self.theta, "theta", 0.0)
+    def __init__(self, theta: float):
+        _require_real(theta, "theta", 0.0)
+        object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class GammaDist:
+class GammaDist(_Record):
     """Gamma distribution with shape ``a`` and rate ``b``."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        _require_real(self.a, "shape a", 0.0, strict=True)
-        _require_real(self.b, "rate b", 0.0, strict=True)
+    def __init__(self, a: float, b: float):
+        _require_real(a, "shape a", 0.0, strict=True)
+        _require_real(b, "rate b", 0.0, strict=True)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class ZPoissonParams:
+class ZPoissonParams(_Record):
     """Zero-inflated Poisson with inflation factor ``psi``.
 
     Validity is the closed interval 1 <= psi <= 1/P0 with P0 = e^{-theta}.
     psi = 1 is the plain Poisson; psi = 1/P0 puts all mass on x = 0.
     """
 
-    theta: float
-    psi: float
+    __slots__ = ("theta", "psi")
 
-    def __post_init__(self):
-        _require_real(self.theta, "theta", 0.0, strict=True)
-        _require_real(self.psi, "psi", 1.0)
+    def __init__(self, theta: float, psi: float):
+        _require_real(theta, "theta", 0.0, strict=True)
+        _require_real(psi, "psi", 1.0)
         # allow psi = 1/P0 up to roundoff; beyond that the zero mass exceeds 1
-        if self.psi * math.exp(-self.theta) > 1.0 + 1e-12:
+        if psi * math.exp(-theta) > 1.0 + 1e-12:
             raise DomainError(
-                f"psi * exp(-theta) = {self.psi * math.exp(-self.theta)!r} "
+                f"psi * exp(-theta) = {psi * math.exp(-theta)!r} "
                 "exceeds 1; no such distribution exists"
             )
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "psi", psi)
 
     @property
     def p0(self) -> float:
         return math.exp(-self.theta)
 
 
-@dataclass(frozen=True)
-class NBParams:
+class NBParams(_Record):
     """Negative binomial parametrized by mean ``theta`` and shape ``a``."""
 
-    theta: float
-    a: float
+    __slots__ = ("theta", "a")
 
-    def __post_init__(self):
-        _require_real(self.theta, "theta", 0.0, strict=True)
-        _require_real(self.a, "shape a", 0.0, strict=True)
+    def __init__(self, theta: float, a: float):
+        _require_real(theta, "theta", 0.0, strict=True)
+        _require_real(a, "shape a", 0.0, strict=True)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "a", a)
 
 
 def poisson_pmf(x: int, theta: float) -> float:

@@ -9,6 +9,11 @@ Arguments are checked by two private validators that raise ``DomainError``
 naming the parameter: ``_require_int`` for counts, sizes and seeds, and
 ``_require_real`` for real values, which must be finite and inside their
 stated interval.
+
+The package's frozen records derive from ``_Record``: each lists its fields
+in ``__slots__`` and stores them once, in ``__init__``, with
+``object.__setattr__``; after that, assignment and deletion raise
+``AttributeError``.
 """
 
 import math
@@ -70,6 +75,42 @@ class ImproperPosteriorError(ZeroCountError):
         self.shape = shape
         self.total_counts = total_counts
         self.replicate = replicate
+
+
+class _Record:
+    """Base of the frozen records: equality, hash and repr over ``__slots__``.
+
+    The repr reads ``Name(field=value, ...)`` in slot order, and two records
+    are equal when they are of one class and their field tuples are; a
+    record of another class compares ``NotImplemented``. Pickling and
+    ``copy`` rebuild a record by calling its class on the field values.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _require_int(value, name: str, minimum: int = 0) -> int:

@@ -29,11 +29,10 @@ joint forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .distributions import GammaDist, gamma_pdf
-from .errors import DomainError, _require_int, _require_real
+from .errors import DomainError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig, integrate_semi_infinite
 
 if TYPE_CHECKING:
@@ -55,8 +54,7 @@ _LN2 = math.log(2.0)
 _MAX_GRID_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class MarginalComparison:
+class MarginalComparison(_Record):
     """Grid comparison of a numeric marginal against the claimed closed form.
 
     ``numeric_norm`` is the numeric marginal's integral over theta, taken
@@ -64,13 +62,19 @@ class MarginalComparison:
     density values; ``numeric_norm_residual`` is its distance from 1.
     """
 
-    x: int
-    theta_grid: np.ndarray
-    numeric_density: np.ndarray
-    claimed_density: np.ndarray
-    l1_distance: float
-    linf_distance: float
-    numeric_norm: float
+    __slots__ = ("x", "theta_grid", "numeric_density", "claimed_density", "l1_distance",
+                 "linf_distance", "numeric_norm")
+
+    def __init__(self, x: int, theta_grid: np.ndarray, numeric_density: np.ndarray,
+                 claimed_density: np.ndarray, l1_distance: float, linf_distance: float,
+                 numeric_norm: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "theta_grid", theta_grid)
+        object.__setattr__(self, "numeric_density", numeric_density)
+        object.__setattr__(self, "claimed_density", claimed_density)
+        object.__setattr__(self, "l1_distance", l1_distance)
+        object.__setattr__(self, "linf_distance", linf_distance)
+        object.__setattr__(self, "numeric_norm", numeric_norm)
 
     @property
     def numeric_norm_residual(self) -> float:

@@ -16,12 +16,11 @@ yield the same draws, bit for bit, under the same numpy version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
-from .errors import DomainError, ImproperPosteriorError, _require_int, _require_real
+from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
 from .numerics import reg_inc_gamma_lower
 
 if TYPE_CHECKING:
@@ -63,8 +62,7 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(_Record):
     """First two sample moments of a draw vector.
 
     ``sample_variance`` uses the 1/(n-1) denominator and is NaN for a single
@@ -72,19 +70,25 @@ class SimSummary:
     positive (or the variance is undefined): a flagged value, not a crash.
     """
 
-    sample_mean: float
-    sample_variance: float
-    dispersion: float | None
-    n_draws: int
+    __slots__ = ("sample_mean", "sample_variance", "dispersion", "n_draws")
+
+    def __init__(self, sample_mean: float, sample_variance: float, dispersion: float | None,
+                 n_draws: int):
+        object.__setattr__(self, "sample_mean", sample_mean)
+        object.__setattr__(self, "sample_variance", sample_variance)
+        object.__setattr__(self, "dispersion", dispersion)
+        object.__setattr__(self, "n_draws", n_draws)
 
 
-@dataclass(frozen=True)
-class CoverageResult:
+class CoverageResult(_Record):
     """Empirical coverage of an upper limit, with its binomial standard error."""
 
-    coverage: float
-    standard_error: float
-    reps: int
+    __slots__ = ("coverage", "standard_error", "reps")
+
+    def __init__(self, coverage: float, standard_error: float, reps: int):
+        object.__setattr__(self, "coverage", coverage)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "reps", reps)
 
 
 def _poisson(rng: np.random.Generator, lam, size=None) -> np.ndarray:

@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, QuadratureError, _require_real
+from .errors import ConvergenceError, DomainError, QuadratureError, _Record, _require_real
 
 __all__ = [
     "ToleranceConfig",
@@ -152,8 +151,7 @@ _LGAMMA1P_ZETA = (
 )
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class ToleranceConfig(_Record):
     """Accuracy targets of the quadrature and the Poisson expectations.
 
     Attributes
@@ -164,12 +162,13 @@ class ToleranceConfig:
         Relative error target for adaptive quadrature.
     """
 
-    abs_tol: float = 1e-12
-    quad_rel_tol: float = 1e-9
+    __slots__ = ("abs_tol", "quad_rel_tol")
 
-    def __post_init__(self):
-        for name in ("abs_tol", "quad_rel_tol"):
-            _require_real(getattr(self, name), name, 0.0, strict=True)
+    def __init__(self, abs_tol: float = 1e-12, quad_rel_tol: float = 1e-9):
+        _require_real(abs_tol, "abs_tol", 0.0, strict=True)
+        _require_real(quad_rel_tol, "quad_rel_tol", 0.0, strict=True)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "quad_rel_tol", quad_rel_tol)
 
 
 DEFAULT_TOL = ToleranceConfig()

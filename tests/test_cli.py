@@ -605,8 +605,10 @@ class TestNumpyLoading:
     """The closed-form commands never import numpy; the array commands do.
 
     Neither loads ``fractions`` (and with it ``decimal``): the estimates
-    divide ints directly. Each case runs in a fresh interpreter, since this
-    one has numpy loaded.
+    divide ints directly. The records are not dataclasses, so the
+    closed-form commands load neither ``dataclasses`` nor the ``inspect``
+    it imports; numpy imports ``inspect`` itself. Each case runs in a fresh
+    interpreter, since this one has numpy loaded.
     """
 
     SCRIPT = """
@@ -616,7 +618,7 @@ from zerocount.cli import main
 assert "numpy" not in sys.modules, "numpy loaded on import"
 for argv in ARGV_LISTS:
     assert main(argv) == 0, argv
-print(sorted({"numpy", "fractions", "decimal"} & set(sys.modules)))
+print(sorted({"numpy", "fractions", "decimal", "dataclasses", "inspect"} & set(sys.modules)))
 """
 
     def modules_loaded_after(self, argv_lists) -> str:
@@ -645,4 +647,4 @@ print(sorted({"numpy", "fractions", "decimal"} & set(sys.modules)))
         ],
     )
     def test_array_commands_load_numpy(self, argv):
-        assert self.modules_loaded_after([argv]) == "['numpy']"
+        assert self.modules_loaded_after([argv]) == "['inspect', 'numpy']"
