@@ -75,6 +75,7 @@ _MAX_OCTAVES = 64
 _MAX_HALLEY = 100
 _SERIES_EPS = 1e-16
 _TINY = 1e-300
+_MIN_SUBNORMAL = 5e-324
 _TWO_PI = 2.0 * math.pi
 
 # Regions of P(a, x), see the module docstring
@@ -381,7 +382,11 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     the loop, which returns ``x`` less that step: Halley's method converges
     cubically, so the root is then within about ``1e-24 x``, far below one
     ulp. Catalog shapes at CL 0.9 to 0.99 take two or three evaluations of
-    ``P``, and ``a = 1`` takes one.
+    ``P``, and ``a = 1`` takes one. At a subnormal ``x``, where Halley's
+    factor overflows, the step is Newton's, and below ``1e-300`` a step of
+    one ulp also ends the loop. When the lower bound underflows and
+    ``P(a, 5e-324) >= p``, the root is below every positive double, which
+    that one evaluation proves.
 
     Raises
     ------
@@ -402,7 +407,16 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
             1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
         s = 1.0 / (9.0 * a)
         cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
-        x = max(a * max(cube, 0.0) ** 3, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+        bound = math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
+        if bound == 0.0 and _gamma_pq(a, _MIN_SUBNORMAL)[0] >= p:
+            # P increases in x, so the root lies below every positive double
+            raise ConvergenceError(
+                f"incomplete gamma inverse underflows for a={a!r}, p={p!r}: "
+                "P(a, 5e-324) >= p, so the root, and the limit solved from it, is below "
+                "every positive double",
+                bracket=(0.0, _MIN_SUBNORMAL),
+            )
+        x = max(a * max(cube, 0.0) ** 3, bound)
 
     log_gamma_a, log_p = math.lgamma(a), math.log(p)
     lo, hi = 0.0, math.inf
@@ -433,9 +447,11 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
             curvature -= 1.0 / ratio
         else:
             newton = math.copysign(math.exp(min(math.log(abs(f)) - log_density, 700.0)), f)
-        halley = 1.0 - 0.5 * newton * curvature
+        # at a subnormal x, (a - 1)/x overflows: take Newton's step there
+        halley = 1.0 - 0.5 * newton * curvature if math.isfinite(curvature) else 1.0
         step = newton / halley if 0.0 < halley < math.inf else math.nan
-        if abs(step) < 1e-8 * x:
+        # 1e-8 x is below one subnormal step once x < 1e-300: stop on one ulp
+        if abs(step) < 1e-8 * x or (x < 1e-300 and abs(step) <= math.ulp(x)):
             return x - step
         proposal = x - step
         if not lo < proposal < hi:

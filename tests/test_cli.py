@@ -568,12 +568,14 @@ class TestExitCodes:
             assert err.startswith("error: step must give at most 100000 grid points"), err
 
     def test_starved_solver_exits_4(self, capsys):
-        # the root of P(0.0005, x) = 0.5 is about 5e-603, below every double
+        # the root of P(0.0005, x) = 0.5 is about 5e-603, below every double:
+        # one evaluation, P(a, 5e-324) >= p, proves it
         code, out, err = run_cli(
             capsys, "estimate", "--counts", "0", "--prior", "custom:0.0005,1", "--cl", "0.5",
         )
         assert code == 4
-        assert err.startswith("error: incomplete gamma inverse did not converge"), err
+        assert err.startswith(
+            "error: incomplete gamma inverse underflows for a=0.0005, p=0.5: "), err
 
     def test_large_total_at_the_median_exits_0(self, capsys):
         # once exit 4 ("series stalled"); the root of P(10000001, x) = 1/2
