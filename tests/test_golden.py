@@ -103,6 +103,15 @@ CASES.update(
         "error_figures_format": ["figures", "--out", "{out}", "--format", "json"],
         "error_no_subcommand": [],
         "version": ["--version"],
+        "help": ["--help"],
+    }
+)
+# every subcommand's --help text, as argparse lays it out at 80 columns
+CASES.update(
+    {
+        f"help_{command.replace('-', '_')}": [command, "--help"]
+        for command in ("estimate", "tables", "figures", "marginalize", "simulate", "coverage",
+                        "jj-divergence")
     }
 )
 
