@@ -16,8 +16,12 @@ theta whose integrand is one inner vector integral at the outer kernel's 15 or
 share a warm state: each starts from the nuisance partition the one before
 it converged on, all of its panels in one call, and still meets its own
 tolerance. The grid's integral, a column per grid point, starts cold from one
-panel, so no call of its integrand gets more than 30 rows. The residual
-reported is a genuine cross-check between the two strategies.
+panel, so no call of its integrand gets more than 30 rows. Both models run
+through one driver, and their residuals are a genuine cross-check: the
+marginal's theta integral by the other strategy. The z-Poisson joint is a
+normalized posterior, so a residual at or above the 1e-6 budget raises
+``QuadratureError``. The NB residual, the two strategies' disagreement over
+the evidence, is only reported: loose tolerances widen it.
 
 Note the deliberate domain widening: the joint posteriors are evaluated for
 any psi > 0 (not just the pmf validity range [1, 1/P0]) because the
@@ -32,7 +36,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .distributions import GammaDist, gamma_pdf
-from .errors import DomainError, _Record, _require_int, _require_real
+from .errors import DomainError, QuadratureError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig, integrate_semi_infinite
 
 if TYPE_CHECKING:
@@ -52,6 +56,9 @@ _LN2 = math.log(2.0)
 # and time grow linearly with the grid: 10^5 points take about 150 MB and 2 s
 # (NB, x = 1), and step 1e-6 at x = 1 (12.5 million points) exhausts memory.
 _MAX_GRID_POINTS = 100_000
+# the most a z-Poisson marginal's theta integral may miss 1 by, and the most
+# its density may miss the claimed form by for a PASS verdict
+_NORM_BUDGET = 1e-6
 
 
 class MarginalComparison(_Record):
@@ -137,19 +144,45 @@ def _require_reals(values, name: str, low: float, *, strict: bool = False) -> np
     return array
 
 
-def _comparison(x: int, grid: np.ndarray, numeric: np.ndarray, norm: float):
+def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str, joint_in,
+                 lower: float = 0.0, normalize: bool = False) -> MarginalComparison:
+    """Integrate the nuisance over [lower, inf) on a theta grid; compare with Gamma(x+1, 2).
+
+    ``joint_in(theta, x)`` computes a theta batch's theta-only coefficients
+    once and returns the joint as a function of the nuisance. With
+    ``normalize``, the marginal's theta integral by ``strategy`` is the
+    evidence that divides it. The norm is that integral by the other strategy,
+    over the evidence. These integrals' inner calls share one warm start, and
+    the grid's call runs last and cold (see the module docstring).
+    """
     import numpy as np
 
+    grid = _validate_grid(x, theta_grid)
+    tol = tol if tol is not None else DEFAULT_TOL
+    other = "doubling" if strategy == "transform" else "transform"
+
+    def marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
+        joint = joint_in(theta, x)
+        return integrate_semi_infinite(
+            lambda u: joint(u[:, None]), lower=lower, tol=tol, strategy=strategy, warm=warm
+        )
+
+    warm: dict = {}
+
+    def inner(theta: np.ndarray) -> np.ndarray:
+        return marginal(theta, warm)
+
+    # one scope for every joint call below, theta = 0 included
+    with np.errstate(divide="ignore"):
+        evidence = integrate_semi_infinite(inner, 0.0, tol, strategy) if normalize else 1.0
+        norm = integrate_semi_infinite(inner, 0.0, tol, other) / evidence
+        numeric = marginal(grid, None) / evidence
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: Gamma(x+1, 2)
     posterior = GammaDist(a=x + 1.0, b=2.0)
     claimed = np.array([gamma_pdf(th, posterior) for th in grid.tolist()])
     diff = np.abs(numeric - claimed)
     l1 = float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
     return MarginalComparison(x, grid, numeric, claimed, l1, float(diff.max()), norm)
-
-
-def _other_strategy(strategy: str) -> str:
-    return "doubling" if strategy == "transform" else "transform"
 
 
 def _zpoisson_joint_in_psi(theta: np.ndarray, x: int):
@@ -200,26 +233,23 @@ def zpoisson_marginal(
     exactly the right constants), so the numeric marginal should match the
     claimed Poisson-ME form to quadrature accuracy; the distances reported
     quantify that.
+
+    Raises:
+        QuadratureError: the marginal's theta integral by the other strategy
+            misses 1 by the 1e-6 budget or more, as at x = 1000 on either
+            strategy or x = 200 on ``"doubling"``, whose theta integrals miss
+            the mass near x/2. ``partial_sum`` is that integral.
     """
     x = _require_int(x, "x")
-    grid = _validate_grid(x, theta_grid)
-    tol = tol if tol is not None else DEFAULT_TOL
-
-    def marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
-        joint = _zpoisson_joint_in_psi(theta, x)
-        return integrate_semi_infinite(
-            lambda psi: joint(psi[:, None]), lower=0.0, tol=tol, strategy=strategy, warm=warm
+    comp = _marginalize(x, theta_grid, tol, strategy, _zpoisson_joint_in_psi)
+    if comp.numeric_norm_residual >= _NORM_BUDGET:
+        raise QuadratureError(
+            f"the z-Poisson marginal integrates to {comp.numeric_norm!r} over theta: "
+            f"numeric_norm_residual={comp.numeric_norm_residual:.6g} is at or above "
+            f"the {_NORM_BUDGET:g} budget",
+            partial_sum=comp.numeric_norm,
         )
-
-    # independent check that the joint is a normalized posterior: integrate
-    # the marginal over theta with the other strategy, its inner calls
-    # sharing one warm start (see nb_marginal_numeric)
-    warm: dict = {}
-    total = integrate_semi_infinite(
-        lambda theta: marginal(theta, warm), lower=0.0, tol=tol,
-        strategy=_other_strategy(strategy),
-    )
-    return _comparison(x, grid, marginal(grid, None), total)
+    return comp
 
 
 def _nb_joint(a: np.ndarray, theta: np.ndarray, x: int) -> np.ndarray:
@@ -278,35 +308,9 @@ def nb_marginal_numeric(
     it up forces the NB toward its Poisson limit and the marginal toward
     the claimed form.
     """
-    import numpy as np
-
     x = _require_int(x, "x")
-    grid = _validate_grid(x, theta_grid)
-    tol = tol if tol is not None else DEFAULT_TOL
     _require_real(a_lower, "a_lower", 0.0)
-
-    def raw_marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
-        return integrate_semi_infinite(
-            lambda a: _nb_joint(a[:, None], theta, x),
-            lower=a_lower, tol=tol, strategy=strategy, warm=warm,
-        )
-
-    # The evidence integrals' inner calls share one warm start: each begins
-    # from the a-partition the last one converged on. The call on the grid,
-    # with a column per grid point, starts cold, so that no call of its
-    # integrand gets more than one panel pair's 30 rows.
-    warm: dict = {}
-
-    def inner(theta: np.ndarray) -> np.ndarray:
-        return raw_marginal(theta, warm)
-
-    # one scope for every _nb_joint call below, theta = 0 included
-    with np.errstate(divide="ignore"):
-        evidence = integrate_semi_infinite(inner, lower=0.0, tol=tol, strategy=strategy)
-        # dual-route propriety check: re-integrate with the other strategy and
-        # compare against the evidence used for normalization
-        evidence_other = integrate_semi_infinite(
-            inner, lower=0.0, tol=tol, strategy=_other_strategy(strategy)
-        )
-        numeric = raw_marginal(grid, None) / evidence
-    return _comparison(x, grid, numeric, evidence_other / evidence)
+    return _marginalize(
+        x, theta_grid, tol, strategy, lambda theta, x: lambda a: _nb_joint(a, theta, x),
+        lower=a_lower, normalize=True,
+    )

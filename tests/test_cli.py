@@ -374,6 +374,16 @@ class TestMarginalize:
         assert payload["numeric_norm_residual"] < 1e-6
         assert payload["linf_distance"] > 1e-3
 
+    def test_nb_loose_tolerance_stays_report_only(self, capsys):
+        # the NB residual is the two strategies' disagreement, which a loosened
+        # --tol widens past 1e-6: reported, never a numeric failure
+        payload = run_json(
+            capsys, "marginalize", "--model", "nb", "--x", "0",
+            "--tol", "abs_tol=1e-4,quad_rel_tol=1e-3",
+        )
+        assert payload["verdict"] == "REPORT-ONLY"
+        assert payload["numeric_norm_residual"] > 1e-6
+
     def test_csv_cells_are_plain_numbers(self, capsys):
         code, out, err = run_cli(
             capsys, "marginalize", "--model", "zpoisson", "--x", "1", "--step", "0.5",

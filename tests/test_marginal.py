@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from zerocount import marginal
-from zerocount.errors import DomainError
+from zerocount.errors import DomainError, QuadratureError
 from zerocount.marginal import (
     MarginalComparison,
     make_theta_grid,
@@ -31,6 +31,8 @@ E_M3 = 0.049787068367863943
 TIGHT = ToleranceConfig(abs_tol=1e-15, quad_rel_tol=1e-11)
 # forces relative convergence even when the integrand is exponentially small
 SCALEFREE = ToleranceConfig(abs_tol=1e-300, quad_rel_tol=1e-9)
+# loose enough that the NB strategies' evidences disagree by more than 1e-6
+LOOSE = ToleranceConfig(abs_tol=1e-4, quad_rel_tol=1e-3)
 
 
 class TestZPoissonJoint:
@@ -197,6 +199,17 @@ class TestZPoissonMarginal:
         comp = zpoisson_marginal(50, make_theta_grid(50, step=1.0), strategy="transform")
         assert comp.numeric_norm_residual < 1e-6
 
+    @pytest.mark.parametrize(
+        "x,strategy", [(1000, "transform"), (1000, "doubling"), (200, "doubling")]
+    )
+    def test_missed_mass_raises(self, x, strategy):
+        # the theta integrals look for the mass near 0 and find almost none of
+        # the mass near x/2 (0.0, 3.5e-99 and 4.4e-30): a density that does not
+        # integrate to 1 is refused, not returned with a residual of 1
+        with pytest.raises(QuadratureError, match="is at or above the 1e-06 budget$") as caught:
+            zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy=strategy)
+        assert 0.0 <= caught.value.partial_sum < 1e-6
+
     def test_strategies_agree(self):
         grid = make_theta_grid(1, step=0.1)
         a = zpoisson_marginal(1, grid, strategy="transform")
@@ -230,6 +243,12 @@ class TestNBMarginalNumeric:
         npt.assert_allclose(a.numeric_density, b.numeric_density, atol=1e-8, rtol=0)
         assert abs(a.l1_distance - b.l1_distance) < 1e-8
         assert abs(a.linf_distance - b.linf_distance) < 1e-8
+
+    def test_loose_tolerance_residual_is_reported_not_raised(self):
+        # the NB residual measures how far the two strategies' evidences agree,
+        # so the z-Poisson norm budget does not apply to it (4.6e-6 here)
+        comp = nb_marginal_numeric(0, make_theta_grid(0, step=0.1), tol=LOOSE)
+        assert 1e-6 < comp.numeric_norm_residual < 1e-4
 
     def test_shape_cutoff_drives_toward_claimed(self):
         # restricting to a >= cutoff forces the NB toward its Poisson limit,
