@@ -285,14 +285,7 @@ def cmd_estimate(args) -> int:
     priors = [parse_prior(name, args.t) for name in args.prior or _STANDARD_PRIORS]
 
     counts_record = {"n": data.n, "total": data.total, "t": data.t}
-    ml_record = {
-        "theta_hat": ml.theta_hat,
-        "rho_hat": ml.rho_hat,
-        "var_counts": ml.var_counts,
-        "var_mean": ml.var_mean,
-        "var_rate": ml.var_rate,
-        "pathological": ml.pathological,
-    }
+    ml_record = {name: getattr(ml, name) for name in ml.__slots__}
     notes = [f"# counts: {_pairs(counts_record)}", f"# ml: {_pairs(ml_record)}"]
     lines = [
         f"counts: n={data.n} total={data.total} t={data.t:g}",
@@ -462,14 +455,14 @@ def cmd_figures(args) -> int:
         ],
     )
 
-    curves = (GammaDist(a=1.0, b=1.0), GammaDist(a=0.5, b=1.0), GammaDist(a=1.0, b=2.0))
+    posts = _zero_record_posteriors()
+    curves = [GammaDist(a=post.A, b=post.B) for post in posts.values()]
     _write_csv(
-        args, "fig3", ["theta", "bl", "jr", "me"],
+        args, "fig3", ["theta", *posts],
         [[th] + [gamma_pdf(th, curve) for curve in curves] for th in _frange(0.01, 6.0, 0.01)],
-        notes=["# bayes_means: bl=1.0 jr=0.5 me=0.5"],
+        notes=[f"# bayes_means: {_pairs({key: post.mean for key, post in posts.items()})}"],
     )
 
-    posts = _zero_record_posteriors()
     _write_csv(
         args, "fig4", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
         [
