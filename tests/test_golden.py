@@ -6,11 +6,17 @@ Two run-dependent strings are replaced by fixed tokens before comparison:
 the temporary ``--out`` directory (``<OUT>``) and the running numpy version
 inside ``prng_library`` (``<NUMPY_VERSION>``).
 
+Python 3.13 lays some argparse text out differently. Where it does, the case
+holds a ``<file>.py313`` variant, which 3.13 and later compare against in
+place of ``<file>``. A variant is written from that interpreter's own output,
+e.g. ``PYTHONPATH=src COLUMNS=80 python3.13 -m zerocount --help``.
+
 To regenerate the stored files after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff before committing it.
+under Python 3.12 or earlier, and review the diff before committing it. It
+keeps the ``.py313`` variants, which need regenerating by hand.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import contextlib
 import io
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -30,6 +37,7 @@ from zerocount.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FORMATS = ("table", "csv", "json")
+PY313 = ".py313"
 
 # name -> argv; "{out}" stands for a fresh temporary output directory
 _FORMATTED = {
@@ -142,11 +150,16 @@ def run_case(argv: list[str]) -> dict[str, str]:
 
 
 def _stored(name: str) -> dict[str, str]:
+    """The case's stored files by key, each read from its variant where one applies."""
     case_dir = GOLDEN_DIR / name
+    paths = {p.relative_to(case_dir).as_posix(): p for p in case_dir.rglob("*") if p.is_file()}
+    if sys.version_info >= (3, 13):
+        paths.update({key[: -len(PY313)]: path for key, path in paths.items()
+                      if key.endswith(PY313)})
     return {
-        path.relative_to(case_dir).as_posix(): path.read_bytes().decode()
-        for path in sorted(case_dir.rglob("*"))
-        if path.is_file()
+        key: path.read_bytes().decode()
+        for key, path in sorted(paths.items())
+        if not key.endswith(PY313)
     }
 
 
@@ -164,12 +177,16 @@ def test_every_golden_directory_has_a_case():
 
 
 def regenerate() -> None:
+    variants = {path: path.read_bytes() for path in GOLDEN_DIR.rglob(f"*{PY313}")}
     shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
     for name, argv in CASES.items():
         for key, text in run_case(argv).items():
             path = GOLDEN_DIR / name / key
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(text.encode())
+    for path, data in variants.items():
+        if path.parent.is_dir():
+            path.write_bytes(data)
 
 
 if __name__ == "__main__":
