@@ -20,8 +20,9 @@ panel, so no call of its integrand gets more than 30 rows. Both models run
 through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
 normalized posterior, so a residual at or above the 1e-6 budget raises
-``QuadratureError``. The NB residual, the two strategies' disagreement over
-the evidence, is only reported: loose tolerances widen it.
+``QuadratureError``, before any grid work is spent. The NB residual, the two
+strategies' disagreement over the evidence, is only reported: loose
+tolerances widen it.
 
 Note the deliberate domain widening: the joint posteriors are evaluated for
 any psi > 0 (not just the pmf validity range [1, 1/P0]) because the
@@ -151,9 +152,12 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     ``joint_in(theta, x)`` computes a theta batch's theta-only coefficients
     once and returns the joint as a function of the nuisance. With
     ``normalize``, the marginal's theta integral by ``strategy`` is the
-    evidence that divides it. The norm is that integral by the other strategy,
-    over the evidence. These integrals' inner calls share one warm start, and
-    the grid's call runs last and cold (see the module docstring).
+    evidence that divides it. Without it the joint is a normalized posterior
+    (z-Poisson), so a norm that misses 1 by the budget raises
+    ``QuadratureError`` before any grid work. The norm is the marginal's theta
+    integral by the other strategy, over the evidence. These integrals' inner
+    calls share one warm start, and the grid's call runs last and cold (see
+    the module docstring).
     """
     import numpy as np
 
@@ -176,6 +180,13 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     with np.errstate(divide="ignore"):
         evidence = integrate_semi_infinite(inner, 0.0, tol, strategy) if normalize else 1.0
         norm = integrate_semi_infinite(inner, 0.0, tol, other) / evidence
+        if not normalize and abs(norm - 1.0) >= _NORM_BUDGET:
+            raise QuadratureError(
+                f"the z-Poisson marginal integrates to {norm!r} over theta: "
+                f"numeric_norm_residual={abs(norm - 1.0):.6g} is at or above "
+                f"the {_NORM_BUDGET:g} budget",
+                partial_sum=norm,
+            )
         numeric = marginal(grid, None) / evidence
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: Gamma(x+1, 2)
     posterior = GammaDist(a=x + 1.0, b=2.0)
@@ -241,15 +252,7 @@ def zpoisson_marginal(
             the mass near x/2. ``partial_sum`` is that integral.
     """
     x = _require_int(x, "x")
-    comp = _marginalize(x, theta_grid, tol, strategy, _zpoisson_joint_in_psi)
-    if comp.numeric_norm_residual >= _NORM_BUDGET:
-        raise QuadratureError(
-            f"the z-Poisson marginal integrates to {comp.numeric_norm!r} over theta: "
-            f"numeric_norm_residual={comp.numeric_norm_residual:.6g} is at or above "
-            f"the {_NORM_BUDGET:g} budget",
-            partial_sum=comp.numeric_norm,
-        )
-    return comp
+    return _marginalize(x, theta_grid, tol, strategy, _zpoisson_joint_in_psi)
 
 
 def _nb_joint(a: np.ndarray, theta: np.ndarray, x: int) -> np.ndarray:

@@ -210,6 +210,24 @@ class TestZPoissonMarginal:
             zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy=strategy)
         assert 0.0 <= caught.value.partial_sum < 1e-6
 
+    def test_missed_mass_is_refused_before_the_grid_work(self, monkeypatch):
+        # the grid's integral evaluates the joint at every grid point in one
+        # batch, and the claimed density is one gamma_pdf call per point
+        grid = make_theta_grid(1000, step=0.1)
+        batch_sizes, claimed_calls = [], []
+        joint_in = marginal._zpoisson_joint_in_psi
+
+        def recording_joint_in(theta, x):
+            batch_sizes.append(theta.size)
+            return joint_in(theta, x)
+
+        monkeypatch.setattr(marginal, "_zpoisson_joint_in_psi", recording_joint_in)
+        monkeypatch.setattr(marginal, "gamma_pdf", lambda *args: claimed_calls.append(args))
+        with pytest.raises(QuadratureError):
+            zpoisson_marginal(1000, grid)
+        assert batch_sizes and max(batch_sizes) < grid.size
+        assert claimed_calls == []
+
     def test_strategies_agree(self):
         grid = make_theta_grid(1, step=0.1)
         a = zpoisson_marginal(1, grid, strategy="transform")
