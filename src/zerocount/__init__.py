@@ -14,22 +14,41 @@ The package is organized by inference route:
 - :mod:`zerocount.montecarlo`: seeded samplers and coverage experiments;
 - :mod:`zerocount.numerics`: incomplete-gamma kernel, E1, and quadrature;
 - :mod:`zerocount.cli`: command-line front end (``zerocount ...``).
+
+Every public name of those modules can be read from the package itself
+(``zerocount.upper_limit``). Importing the package runs none of them: each
+runs when it or one of its names is first used.
 """
 
-from . import bayes, classical, decision, distributions, errors, marginal, montecarlo, numerics
-from .bayes import *  # noqa: F401,F403
-from .classical import *  # noqa: F401,F403
-from .decision import *  # noqa: F401,F403
-from .distributions import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .marginal import *  # noqa: F401,F403
-from .montecarlo import *  # noqa: F401,F403
-from .numerics import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of its public names
-__all__ = ["__version__"]
-for _module in (errors, numerics, distributions, classical, bayes, decision, marginal, montecarlo):
-    __all__ += _module.__all__
-del _module
+# the modules whose __all__ lists make up the package's, in that order
+_MODULES = ("errors", "numerics", "distributions", "classical", "bayes", "decision", "marginal",
+            "montecarlo")
+
+
+def __getattr__(name: str):
+    """Import a submodule or a public name on first use (PEP 562).
+
+    A submodule name imports that module alone. Any other name starting
+    with ``_``, ``__all__`` aside, is absent without loading anything. A
+    public name is looked up in each module's ``__all__`` in turn, and
+    ``__all__`` loads them all; either is then cached here.
+    """
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name.startswith("_") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = ["__version__"]
+    for short in _MODULES:
+        module = importlib.import_module(f"{__name__}.{short}")
+        if name in module.__all__:
+            value = globals()[name] = getattr(module, name)
+            return value
+        names += module.__all__
+    if name == "__all__":
+        globals()[name] = names
+        return names
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

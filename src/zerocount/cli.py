@@ -22,9 +22,8 @@ requested prior survives), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib.util
 import io
-import json
 import math
 import re
 import sys
@@ -49,7 +48,6 @@ from .classical import (
     simple_probability_estimates,
     simple_probability_upper_limit,
 )
-from .decision import compare_priors
 from .distributions import (
     GammaDist,
     NBParams,
@@ -68,9 +66,31 @@ from .errors import (
     QuadratureError,
     _require_real,
 )
-from .marginal import _NORM_BUDGET, make_theta_grid, nb_marginal_numeric, zpoisson_marginal
-from .montecarlo import coverage_experiment, prng_metadata, sample, summarize
 from .numerics import DEFAULT_TOL, EULER_GAMMA, ToleranceConfig
+
+
+def _lazy_module(name: str):
+    """``zerocount.<name>``, in ``sys.modules`` now but run on first attribute access.
+
+    A module already imported is returned as it is. The handlers read
+    functions off the module at call time, so a wrapper set into its
+    namespace is what they call.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+decision = _lazy_module("decision")
+marginal = _lazy_module("marginal")
+montecarlo = _lazy_module("montecarlo")
 
 __all__ = ["main", "build_parser", "round_half_away"]
 
@@ -170,7 +190,7 @@ def _metadata(subcommand: str, seed: int | None = None,
         meta["tolerance"] = {name: getattr(tol, name) for name in tol.__slots__}
     if seed is not None:
         meta["seed"] = seed
-        meta.update(prng_metadata())
+        meta.update(montecarlo.prng_metadata())
     return meta
 
 
@@ -179,6 +199,8 @@ def _pairs(record: dict) -> str:
 
 
 def _csv_text(meta: dict, notes, header: list[str], rows) -> str:
+    import csv
+
     buf = io.StringIO()
     buf.write(f"# zerocount {meta['version']}\n")
     buf.write(f"# subcommand: {meta['subcommand']}\n")
@@ -197,6 +219,8 @@ def _csv_text(meta: dict, notes, header: list[str], rows) -> str:
 
 
 def _json_text(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -387,7 +411,7 @@ def cmd_tables(args) -> int:
         [[r["alpha"], r["cl"], f"{r['u_theta_rounded']:.1f}"] for r in table3],
     )
 
-    by_kind = {entry.prior.kind: entry for entry in compare_priors(0, 1).entries}
+    by_kind = {entry.prior.kind: entry for entry in decision.compare_priors(0, 1).entries}
     table4 = []
     for kind in _ZERO_RECORD_PRIORS:
         entry = by_kind[kind]
@@ -487,21 +511,21 @@ def cmd_marginalize(args) -> int:
     tol = parse_tolerance(args.tol)
     if args.x < 0:
         raise DomainError(f"--x must be >= 0, got {args.x}")
-    grid = make_theta_grid(args.x, step=args.step)
     model = args.model.lower()
+    if model not in ("zpoisson", "nb"):
+        raise DomainError(f"unknown model {args.model!r} (expected zpoisson or nb)")
+    if model == "zpoisson" and args.a_lower != 0.0:
+        raise DomainError("--a-lower applies only to the nb model")
+    grid = marginal.make_theta_grid(args.x, step=args.step)
     if model == "zpoisson":
-        if args.a_lower != 0.0:
-            raise DomainError("--a-lower applies only to the nb model")
         # raises QuadratureError (exit 4) when the norm misses the budget
-        comp = zpoisson_marginal(args.x, grid, tol=tol, strategy=args.strategy)
-        verdict = "PASS" if comp.linf_distance < _NORM_BUDGET else "FAIL"
-    elif model == "nb":
-        comp = nb_marginal_numeric(
+        comp = marginal.zpoisson_marginal(args.x, grid, tol=tol, strategy=args.strategy)
+        verdict = "PASS" if comp.linf_distance < marginal._NORM_BUDGET else "FAIL"
+    else:
+        comp = marginal.nb_marginal_numeric(
             args.x, grid, tol=tol, strategy=args.strategy, a_lower=args.a_lower
         )
         verdict = "REPORT-ONLY"
-    else:
-        raise DomainError(f"unknown model {args.model!r} (expected zpoisson or nb)")
 
     summary = {
         "model": model,
@@ -562,7 +586,7 @@ def _build_model(args):
 
 def cmd_simulate(args) -> int:
     model = _build_model(args)
-    summary = summarize(sample(model, args.draws, args.seed))
+    summary = montecarlo.summarize(montecarlo.sample(model, args.draws, args.seed))
     record = {
         "model": args.model.lower(),
         "theta": args.theta,
@@ -588,7 +612,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_coverage(args) -> int:
     prior = parse_prior(args.prior, args.t)
-    result = coverage_experiment(args.rho, args.t, args.n, prior, args.cl, args.reps, args.seed)
+    result = montecarlo.coverage_experiment(
+        args.rho, args.t, args.n, prior, args.cl, args.reps, args.seed
+    )
     record = {
         "true_rho": args.rho,
         "t": args.t,

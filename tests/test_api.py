@@ -3,6 +3,10 @@ public names, ``zerocount`` re-exports exactly those lists, and each public
 name has a caller in the package or the demos."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,31 @@ def test_package_all_is_the_module_lists():
     expected = ["__version__"] + [name for module in MODULES for name in module.__all__]
     assert zerocount.__all__ == expected
     assert len(set(expected)) == len(expected)
+
+
+def test_all_and_star_import_in_a_fresh_process():
+    # the package builds __all__ on first access; here that access comes
+    # first, before any module has run
+    script = """
+import json, sys, zerocount
+names = zerocount.__all__
+namespace = {}
+exec("from zerocount import *", namespace)
+del namespace["__builtins__"]
+owner = {name: module for module in MODULES for name in module.__all__}
+same = all(namespace[name] is getattr(owner[name], name) for name in names[1:])
+print(json.dumps([names, sorted(namespace), same]))
+"""
+    modules = ", ".join(f"zerocount.{module.__name__.split('.')[-1]}" for module in MODULES)
+    script = script.replace("MODULES", f"({modules})")
+    env = dict(os.environ, PYTHONPATH=str(Path(zerocount.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names, star_names, same = json.loads(proc.stdout)
+    assert names == ["__version__"] + [name for module in MODULES for name in module.__all__]
+    assert star_names == sorted(names)
+    assert same
 
 
 def test_every_exported_name_resolves_to_its_module_object():

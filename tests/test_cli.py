@@ -660,3 +660,100 @@ print(sorted({"numpy", "fractions", "decimal", "dataclasses", "inspect"} & set(s
     )
     def test_array_commands_load_numpy(self, argv):
         assert self.modules_loaded_after([argv]) == "['inspect', 'numpy']"
+
+
+CORE = ["bayes", "classical", "distributions", "errors", "numerics"]
+
+
+class TestLazyModules:
+    """A cold process runs only the package modules its work uses.
+
+    ``zerocount`` runs none of its modules on import, and ``zerocount.cli``
+    registers ``decision``, ``marginal`` and ``montecarlo`` with
+    ``importlib.util.LazyLoader``: each is in ``sys.modules`` at once, but
+    runs on first attribute access, when its class becomes exactly
+    ``types.ModuleType``. ``type()`` reads the class without running the
+    module. Each case runs in a fresh interpreter.
+    """
+
+    REPORT = """
+import sys, types
+ran = [name for name, module in sys.modules.items()
+       if name.startswith("zerocount.") and type(module) is types.ModuleType]
+print(sorted(name[len("zerocount."):] for name in ran), "numpy" in sys.modules)
+"""
+
+    def ran_after(self, code: str) -> str:
+        env = dict(os.environ, PYTHONPATH=str(Path(zerocount.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code + self.REPORT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_estimate_as_python_m_runs_only_the_core(self):
+        # runpy is what `python -m zerocount` runs; it restores sys.argv after
+        code = """
+import runpy, sys
+sys.argv = ["zerocount", "estimate", "--counts", "0,1", "--format", "json"]
+try:
+    runpy.run_module("zerocount", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+for name in ("decision", "marginal", "montecarlo"):
+    assert "zerocount." + name in sys.modules, name
+"""
+        assert self.ran_after(code) == f"{sorted(CORE + ['cli'])} False"
+
+    @pytest.mark.parametrize(
+        "code,ran",
+        [
+            ("from zerocount import cli", CORE + ["cli"]),
+            ("import zerocount.bayes", CORE),
+            ("import zerocount\nassert not hasattr(zerocount, '__wrapped__')\n"
+             "from zerocount import bayes", CORE),
+            ("import zerocount\nzerocount.upper_limit", CORE),
+            ("import zerocount.marginal", ["distributions", "errors", "marginal", "numerics"]),
+            ("from zerocount import cli\nimport zerocount.marginal\n"
+             "assert cli.marginal is zerocount.marginal",
+             CORE + ["cli", "marginal"]),
+        ],
+        ids=["cli", "bayes", "dunder-probe", "public-name", "marginal", "cli-then-marginal"],
+    )
+    def test_imports_run_only_what_they_need(self, code, ran):
+        assert self.ran_after(code) == f"{sorted(ran)} False"
+
+    def test_tables_runs_decision(self, tmp_path):
+        argv = ["tables", "--out", str(tmp_path)]
+        code = f"from zerocount.cli import main\nassert main({argv!r}) == 0"
+        assert self.ran_after(code) == f"{sorted(CORE + ['cli', 'decision'])} False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["marginalize", "--model", "foo", "--x", "0"],
+            ["marginalize", "--model", "zpoisson", "--x", "0", "--a-lower", "5"],
+        ],
+        ids=["unknown-model", "a-lower-zpoisson"],
+    )
+    def test_bad_marginalize_arguments_fail_before_the_grid(self, argv):
+        code = f"from zerocount.cli import main\nassert main({argv!r}) == 2"
+        assert self.ran_after(code) == f"{sorted(CORE + ['cli'])} False"
+
+    def test_handlers_call_what_the_module_holds(self, monkeypatch, capsys):
+        # a wrapper set into the module, as perfbench's tracer sets one, is
+        # what the handler calls
+        from zerocount import marginal
+
+        calls = []
+        original = marginal.zpoisson_marginal
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(marginal, "zpoisson_marginal", wrapper)
+        assert run_cli(capsys, "marginalize", "--model", "zpoisson", "--x", "0",
+                       "--step", "1.0")[0] == 0
+        assert calls == [0]
