@@ -41,7 +41,6 @@ from .numerics import (
 __all__ = [
     "PriorKind",
     "PriorSpec",
-    "PosteriorSource",
     "GammaPosterior",
     "UpperLimitResult",
     "prior_params",
@@ -76,27 +75,15 @@ class PriorSpec(_Record):
         object.__setattr__(self, "b", b)
 
 
-class PosteriorSource(_Record):
-    """The data and prior a posterior was built from."""
-
-    __slots__ = ("S", "n", "t", "prior")
-
-    def __init__(self, S: int, n: int, t: float, prior: PriorSpec):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "prior", prior)
-
-
 class GammaPosterior(_Record):
-    """Proper Gamma(A, B) posterior for the rate rho."""
+    """Proper Gamma(A, B) posterior for the rate rho, from measurements of duration t."""
 
-    __slots__ = ("A", "B", "source")
+    __slots__ = ("A", "B", "t")
 
-    def __init__(self, A: float, B: float, source: PosteriorSource):
+    def __init__(self, A: float, B: float, t: float):
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "t", t)
 
     @property
     def mean(self) -> float:
@@ -214,11 +201,7 @@ def posterior_from_sufficient(
             shape=a_post,
             total_counts=int(S),
         )
-    return GammaPosterior(
-        A=float(a_post),
-        B=float(b_post),
-        source=PosteriorSource(S=int(S), n=int(n), t=float(t), prior=prior),
-    )
+    return GammaPosterior(A=float(a_post), B=float(b_post), t=float(t))
 
 
 def posterior(data: CountData, prior: PriorSpec) -> GammaPosterior:
@@ -249,7 +232,7 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
     return UpperLimitResult(
         CL=CL,
         U_rho=u_rho,
-        U_theta=u_rho * post.source.t,
+        U_theta=u_rho * post.t,
         solver_residual=residual,
     )
 

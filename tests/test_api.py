@@ -79,7 +79,7 @@ def test_every_exported_name_resolves_to_its_module_object():
         "simulate", "DetectorConfig", "expected_theta", "poisson_moments",
         "adhoc_zero_density", "gamma_moment", "posterior_moment", "fisher_information",
         "as_gamma", "log_likelihood", "sufficient_statistic", "log_gamma",
-        "bayes_mean_counts", "sampling_variance_mean", "bayes_var",
+        "bayes_mean_counts", "sampling_variance_mean", "bayes_var", "PosteriorSource",
     ],
 )
 def test_deleted_names_are_absent(name):

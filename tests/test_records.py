@@ -17,7 +17,6 @@ import pytest
 
 from zerocount.bayes import (
     GammaPosterior,
-    PosteriorSource,
     PriorKind,
     PriorSpec,
     UpperLimitResult,
@@ -32,7 +31,6 @@ from zerocount.numerics import ToleranceConfig
 
 BL = PriorSpec(kind=PriorKind.BL, a=1.0, b=0.0)
 BL_REPR = "PriorSpec(kind=<PriorKind.BL: 'BL'>, a=1.0, b=0.0)"
-SOURCE = PosteriorSource(S=3, n=2, t=1.5, prior=BL)
 RISK = RiskReport(
     prior=BL, mean_estimate=1.0, bias_mean=0.0, risk_mean=1.0, var_estimate=1.0,
     bias_var=0.0, risk_var=2.0, theta_mode=ThetaMode.PLUG_IN,
@@ -61,12 +59,8 @@ RECORDS = [
         "PriorSpec(kind=<PriorKind.ME: 'ME'>, a=1.0, b=2.5)",
     ),
     (
-        PosteriorSource, {"S": 3, "n": 2, "t": 1.5, "prior": BL},
-        f"PosteriorSource(S=3, n=2, t=1.5, prior={BL_REPR})",
-    ),
-    (
-        GammaPosterior, {"A": 4.0, "B": 3.0, "source": SOURCE},
-        f"GammaPosterior(A=4.0, B=3.0, source=PosteriorSource(S=3, n=2, t=1.5, prior={BL_REPR}))",
+        GammaPosterior, {"A": 4.0, "B": 3.0, "t": 1.5},
+        "GammaPosterior(A=4.0, B=3.0, t=1.5)",
     ),
     (
         UpperLimitResult, {"CL": 0.95, "U_rho": 2.5, "U_theta": 3.75, "solver_residual": -1.1e-16},
