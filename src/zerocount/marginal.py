@@ -146,8 +146,8 @@ def _require_reals(values, name: str, low: float, *, strict: bool = False) -> np
 
 
 def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str, joint_in,
-                 lower: float = 0.0, normalize: bool = False) -> MarginalComparison:
-    """Integrate the nuisance over [lower, inf) on a theta grid; compare with Gamma(x+1, 2).
+                 normalize: bool = False) -> MarginalComparison:
+    """Integrate the nuisance over [0, inf) on a theta grid; compare with Gamma(x+1, 2).
 
     ``joint_in(theta, x)`` computes a theta batch's theta-only coefficients
     once and returns the joint as a function of the nuisance. With
@@ -168,7 +168,7 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     def marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
         joint = joint_in(theta, x)
         return integrate_semi_infinite(
-            lambda u: joint(u[:, None]), lower=lower, tol=tol, strategy=strategy, warm=warm
+            lambda u: joint(u[:, None]), tol=tol, strategy=strategy, warm=warm
         )
 
     warm: dict = {}
@@ -255,8 +255,12 @@ def zpoisson_marginal(
     return _marginalize(x, theta_grid, tol, strategy, _zpoisson_joint_in_psi)
 
 
-def _nb_joint(a: np.ndarray, theta: np.ndarray, x: int) -> np.ndarray:
-    """NB(x | theta, a) e^{-theta} e^{-a} for broadcast a > 0, theta >= 0.
+def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) -> np.ndarray:
+    """NB(x | theta, a) e^{-theta} e^{-d} at a = a_lower + d, for broadcast a > 0, theta >= 0.
+
+    The prior e^{-a} on [a_lower, inf) is e^{-a_lower} e^{-d}, and the constant
+    e^{-a_lower} cancels in the normalization, so the joint stays of order 1,
+    and its integrals keep their relative accuracy, however large a_lower is.
 
     Gamma(a + x) theta^x / (Gamma(a) x! (a + theta)^x) is the product over
     j < x of theta (a + j) / ((j + 1) (a + theta)), the rising factorial
@@ -266,7 +270,8 @@ def _nb_joint(a: np.ndarray, theta: np.ndarray, x: int) -> np.ndarray:
     """
     import numpy as np
 
-    log_joint = -(a * np.log1p(theta / a) + theta + a)
+    a = a_lower + d
+    log_joint = -(a * np.log1p(theta / a) + theta + d)
     for first in range(0, x, 8):
         block = 1.0
         for j in range(first, min(first + 8, x)):
@@ -314,6 +319,6 @@ def nb_marginal_numeric(
     x = _require_int(x, "x")
     _require_real(a_lower, "a_lower", 0.0)
     return _marginalize(
-        x, theta_grid, tol, strategy, lambda theta, x: lambda a: _nb_joint(a, theta, x),
-        lower=a_lower, normalize=True,
+        x, theta_grid, tol, strategy, lambda theta, x: lambda d: _nb_joint(d, theta, x, a_lower),
+        normalize=True,
     )

@@ -384,6 +384,14 @@ class TestMarginalize:
         assert payload["verdict"] == "REPORT-ONLY"
         assert payload["numeric_norm_residual"] > 1e-6
 
+    def test_nb_shape_cutoff_past_the_exp_range(self, capsys):
+        # e^{-760} underflows: once a ZeroDivisionError traceback (exit 1)
+        payload = run_json(
+            capsys, "marginalize", "--model", "nb", "--x", "0", "--a-lower", "760",
+            "--step", "1",
+        )
+        assert payload["numeric_norm_residual"] < 1e-12
+
     def test_csv_cells_are_plain_numbers(self, capsys):
         code, out, err = run_cli(
             capsys, "marginalize", "--model", "zpoisson", "--x", "1", "--step", "0.5",

@@ -278,6 +278,22 @@ class TestNBMarginalNumeric:
         ]
         assert linfs[0] > linfs[1] > linfs[2]
 
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("cut", [40.0, 1000.0])
+    def test_large_shape_cutoff_keeps_its_norm(self, cut, strategy):
+        # the a integral runs over the offset from a_lower, so e^{-a_lower}
+        # cancels instead of sinking the joint below abs_tol (the residual
+        # was 1.9e-2 at 40, and past 745 the evidence was 0)
+        comp = nb_marginal_numeric(1, make_theta_grid(1, step=0.5), strategy=strategy,
+                                   a_lower=cut)
+        assert comp.numeric_norm_residual < 1e-12
+
+    def test_poisson_limit_at_an_extreme_cutoff(self):
+        # at a >= 1e300 the NB is Poisson, so the marginal is the claimed form
+        comp = nb_marginal_numeric(1, make_theta_grid(1, step=0.5), a_lower=1e300)
+        assert comp.linf_distance < 1e-12
+        assert comp.numeric_norm_residual < 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             nb_marginal_numeric(0, make_theta_grid(0, step=0.25), a_lower=-1.0)
