@@ -151,8 +151,12 @@ def parse_counts_arg(text: str) -> list[int]:
 
 
 def read_counts_file(path: str) -> list[int]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     counts = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -500,6 +500,14 @@ class TestExitCodes:
     def test_estimate_requires_a_counts_source(self, capsys):
         assert run_cli(capsys, "estimate")[0] == 2
 
+    def test_counts_file_not_utf8_exits_2(self, capsys, tmp_path):
+        # once a UnicodeDecodeError traceback (exit 1)
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli(capsys, "estimate", "--counts-file", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: not UTF-8 text"), err
+
     def test_bad_tolerance_override(self, capsys):
         for override in ("bogus=1", "rel_tol=1", "max_iter=5", "abs_tol=x"):
             code, out, err = run_cli(
