@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
 from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
-from .numerics import reg_inc_gamma_lower
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,6 +39,9 @@ __all__ = [
 PRNG_ALGORITHM = "PCG64"
 
 _ZP_TAIL = 1e-13
+# the z-Poisson sampler inverts a cumulative table up to this mean, and above
+# it draws the zero-inflated form at a cost independent of the mean
+_ZP_TABLE_MAX_THETA = 50.0
 
 Model = PoissonParams | ZPoissonParams | NBParams
 
@@ -104,14 +106,14 @@ def _poisson(rng: np.random.Generator, lam, size=None) -> np.ndarray:
         raise DomainError(f"cannot draw Poisson counts: {exc}") from None
 
 
-def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+def _zpoisson_table(params: ZPoissonParams) -> np.ndarray:
+    """Cumulative z-Poisson pmf from 0 until all but 1e-13 of the mass is covered.
+
+    The summed pmf reaches that on its own for every mean up to 54.6, past
+    the sampler's 50, so the cap on the length never binds there.
+    """
     import numpy as np
 
-    # cumulative-table inversion; the table stops once all but 1e-13 of the
-    # mass is covered, and draws past the table clamp to its last entry. The
-    # sum rounds short of that for large means, so past the mode the stop also
-    # takes the bound P(k + 1, theta) on the mass beyond k (psi >= 1), which
-    # is far below 1e-13 at the cap: the loop always breaks
     theta = params.theta
     cap = int(theta + 50.0 * math.sqrt(theta + 1.0) + 50.0)
     pmf = []
@@ -119,10 +121,24 @@ def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Genera
     for k in range(cap + 1):
         pmf.append(zpoisson_pmf(k, params))
         cum += pmf[-1]
-        past_mode = k > theta and pmf[-1] <= _ZP_TAIL
-        if cum >= 1.0 - _ZP_TAIL or past_mode and reg_inc_gamma_lower(k + 1.0, theta) <= _ZP_TAIL:
+        if cum >= 1.0 - _ZP_TAIL:
             break
-    table = np.cumsum(np.asarray(pmf))
+    return np.cumsum(np.asarray(pmf))
+
+
+def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
+    theta = params.theta
+    if theta > _ZP_TABLE_MAX_THETA:
+        # an extra zero with probability w = (psi - 1) P0 / (1 - P0), else a
+        # Poisson draw: w + (1 - w) P0 = psi P0 at 0, and (1 - w) times the
+        # Poisson pmf, which is zpoisson_pmf, above it
+        extra_zero = (params.psi - 1.0) * params.p0 / -math.expm1(-theta)
+        zero = rng.random(n_draws) < extra_zero
+        return np.where(zero, 0, _poisson(rng, theta, n_draws)).astype(np.int64)
+    # inversion of the cumulative table; a draw past its end clamps to it
+    table = _zpoisson_table(params)
     u = rng.random(n_draws)
     idx = np.searchsorted(table, u, side="right")
     return np.minimum(idx, len(table) - 1).astype(np.int64)

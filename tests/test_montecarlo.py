@@ -13,11 +13,13 @@ import pytest
 
 from zerocount.bayes import PriorKind, posterior_from_sufficient, prior_params, upper_limit
 from zerocount.distributions import NBParams, PoissonParams, ZPoissonParams, poisson_pmf, zpoisson_pmf
+from zerocount import montecarlo
 from zerocount.errors import DomainError, ImproperPosteriorError
 from zerocount.montecarlo import (
     PRNG_ALGORITHM,
     CoverageResult,
     SimSummary,
+    _zpoisson_table,
     coverage_experiment,
     dispersion_experiment,
     prng_metadata,
@@ -99,6 +101,21 @@ class TestSamplers:
         expected = np.append(probs, 1.0 - probs.sum()) * 200_000
         assert chi_square_pvalue(observed, expected) > 0.001
 
+    def test_zpoisson_sampler_matches_pmf_above_the_table(self):
+        # theta = 60 draws the zero-inflated form; psi P0 = 0.3. Cells: 0,
+        # 1..44, each k in 45..75, and 76 or more
+        params = ZPoissonParams(theta=60.0, psi=0.3 * math.exp(60.0))
+        draws = sample(params, 200_000, seed=21)
+        cells = np.clip(draws, 44, 76) - 43
+        cells[draws == 0] = 0
+        observed = np.bincount(cells, minlength=34).astype(float)
+        probs = np.array([zpoisson_pmf(k, params) for k in range(76)])
+        expected = np.concatenate(
+            ([probs[0], probs[1:45].sum()], probs[45:], [1.0 - probs.sum()])
+        ) * 200_000
+        assert abs(probs[0] - 0.3) < 1e-12
+        assert chi_square_pvalue(observed, expected) > 0.001
+
     def test_nb_sampler_moments(self):
         draws = sample(NBParams(theta=4.0, a=8.0), 1_000_000, seed=11)
         mean = draws.mean()
@@ -126,7 +143,9 @@ class TestSamplers:
 class TestSamplerLimits:
     # numpy refuses Poisson means above about 9.2e18 with a bare ValueError
     @pytest.mark.parametrize(
-        "model", [PoissonParams(theta=1e30), NBParams(theta=1e300, a=1.0)], ids=["poisson", "nb"]
+        "model",
+        [PoissonParams(theta=1e30), NBParams(theta=1e300, a=1.0), ZPoissonParams(1e19, 1.0)],
+        ids=["poisson", "nb", "zpoisson"],
     )
     def test_mean_beyond_numpy_limit_is_a_domain_error(self, model):
         with pytest.raises(DomainError):
@@ -134,12 +153,34 @@ class TestSamplerLimits:
 
     @pytest.mark.parametrize("theta", [500.0, 800.0])
     def test_zpoisson_large_mean(self, theta):
-        # the summed pmf rounds short of 1 - 1e-13 at these means; the table
-        # must stop on its tail bound instead of raising ConvergenceError
+        # above theta = 50 the draws come from the zero-inflated form, not
+        # from a table, whose summed pmf would round short of 1 - 1e-13 here
         n = 20_000
         summary = summarize(sample(ZPoissonParams(theta=theta, psi=1.0), n, seed=3))
         assert abs(summary.sample_mean - theta) < 4.0 * math.sqrt(theta / n)
         assert abs(summary.dispersion - 1.0) < 0.05
+
+    def test_zpoisson_table_covers_the_mass_on_its_own(self):
+        # the table stops on its summed pmf alone: for every mean it serves,
+        # and psi from 1 to (1 - 1e-9)/P0, that reaches 1 - 1e-13
+        for i in range(1, 501):
+            theta = i / 10.0
+            top = (1.0 - 1e-9) * math.exp(theta)
+            for psi in (1.0, (1.0 + top) / 2.0, top):
+                table = _zpoisson_table(ZPoissonParams(theta=theta, psi=psi))
+                assert table[-1] >= 1.0 - 1e-13, (theta, psi)
+
+    @pytest.mark.parametrize("theta", [1e5, 1e12])
+    def test_zpoisson_cost_is_independent_of_the_mean(self, theta, monkeypatch):
+        # the table once took 0.5 s at 1e5 and never ended at 1e12; above
+        # theta = 50 the sampler evaluates no pmf at all
+        def refuse(*args):
+            raise AssertionError("the z-Poisson table was built")
+
+        monkeypatch.setattr(montecarlo, "zpoisson_pmf", refuse)
+        n = 10_000
+        draws = sample(ZPoissonParams(theta=theta, psi=1.0), n, seed=5)
+        assert abs(draws.mean() - theta) < 4.0 * math.sqrt(theta / n)
 
     def test_coverage_rate_beyond_numpy_limit_is_a_domain_error(self):
         with pytest.raises(DomainError):
