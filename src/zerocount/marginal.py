@@ -258,9 +258,8 @@ def zpoisson_marginal(
 def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) -> np.ndarray:
     """NB(x | theta, a) e^{-theta} e^{-d} at a = a_lower + d, for broadcast a > 0, theta >= 0.
 
-    The prior e^{-a} on [a_lower, inf) is e^{-a_lower} e^{-d}, and the constant
-    e^{-a_lower} cancels in the normalization, so the joint stays of order 1,
-    and its integrals keep their relative accuracy, however large a_lower is.
+    The prior e^{-a} is e^{-a_lower} e^{-d}, and that constant cancels in the
+    normalization, so the joint keeps its scale at any a_lower.
 
     Gamma(a + x) theta^x / (Gamma(a) x! (a + theta)^x) is the product over
     j < x of theta (a + j) / ((j + 1) (a + theta)), the rising factorial

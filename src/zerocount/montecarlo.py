@@ -39,8 +39,7 @@ __all__ = [
 PRNG_ALGORITHM = "PCG64"
 
 _ZP_TAIL = 1e-13
-# the z-Poisson sampler inverts a cumulative table up to this mean, and above
-# it draws the zero-inflated form at a cost independent of the mean
+# above this mean the z-Poisson sampler draws the zero-inflated form, not a table
 _ZP_TABLE_MAX_THETA = 50.0
 
 Model = PoissonParams | ZPoissonParams | NBParams
@@ -109,8 +108,8 @@ def _poisson(rng: np.random.Generator, lam, size=None) -> np.ndarray:
 def _zpoisson_table(params: ZPoissonParams) -> np.ndarray:
     """Cumulative z-Poisson pmf from 0 until all but 1e-13 of the mass is covered.
 
-    The summed pmf reaches that on its own for every mean up to 54.6, past
-    the sampler's 50, so the cap on the length never binds there.
+    At the means the sampler builds it for, up to 50, the sum gets there well
+    before the cap on the length for any psi; near 440 it rounds short.
     """
     import numpy as np
 
@@ -129,18 +128,15 @@ def _zpoisson_table(params: ZPoissonParams) -> np.ndarray:
 def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
 
-    theta = params.theta
-    if theta > _ZP_TABLE_MAX_THETA:
-        # an extra zero with probability w = (psi - 1) P0 / (1 - P0), else a
-        # Poisson draw: w + (1 - w) P0 = psi P0 at 0, and (1 - w) times the
-        # Poisson pmf, which is zpoisson_pmf, above it
-        extra_zero = (params.psi - 1.0) * params.p0 / -math.expm1(-theta)
+    if params.theta > _ZP_TABLE_MAX_THETA:
+        # an extra zero with probability w = (psi - 1) P0 / (1 - P0), else a Poisson
+        # draw: w + (1 - w) P0 = psi P0 at 0, and (1 - w) Poisson(k) = zpoisson_pmf above
+        extra_zero = (params.psi - 1.0) * params.p0 / -math.expm1(-params.theta)
         zero = rng.random(n_draws) < extra_zero
-        return np.where(zero, 0, _poisson(rng, theta, n_draws)).astype(np.int64)
+        return np.where(zero, 0, _poisson(rng, params.theta, n_draws)).astype(np.int64)
     # inversion of the cumulative table; a draw past its end clamps to it
     table = _zpoisson_table(params)
-    u = rng.random(n_draws)
-    idx = np.searchsorted(table, u, side="right")
+    idx = np.searchsorted(table, rng.random(n_draws), side="right")
     return np.minimum(idx, len(table) - 1).astype(np.int64)
 
 

@@ -11,9 +11,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from zerocount import montecarlo
 from zerocount.bayes import PriorKind, posterior_from_sufficient, prior_params, upper_limit
 from zerocount.distributions import NBParams, PoissonParams, ZPoissonParams, poisson_pmf, zpoisson_pmf
-from zerocount import montecarlo
 from zerocount.errors import DomainError, ImproperPosteriorError
 from zerocount.montecarlo import (
     PRNG_ALGORITHM,
