@@ -263,8 +263,10 @@ def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) ->
 
     Gamma(a + x) theta^x / (Gamma(a) x! (a + theta)^x) is the product over
     j < x of theta (a + j) / ((j + 1) (a + theta)), the rising factorial
-    without lgamma; factors are at most max(1, a), so blocks of 8 cannot
-    overflow before their logs join the exponent. At theta = 0 a block is 0
+    without lgamma. A factor is at most max(1, a) and about max(1, theta), and
+    divides before it multiplies, so neither it nor a block of 8 overflows
+    before the logs join the exponent unless a and theta both pass 1e38
+    (a_lower may reach the float range). At theta = 0 a block is 0
     and its log -inf: callers ignore numpy's divide warning around it.
     """
     import numpy as np
@@ -274,7 +276,7 @@ def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) ->
     for first in range(0, x, 8):
         block = 1.0
         for j in range(first, min(first + 8, x)):
-            block = block * (theta * (a + j) / ((j + 1.0) * (a + theta)))
+            block = block * (theta / (j + 1.0) * ((a + j) / (a + theta)))
         log_joint = log_joint + np.log(block)
     return np.exp(log_joint)
 

@@ -288,9 +288,11 @@ class TestNBMarginalNumeric:
                                    a_lower=cut)
         assert comp.numeric_norm_residual < 1e-12
 
-    def test_poisson_limit_at_an_extreme_cutoff(self):
-        # at a >= 1e300 the NB is Poisson, so the marginal is the claimed form
-        comp = nb_marginal_numeric(1, make_theta_grid(1, step=0.5), a_lower=1e300)
+    @pytest.mark.parametrize("cut", [1e300, 1e305, 1.7e308])
+    def test_poisson_limit_at_an_extreme_cutoff(self, cut):
+        # the NB is Poisson there, so the marginal is the claimed form; from
+        # about 1e305 theta (a + j) once overflowed (exit 4 in the CLI)
+        comp = nb_marginal_numeric(1, make_theta_grid(1, step=0.5), a_lower=cut)
         assert comp.linf_distance < 1e-12
         assert comp.numeric_norm_residual < 1e-12
 
