@@ -12,8 +12,10 @@ The package is organized by inference route:
   ranking of the priors;
 - :mod:`zerocount.marginal`: marginalization of two-parameter posteriors;
 - :mod:`zerocount.montecarlo`: seeded samplers and coverage experiments;
-- :mod:`zerocount.numerics`: incomplete-gamma kernel, E1, and quadrature;
-- :mod:`zerocount.cli`: command-line front end (``zerocount ...``).
+- :mod:`zerocount.numerics`: incomplete-gamma kernel, E1, and tolerances;
+- :mod:`zerocount.quadrature`: adaptive G7/K15 quadrature on ``[a, inf)``;
+- :mod:`zerocount.cli`: command-line front end (``zerocount ...``) and
+  ``estimate``, with the other subcommands in :mod:`zerocount.commands`.
 
 Every public name of those modules can be read from the package itself
 (``zerocount.upper_limit``). Importing the package runs none of them: each
@@ -37,7 +39,7 @@ def __getattr__(name: str):
     public name is looked up in each module's ``__all__`` in turn, and
     ``__all__`` loads them all; either is then cached here.
     """
-    if name in _MODULES or name == "cli":
+    if name in _MODULES or name in ("quadrature", "cli", "commands"):
         return importlib.import_module(f"{__name__}.{name}")
     if name.startswith("_") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

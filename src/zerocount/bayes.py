@@ -34,7 +34,6 @@ from .numerics import (
     ToleranceConfig,
     exp_integral_e1,
     _gamma_pq,
-    integrate_semi_infinite,
     inv_reg_inc_gamma_lower,
 )
 
@@ -276,6 +275,8 @@ def differential_entropy_gamma(
     maximized by the exponential shape (a = 1), which is the maximum-entropy
     motivation for the ME prior.
     """
+    from .quadrature import integrate_semi_infinite
+
     tol = tol if tol is not None else DEFAULT_TOL
     log_norm = dist.a * math.log(dist.b) - math.lgamma(dist.a)
     # substitute rho = s^m with m*a >= 1 so the rho^{a-1} endpoint

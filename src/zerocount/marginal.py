@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING
 
 from .distributions import GammaDist, gamma_pdf
 from .errors import DomainError, QuadratureError, _Record, _require_int, _require_real
-from .numerics import DEFAULT_TOL, ToleranceConfig, integrate_semi_infinite
+from .numerics import DEFAULT_TOL, ToleranceConfig
+from .quadrature import integrate_semi_infinite
 
 if TYPE_CHECKING:
     import numpy as np

@@ -1,9 +1,10 @@
 """Numerical primitives for the inference modules.
 
 Provides the regularized lower incomplete gamma ``P(a, x)`` and its inverse,
-the exponential integral ``E1``, and adaptive quadrature over semi-infinite
-intervals. All routines are deterministic and pure; the quadrature's accuracy
-is steered by :class:`ToleranceConfig`.
+the exponential integral ``E1``, and :class:`ToleranceConfig`, the accuracy
+targets of the quadrature in :mod:`zerocount.quadrature`, whose
+``integrate_semi_infinite`` is also read from here. All routines are
+deterministic and pure.
 
 The incomplete gamma ``P(a, x)`` and ``Q = 1 - P`` come from one of three
 regions, each at a bounded number of terms (200 at most, under 100 on the
@@ -33,25 +34,13 @@ is off by more than half of ``p`` in the lower tail, started near the root
 kept inside the bracket its residual signs give, and ended by its first step
 below ``1e-8 x``: Halley's steps shrink cubically, so the iterate less that
 step is within about ``1e-24 x`` of the root. There is no tolerance to set.
-
-Quadrature is one adaptive, vector-valued G7/K15 Gauss-Kronrod kernel: the
-integrand gets n = 15 m abscissae for the m panels an integral starts from
-(all in one call) and n = 30 for each split (both halves in one call) as an
-ndarray, and returns shape ``(n,)``, or ``(n, K)`` for K integrals over
-shared panels; numpy is imported only when it runs. A cold integral starts
-from one panel (m = 1); a sequence of similar integrals can share a warm
-state, each then starting from the partition the last one converged on, at
-the same tolerance. Its failures always surface as
-:class:`~zerocount.errors.QuadratureError` carrying the partial sum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable
 
-from .errors import ConvergenceError, DomainError, QuadratureError, _Record, _require_real
+from .errors import ConvergenceError, DomainError, _Record, _require_real
 
 __all__ = [
     "ToleranceConfig",
@@ -69,9 +58,6 @@ EULER_GAMMA = 0.5772156649015329
 # inverse; these are not user-facing accuracy knobs, they only guard against
 # runaway loops.
 _MAX_TERMS = 200
-_MAX_PANELS = 4096
-_MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
-_MAX_OCTAVES = 64
 _MAX_HALLEY = 100
 _SERIES_EPS = 1e-16
 _TINY = 1e-300
@@ -489,222 +475,10 @@ def exp_integral_e1(x: float) -> float:
     return _upper_gamma_fraction(0.0, x) * math.exp(-x)
 
 
-# Nested Gauss-Kronrod pair G7/K15 (QUADPACK's QK15): the Gauss nodes are the
-# odd-indexed Kronrod nodes, and all are interior to the panel. The literals
-# are the doubles of the pair derived with mpmath at 50 digits (equal to the
-# QK15 table); tests/test_numerics.py checks them against that derivation.
-_K15_NODES = (
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691, -0.7415311855993945,
-    -0.5860872354676911, -0.4058451513773972, -0.20778495500789848, 0.0, 0.20778495500789848,
-    0.4058451513773972, 0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
-    0.9491079123427585, 0.9914553711208126,
-)
-_K15_WEIGHTS = (
-    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
-    0.20443294007529889, 0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
-    0.10479001032225019, 0.06309209262997856, 0.022935322010529224,
-)
-_G7_WEIGHTS = (
-    0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694,
-    0.3818300505051189, 0.27970539148927664, 0.1294849661688697,
-)
+def __getattr__(name: str):
+    """``integrate_semi_infinite``, imported from :mod:`zerocount.quadrature` on first use."""
+    if name == "integrate_semi_infinite":
+        from .quadrature import integrate_semi_infinite
 
-
-@functools.cache
-def _kronrod_rule():
-    import numpy as np
-
-    return np.array(_K15_NODES), np.array(_K15_WEIGHTS), np.array(_G7_WEIGHTS)
-
-
-def _adaptive(g, edges, abs_tol, rel_tol, shaped):
-    """Globally adaptive bisection of ``g`` ((n,) nodes -> (n, K)) from a partition.
-
-    ``edges`` are the m + 1 ascending edges of the starting panels; a cold
-    start is the one panel ``[a, b]``. Splits the panel whose worst component
-    error over that component's tolerance ``max(abs_tol, rel_tol |I_k|)`` is
-    largest, until every component's summed error meets it. The starting
-    panels are one call of ``g`` on their 15 m nodes, and each split is one
-    call on both halves' 30 nodes, each panel keeping its own K15 sum and G7
-    error. Returns the (K,) integral, the final partition's edges and its
-    panels' (n, K) K15 sums in the order of those edges.
-    """
-    import numpy as np
-
-    nodes, k15, g7 = _kronrod_rule()
-
-    def rule(lows, highs):
-        # m panels in one call: (15 m, K) values -> (m, K) K15 sums and G7 errors
-        half = 0.5 * (highs - lows)[:, None]
-        y = g((0.5 * (lows + highs)[:, None] + half * nodes).ravel())
-        y = y.reshape(half.size, 15, -1)
-        fine = k15 @ y
-        return half * fine, np.abs(half * (fine - g7 @ y[:, 1::2]))
-
-    def fail(message):
-        return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
-
-    edges = np.asarray(edges, dtype=float)
-    bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-    first_vals, first_errs = rule(edges[:-1], edges[1:])
-    total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
-    capacity = max(16, 2 * len(bounds))
-    vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
-    vals[:len(bounds)], errs[:len(bounds)] = first_vals, first_errs
-    while True:
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        n = len(bounds)
-        if (total_err <= tol).all():
-            order = sorted(range(n), key=bounds.__getitem__)
-            return total, [bounds[i][0] for i in order] + [float(edges[-1])], vals[order]
-        if n >= _MAX_PANELS:
-            raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
-        i = int((errs[:n] / tol).max(axis=1).argmax())
-        lo, hi = bounds[i]
-        if hi - lo <= _MIN_REL_WIDTH * max(abs(lo), abs(hi)):
-            # the nodes are about to collapse onto each other: a singularity
-            raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
-        mid = 0.5 * (lo + hi)
-        (left_val, right_val), (left_err, right_err) = rule(np.array([lo, mid]),
-                                                            np.array([mid, hi]))
-        total = total + left_val + right_val - vals[i]
-        total_err = total_err + left_err + right_err - errs[i]
-        if n == len(vals):
-            vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
-        bounds[i] = (lo, mid)
-        bounds.append((mid, hi))
-        vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
-
-
-def _doubling(g, lower, edges, tol, shaped):
-    """Octaves of doubling width from ``[lower, lower + 1]`` until two in a row
-    add nothing beyond the tolerance in any component.
-
-    ``edges`` partition the first octaves (a cold start: the first octave as
-    one panel). One adaptive pass integrates all of them at one octave's
-    tolerance, and the quiet-octave rule is applied to their sums in turn;
-    only if it has not fired do the octaves beyond follow, one adaptive pass
-    each, cold. Returns the (K,) integral and the edges of the octaves used.
-    """
-    import numpy as np
-
-    abs_tol, rel_tol = tol.abs_tol / 4, tol.quad_rel_tol / 4
-    _, edges, vals = _adaptive(g, edges, abs_tol, rel_tol, shaped)
-    starts, start, width = [], lower, 1.0
-    while start < edges[-1]:
-        starts.append(start)
-        start, width = start + width, 2.0 * width
-    values = np.add.reduceat(vals, np.searchsorted(edges, starts), axis=0)
-
-    total, start, width, quiet_extensions, previous = 0.0, lower, 1.0, 0, math.inf
-    for octave in range(_MAX_OCTAVES):
-        if octave < len(values):
-            value = values[octave]
-        else:
-            value, octave_edges, _ = _adaptive(g, [start, start + width], abs_tol, rel_tol, shaped)
-            edges = edges + octave_edges[1:]
-        total = total + value
-        # an octave below tolerance is quiet only once the octaves stop
-        # growing: mass far from lower leaves the first ones tiny but rising
-        size = np.abs(value)
-        quiet = bool(np.all(size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
-                     and np.all(size <= previous))
-        previous = size
-        quiet_extensions = quiet_extensions + 1 if quiet else 0
-        start, width = start + width, 2.0 * width
-        if quiet_extensions == 2:
-            return total, edges[:np.searchsorted(edges, start, side="right")]
-    raise QuadratureError(
-        f"tail mass did not stabilize within {_MAX_OCTAVES} extensions",
-        partial_sum=shaped(total), error_estimate=float("nan"),
-    )
-
-
-def integrate_semi_infinite(
-    f: Callable,
-    lower: float = 0.0,
-    tol: ToleranceConfig | None = None,
-    strategy: str = "transform",
-    *,
-    warm: dict | None = None,
-):
-    """Integrate ``f`` over ``[lower, inf)``, one function or K at once.
-
-    ``f`` receives n abscissae as an ndarray: 15 m for the m panels an
-    integral starts from, or 30 for both halves of a split panel. It returns
-    shape ``(n,)``, giving a float, or ``(n, K)``, giving a ``(K,)`` ndarray
-    of K integrals that share their panels; each must meet
-    ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``. Row j must depend only on
-    abscissa j.
-
-    ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
-    ``"doubling"``, an independent route, sums panels of doubling width until
-    two in a row add nothing beyond the tolerance in any component. Both need
-    mass reachable from ``lower``: a narrow bump far out can defeat them, and
-    a narrow bump near ``lower`` can defeat the transform route, whose first
-    panel and its splits may place no node in it (width 0.1 at ``lower + 3``
-    integrates to about 1e-70, not 0.18), with no error raised.
-
-    ``warm`` is private to the package: a dict shared by a sequence of calls
-    on similar integrands. A call starts from the final partition of the last
-    one with the same strategy and ``lower`` instead of from one panel, and
-    leaves its own there; if that start fails, the call starts again cold.
-    Only the starting partition changes, not the tolerance each result meets.
-
-    Raises
-    ------
-    QuadratureError
-        On a non-finite value of ``f``, or when the panel budget or float
-        resolution runs out or the tail never stabilizes (divergent
-        integrands). It carries the partial sum and error estimate.
-    """
-    import numpy as np
-
-    _require_real(lower, "lower", 0.0)
-    if strategy not in ("transform", "doubling"):
-        raise DomainError(f"unknown quadrature strategy {strategy!r}")
-    tol = tol if tol is not None else DEFAULT_TOL
-    vector = False
-
-    def g(x):
-        nonlocal vector
-        y = np.asarray(f(x), dtype=float)
-        if y.ndim not in (1, 2) or y.shape[0] != x.size:
-            raise DomainError(
-                f"integrand must return shape (n,) or (n, K) for its n = {x.size} abscissae, "
-                f"got {y.shape}"
-            )
-        vector = y.ndim == 2
-        y = y.reshape(x.size, -1)
-        if not np.isfinite(y).all():
-            bad = ~np.isfinite(y).all(axis=1)
-            raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
-        return y
-
-    def shaped(value):
-        return value if vector else float(value[0])
-
-    if strategy == "transform":
-        mapped = lambda u: g(lower + (1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
-
-        def route(edges):
-            return _adaptive(mapped, edges, tol.abs_tol, tol.quad_rel_tol, shaped)[:2]
-
-        cold = [0.0, 1.0]
-    else:
-        route = lambda edges: _doubling(g, lower, edges, tol, shaped)  # noqa: E731
-        cold = [lower, lower + 1.0]
-
-    key = (strategy, lower)
-    seed = warm.get(key) if warm is not None else None
-    try:
-        total, edges = route(seed or cold)
-    except QuadratureError:
-        if seed is None:
-            raise
-        # the partition another integrand left need not suit this one
-        total, edges = route(cold)
-    if warm is not None:
-        warm[key] = edges
-    return shaped(total)
+        return integrate_semi_infinite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -689,7 +689,9 @@ class TestLazyModules:
     ``importlib.util.LazyLoader``: each is in ``sys.modules`` at once, but
     runs on first attribute access, when its class becomes exactly
     ``types.ModuleType``. ``type()`` reads the class without running the
-    module. Each case runs in a fresh interpreter.
+    module. ``commands``, the handlers of every subcommand but
+    ``estimate``, and ``quadrature`` are imported only when used. Each case
+    runs in a fresh interpreter.
     """
 
     REPORT = """
@@ -730,10 +732,11 @@ for name in ("decision", "marginal", "montecarlo"):
             ("import zerocount\nassert not hasattr(zerocount, '__wrapped__')\n"
              "from zerocount import bayes", CORE),
             ("import zerocount\nzerocount.upper_limit", CORE),
-            ("import zerocount.marginal", ["distributions", "errors", "marginal", "numerics"]),
+            ("import zerocount.marginal",
+             ["distributions", "errors", "marginal", "numerics", "quadrature"]),
             ("from zerocount import cli\nimport zerocount.marginal\n"
              "assert cli.marginal is zerocount.marginal",
-             CORE + ["cli", "marginal"]),
+             CORE + ["cli", "marginal", "quadrature"]),
         ],
         ids=["cli", "bayes", "dunder-probe", "public-name", "marginal", "cli-then-marginal"],
     )
@@ -743,7 +746,28 @@ for name in ("decision", "marginal", "montecarlo"):
     def test_tables_runs_decision(self, tmp_path):
         argv = ["tables", "--out", str(tmp_path)]
         code = f"from zerocount.cli import main\nassert main({argv!r}) == 0"
-        assert self.ran_after(code) == f"{sorted(CORE + ['cli', 'decision'])} False"
+        assert self.ran_after(code) == f"{sorted(CORE + ['cli', 'commands', 'decision'])} False"
+
+    @pytest.mark.parametrize(
+        "argv,ran,numpy",
+        [
+            (["figures", "--out", "OUT"], ["commands"], False),
+            (["jj-divergence"], ["commands"], False),
+            (["marginalize", "--model", "zpoisson", "--x", "0", "--step", "1.0"],
+             ["commands", "marginal", "quadrature"], True),
+        ],
+        ids=["figures", "jj-divergence", "marginalize"],
+    )
+    def test_handlers_run_the_commands_module(self, tmp_path, argv, ran, numpy):
+        argv = [str(tmp_path) if arg == "OUT" else arg for arg in argv]
+        code = f"from zerocount.cli import main\nassert main({argv!r}) == 0"
+        assert self.ran_after(code) == f"{sorted(CORE + ['cli'] + ran)} {numpy}"
+
+    def test_numerics_resolves_the_quadrature_kernel(self):
+        from zerocount import numerics, quadrature
+
+        assert numerics.integrate_semi_infinite is quadrature.integrate_semi_infinite
+        assert "integrate_semi_infinite" in numerics.__all__
 
     @pytest.mark.parametrize(
         "argv",
@@ -755,7 +779,7 @@ for name in ("decision", "marginal", "montecarlo"):
     )
     def test_bad_marginalize_arguments_fail_before_the_grid(self, argv):
         code = f"from zerocount.cli import main\nassert main({argv!r}) == 2"
-        assert self.ran_after(code) == f"{sorted(CORE + ['cli'])} False"
+        assert self.ran_after(code) == f"{sorted(CORE + ['cli', 'commands'])} False"
 
     def test_handlers_call_what_the_module_holds(self, monkeypatch, capsys):
         # a wrapper set into the module, as perfbench's tracer sets one, is
