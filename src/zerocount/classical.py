@@ -137,7 +137,9 @@ def simple_probability_upper_limit(
     n = _require_int(n, "n", 1)
     _require_real(t, "t", 0.0, strict=True)
     _require_real(alpha, "alpha", 0.0, 1.0, strict=True)
-    u_theta = math.log(1.0 / alpha) / n
+    inverse = 1.0 / alpha
+    # 1/alpha overflows below alpha = 5.6e-309, where -ln(alpha) is still exact
+    u_theta = (math.log(inverse) if inverse != math.inf else -math.log(alpha)) / n
     return (u_theta, u_theta / t)
 
 

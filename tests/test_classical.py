@@ -156,6 +156,14 @@ class TestSimpleProbability:
         u_theta, _ = simple_probability_upper_limit(n, 1.0, alpha)
         np.testing.assert_allclose(prob_all_zero(n, u_theta), alpha, rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_subnormal_alpha_gives_a_finite_limit(self, n, alpha):
+        # 1/alpha overflows here, but ln(1/alpha) = -ln(alpha) is about 710-745
+        u_theta, u_rho = simple_probability_upper_limit(n, 2.0, alpha)
+        assert u_theta == -math.log(alpha) / n
+        assert u_rho == u_theta / 2.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             simple_probability_estimates(0, 1.0)

@@ -178,6 +178,15 @@ class TestEstimate:
         assert lim["alpha"] == 0.1
         npt.assert_allclose(lim["u_theta"], math.log(10.0), rtol=1e-14)
 
+    def test_subnormal_alpha_gives_a_finite_limit(self, capsys):
+        # 1/alpha overflows; the limit is -ln(alpha)/n, about 736.8/2
+        payload = run_json(
+            capsys, "estimate", "--counts", "0,0", "--alpha", "1e-320", "--prior", "bl"
+        )
+        (lim,) = payload["simple_probability"]["upper_limits"]
+        assert lim["u_theta"] == -math.log(1e-320) / 2
+        assert math.isfinite(lim["u_rho"])
+
     def test_custom_prior_runs(self, capsys):
         payload = run_json(
             capsys, "estimate", "--counts", "0", "--prior", "custom:1.5,0.5"
