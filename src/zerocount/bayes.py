@@ -26,7 +26,6 @@ import math
 from enum import Enum
 
 from .classical import CountData
-from .distributions import GammaDist
 from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
 from .numerics import (
     DEFAULT_TOL,
@@ -36,6 +35,12 @@ from .numerics import (
     _gamma_pq,
     inv_reg_inc_gamma_lower,
 )
+
+# typing.TYPE_CHECKING without importing typing: type checkers read any
+# TYPE_CHECKING as true, and an estimate never runs distributions
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .distributions import GammaDist
 
 __all__ = [
     "PriorKind",
@@ -297,3 +302,12 @@ def differential_entropy_gamma(
         return np.where(np.isfinite(value), value, 0.0)
 
     return integrate_semi_infinite(integrand, lower=0.0, tol=tol)
+
+
+def __getattr__(name: str):
+    """``GammaDist``, imported from :mod:`zerocount.distributions` on first use."""
+    if name == "GammaDist":
+        from .distributions import GammaDist
+
+        return GammaDist
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

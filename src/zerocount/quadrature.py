@@ -73,10 +73,10 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
 
     nodes, k15, g7 = _kronrod_rule()
 
-    def rule(lows, highs):
-        # m panels in one call: (15 m, K) values -> (m, K) K15 sums and G7 errors
-        half = 0.5 * (highs - lows)[:, None]
-        y = g((0.5 * (lows + highs)[:, None] + half * nodes).ravel())
+    def rule(centres, half):
+        # m panels in one call, from their (m, 1) centres and half-widths:
+        # (15 m, K) values -> (m, K) K15 sums and G7 errors
+        y = g((centres + half * nodes).ravel())
         y = y.reshape(half.size, 15, -1)
         fine = k15 @ y
         return half * fine, np.abs(half * (fine - g7 @ y[:, 1::2]))
@@ -86,7 +86,8 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
 
     edges = np.asarray(edges, dtype=float)
     bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-    first_vals, first_errs = rule(edges[:-1], edges[1:])
+    first_vals, first_errs = rule(0.5 * (edges[:-1] + edges[1:])[:, None],
+                                  0.5 * (edges[1:] - edges[:-1])[:, None])
     total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
     capacity = max(16, 2 * len(bounds))
     vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
@@ -105,8 +106,11 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
             # the nodes are about to collapse onto each other: a singularity
             raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
         mid = 0.5 * (lo + hi)
-        (left_val, right_val), (left_err, right_err) = rule(np.array([lo, mid]),
-                                                            np.array([mid, hi]))
+        # the halves' centres and half-widths by the starting panels' formulas
+        (left_val, right_val), (left_err, right_err) = rule(
+            np.array([[0.5 * (lo + mid)], [0.5 * (mid + hi)]]),
+            np.array([[0.5 * (mid - lo)], [0.5 * (hi - mid)]]),
+        )
         total = total + left_val + right_val - vals[i]
         total_err = total_err + left_err + right_err - errs[i]
         if n == len(vals):
@@ -147,8 +151,8 @@ def _doubling(g, lower, edges, tol, shaped):
         # an octave below tolerance is quiet only once the octaves stop
         # growing: mass far from lower leaves the first ones tiny but rising
         size = np.abs(value)
-        quiet = bool(np.all(size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total)))
-                     and np.all(size <= previous))
+        quiet = bool((size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total))).all()
+                     and (size <= previous).all())
         previous = size
         quiet_extensions = quiet_extensions + 1 if quiet else 0
         start, width = start + width, 2.0 * width

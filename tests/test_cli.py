@@ -602,6 +602,15 @@ class TestExitCodes:
             assert code == 2, x
             assert err.startswith("error: step must give at most 100000 grid points"), err
 
+    def test_single_point_theta_grid_exits_2(self, capsys):
+        # step 100 on [0, 13] rounds to one point: the error names --step's
+        # value, not a theta_grid argument the command line has none of
+        code, out, err = run_cli(
+            capsys, "marginalize", "--model", "nb", "--x", "2", "--step", "100"
+        )
+        assert code == 2
+        assert err.startswith("error: step must give at least 2 grid points on [0, 13]"), err
+
     def test_starved_solver_exits_4(self, capsys):
         # the root of P(0.0005, x) = 0.5 is about 5e-603, below every double:
         # one evaluation, P(a, 5e-324) >= p, proves it
@@ -687,7 +696,8 @@ print(sorted({"numpy", "fractions", "decimal", "dataclasses", "inspect"} & set(s
         assert self.modules_loaded_after([argv]) == "['inspect', 'numpy']"
 
 
-CORE = ["bayes", "classical", "distributions", "errors", "numerics"]
+# what an estimate runs; bayes resolves GammaDist from distributions on first use
+CORE = ["bayes", "classical", "errors", "numerics"]
 
 
 class TestLazyModules:
@@ -733,6 +743,14 @@ for name in ("decision", "marginal", "montecarlo"):
 """
         assert self.ran_after(code) == f"{sorted(CORE + ['cli'])} False"
 
+    def test_bayes_resolves_gamma_dist_from_distributions(self):
+        code = """
+from zerocount import bayes
+from zerocount.distributions import GammaDist
+assert bayes.GammaDist is GammaDist
+"""
+        assert self.ran_after(code) == f"{sorted(CORE + ['distributions'])} False"
+
     @pytest.mark.parametrize(
         "code,ran",
         [
@@ -740,12 +758,13 @@ for name in ("decision", "marginal", "montecarlo"):
             ("import zerocount.bayes", CORE),
             ("import zerocount\nassert not hasattr(zerocount, '__wrapped__')\n"
              "from zerocount import bayes", CORE),
-            ("import zerocount\nzerocount.upper_limit", CORE),
+            # the lookup runs each module in turn up to bayes
+            ("import zerocount\nzerocount.upper_limit", CORE + ["distributions"]),
             ("import zerocount.marginal",
              ["distributions", "errors", "marginal", "numerics", "quadrature"]),
             ("from zerocount import cli\nimport zerocount.marginal\n"
              "assert cli.marginal is zerocount.marginal",
-             CORE + ["cli", "marginal", "quadrature"]),
+             CORE + ["cli", "distributions", "marginal", "quadrature"]),
         ],
         ids=["cli", "bayes", "dunder-probe", "public-name", "marginal", "cli-then-marginal"],
     )
@@ -755,15 +774,16 @@ for name in ("decision", "marginal", "montecarlo"):
     def test_tables_runs_decision(self, tmp_path):
         argv = ["tables", "--out", str(tmp_path)]
         code = f"from zerocount.cli import main\nassert main({argv!r}) == 0"
-        assert self.ran_after(code) == f"{sorted(CORE + ['cli', 'commands', 'decision'])} False"
+        ran = CORE + ["cli", "commands", "decision", "distributions"]
+        assert self.ran_after(code) == f"{sorted(ran)} False"
 
     @pytest.mark.parametrize(
         "argv,ran,numpy",
         [
-            (["figures", "--out", "OUT"], ["commands"], False),
-            (["jj-divergence"], ["commands"], False),
+            (["figures", "--out", "OUT"], ["commands", "distributions"], False),
+            (["jj-divergence"], ["commands", "distributions"], False),
             (["marginalize", "--model", "zpoisson", "--x", "0", "--step", "1.0"],
-             ["commands", "marginal", "quadrature"], True),
+             ["commands", "distributions", "marginal", "quadrature"], True),
         ],
         ids=["figures", "jj-divergence", "marginalize"],
     )
@@ -788,7 +808,8 @@ for name in ("decision", "marginal", "montecarlo"):
     )
     def test_bad_marginalize_arguments_fail_before_the_grid(self, argv):
         code = f"from zerocount.cli import main\nassert main({argv!r}) == 2"
-        assert self.ran_after(code) == f"{sorted(CORE + ['cli', 'commands'])} False"
+        ran = CORE + ["cli", "commands", "distributions"]
+        assert self.ran_after(code) == f"{sorted(ran)} False"
 
     def test_handlers_call_what_the_module_holds(self, monkeypatch, capsys):
         # a wrapper set into the module, as perfbench's tracer sets one, is

@@ -95,7 +95,41 @@ class TestZPoissonJoint:
             zpoisson_joint_posterior(1.0, 1.0, 1.5)
 
 
+def _nb_joint_plain(d, theta, x, a_lower=0.0):
+    # marginal._nb_joint as it was before its passes were trimmed, verbatim
+    a = a_lower + d
+    log_joint = -(a * np.log1p(theta / a) + theta + d)
+    for first in range(0, x, 8):
+        block = 1.0
+        for j in range(first, min(first + 8, x)):
+            block = block * (theta / (j + 1.0) * ((a + j) / (a + theta)))
+        log_joint = log_joint + np.log(block)
+    return np.exp(log_joint)
+
+
 class TestNBJoint:
+    @pytest.mark.parametrize("a_lower", [0.0, 5.0, 760.0, 1e305])
+    @pytest.mark.parametrize("x", [0, 1, 2, 8, 9, 17])
+    def test_same_doubles_as_the_plain_form(self, x, a_lower):
+        # the marginal's (nuisance x theta) grid, theta = 0 included
+        d = np.geomspace(1e-12, 1e6, 37)[:, None]
+        theta = np.concatenate([[0.0], np.geomspace(1e-9, 1e4, 40)])
+        with np.errstate(divide="ignore"):
+            for d_in, theta_in in ((d, theta), (d[::-1], theta[::3]), (d[5], theta[:1])):
+                expected = _nb_joint_plain(d_in, theta_in, x, a_lower)
+                assert np.isfinite(expected).all()
+                assert np.array_equal(marginal._nb_joint(d_in, theta_in, x, a_lower), expected)
+
+    @pytest.mark.parametrize("x", [0, 1, 2, 9])
+    def test_scalars_give_the_plain_float(self, x):
+        # a = 0 takes nb_joint_density's point-mass branch instead
+        for theta, a in ((1.5, 2.0), (0.0, 2.0), (np.float64(40.0), 1e-12), (3.0, 0.0)):
+            value = nb_joint_density(theta, a, x)
+            assert type(value) is float
+            if a > 0.0:
+                with np.errstate(divide="ignore"):
+                    assert value == float(_nb_joint_plain(np.asarray(a), np.asarray(theta), x))
+
     def test_reference_value(self):
         npt.assert_allclose(nb_joint_density(1.0, 1.0, 0), 0.5 * E_M2, rtol=1e-13)
         npt.assert_allclose(nb_joint_density(1.0, 1.0, 0), 0.067667641618306346, rtol=1e-12)
@@ -156,6 +190,13 @@ class TestGridHelpers:
         assert make_theta_grid(0, step=12.0 / 99_999).size == 100_000
         for x, step in ((1, 1e-6), (0, 12.0 / 100_000), (10**31, 0.1), (10**308, 1e-300)):
             with pytest.raises(DomainError, match="^step must give at most 100000 grid points"):
+                make_theta_grid(x, step)
+
+    def test_grid_needs_two_points(self):
+        # x = 2 reaches 13: 13 / 25 rounds to one step, 13 / 26 = 0.5 to none
+        assert make_theta_grid(2, step=25.0).tolist() == [0.0, 13.0]
+        for x, step in ((2, 26.0), (2, 100.0), (0, 1e300)):
+            with pytest.raises(DomainError, match="^step must give at least 2 grid points"):
                 make_theta_grid(x, step)
 
     def test_grid_validation(self):
