@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .distributions import GammaDist, gamma_pdf
 from .errors import DomainError, QuadratureError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
 from .quadrature import integrate_semi_infinite
@@ -103,12 +102,13 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
     _require_real(step, "step", 0.0, strict=True)
     # an int past the float range has no endpoint: a DomainError naming x
     upper = _require_real(x, "x", 0.0) / 2.0 + 12.0
-    if upper / step > _MAX_GRID_POINTS - 1:
+    # the cap bounds the count before rounding, which an infinity cannot take
+    n_points = int(round(min(upper / step, _MAX_GRID_POINTS))) + 1
+    if n_points > _MAX_GRID_POINTS:
         raise DomainError(
             f"step must give at most {_MAX_GRID_POINTS} grid points on "
             f"[0, {upper:g}], got {step!r}"
         )
-    n_points = int(round(upper / step)) + 1
     if n_points < 2:
         raise DomainError(
             f"step must give at least 2 grid points on [0, {upper:g}], got {step!r}"
@@ -134,6 +134,8 @@ def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
         raise DomainError(f"theta_grid must start at 0, got {grid[0]!r}")
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("theta_grid must be strictly increasing")
+    if not math.isfinite(grid[-1]):
+        raise DomainError(f"theta_grid must be finite, got {float(grid[-1])!r}")
     if grid[-1] < reach:
         raise DomainError(
             f"theta_grid must extend to at least x/2 + 10 = {reach}, got {grid[-1]!r}"
@@ -195,9 +197,14 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
                 partial_sum=norm,
             )
         numeric = marginal(grid, None) / evidence
-    # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: Gamma(x+1, 2)
-    posterior = GammaDist(a=x + 1.0, b=2.0)
-    claimed = np.array([gamma_pdf(th, posterior) for th in grid.tolist()])
+    # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: the Gamma(x+1, 2)
+    # density by gamma_pdf's operations in its order, its constants hoisted
+    a = x + 1.0
+    head, tail, at_zero = a * _LN2, math.lgamma(a), 2.0 if x == 0 else 0.0
+    claimed = np.array([
+        math.exp(head + (a - 1.0) * math.log(th) - 2.0 * th - tail) if th else at_zero
+        for th in grid.tolist()
+    ])
     diff = np.abs(numeric - claimed)
     l1 = float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
     return MarginalComparison(x, grid, numeric, claimed, l1, float(diff.max()), norm)
@@ -283,8 +290,8 @@ def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) ->
     each block 1.0 times its factors in turn. Negation is exact and
     rounding to nearest is symmetric, so -a log1p(theta/a) - theta - d
     rounds to the same bits. 1.0 * f is f, so a block starts from its first
-    factor. a + theta is the same in every factor, so it is formed once.
-    And y * z == z * y exactly.
+    factor. a + theta is the same in every factor, so it is formed once,
+    and only when there is a factor. And y * z == z * y exactly.
     """
     import numpy as np
 
@@ -292,7 +299,8 @@ def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) ->
     log_joint = -a * np.log1p(theta / a)
     log_joint -= theta
     log_joint -= d
-    a_theta = a + theta
+    if x:
+        a_theta = a + theta
 
     def factor(j):
         f = (a + j) / a_theta

@@ -85,19 +85,18 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
         return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
 
     edges = np.asarray(edges, dtype=float)
-    bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     first_vals, first_errs = rule(0.5 * (edges[:-1] + edges[1:])[:, None],
                                   0.5 * (edges[1:] - edges[:-1])[:, None])
     total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
+    tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+    if (total_err <= tol).all():  # no split: the starting panels, in order
+        return total, edges.tolist(), first_vals
+    bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     capacity = max(16, 2 * len(bounds))
     vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
     vals[:len(bounds)], errs[:len(bounds)] = first_vals, first_errs
     while True:
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         n = len(bounds)
-        if (total_err <= tol).all():
-            order = sorted(range(n), key=bounds.__getitem__)
-            return total, [bounds[i][0] for i in order] + [float(edges[-1])], vals[order]
         if n >= _MAX_PANELS:
             raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
         i = int((errs[:n] / tol).max(axis=1).argmax())
@@ -118,6 +117,10 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
         bounds[i] = (lo, mid)
         bounds.append((mid, hi))
         vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        if (total_err <= tol).all():
+            order = sorted(range(n + 1), key=bounds.__getitem__)
+            return total, [bounds[i][0] for i in order] + [float(edges[-1])], vals[order]
 
 
 def _doubling(g, lower, edges, tol, shaped):

@@ -753,11 +753,10 @@ for name in ("decision", "marginal", "montecarlo"):
              "from zerocount import bayes", ESTIMATE),
             # the lookup runs each module in turn up to bayes
             ("import zerocount\nzerocount.upper_limit", CORE),
-            ("import zerocount.marginal",
-             ["distributions", "errors", "marginal", "numerics", "quadrature"]),
+            ("import zerocount.marginal", ["errors", "marginal", "numerics", "quadrature"]),
             ("from zerocount import cli\nimport zerocount.marginal\n"
              "assert cli.marginal is zerocount.marginal",
-             CORE + ["cli", "marginal", "quadrature"]),
+             ESTIMATE + ["cli", "marginal", "quadrature"]),
         ],
         ids=["cli", "bayes", "dunder-probe", "public-name", "marginal", "cli-then-marginal"],
     )

@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from zerocount import marginal
+from zerocount.distributions import GammaDist, gamma_pdf
 from zerocount.errors import DomainError, QuadratureError
 from zerocount.marginal import (
     MarginalComparison,
@@ -187,8 +188,11 @@ class TestGridHelpers:
 
     def test_grid_size_is_capped(self):
         # the cap is 10^5 points; x = 1 at step 1e-6 asked for 12.5 million
+        # the rounded count decides: 12.5 / (12.5 / 99_999) is 99999.00000000001
         assert make_theta_grid(0, step=12.0 / 99_999).size == 100_000
-        for x, step in ((1, 1e-6), (0, 12.0 / 100_000), (10**31, 0.1), (10**308, 1e-300)):
+        assert make_theta_grid(1, step=12.5 / 99_999).size == 100_000
+        for x, step in ((1, 1e-6), (0, 12.0 / 100_000), (1, 12.5 / 100_000), (10**31, 0.1),
+                        (10**308, 1e-300)):
             with pytest.raises(DomainError, match="^step must give at most 100000 grid points"):
                 make_theta_grid(x, step)
 
@@ -206,6 +210,9 @@ class TestGridHelpers:
             zpoisson_marginal(0, np.linspace(0.0, 5.0, 50))  # too short for x/2+10
         with pytest.raises(DomainError):
             zpoisson_marginal(0, np.zeros(10))  # not increasing
+        for x in (0, 1):
+            with pytest.raises(DomainError, match="^theta_grid must be finite, got inf$"):
+                zpoisson_marginal(x, np.append(np.linspace(0.0, 12.0, 50), np.inf))
         with pytest.raises(DomainError):
             make_theta_grid(1, step=0.0)
         with pytest.raises(DomainError):
@@ -227,6 +234,14 @@ class TestZPoissonMarginal:
         idx = int(np.searchsorted(comp1.theta_grid, 0.5))
         assert comp1.theta_grid[idx] == 0.5
         npt.assert_allclose(comp1.claimed_density[idx], 2.0 * E_M1, rtol=1e-12)
+
+    @pytest.mark.parametrize("step", [0.05, 0.37])
+    def test_claimed_density_has_the_doubles_of_gamma_pdf(self, step):
+        for x in (0, 1, 2, 5, 20, 200):
+            comp = zpoisson_marginal(x, make_theta_grid(x, step))
+            posterior = GammaDist(a=x + 1.0, b=2.0)
+            expected = [gamma_pdf(th, posterior) for th in comp.theta_grid.tolist()]
+            assert np.array_equal(comp.claimed_density, expected)
 
     def test_monotone_decreasing_for_x0(self):
         comp = zpoisson_marginal(0, make_theta_grid(0), tol=TIGHT)
@@ -253,9 +268,9 @@ class TestZPoissonMarginal:
 
     def test_missed_mass_is_refused_before_the_grid_work(self, monkeypatch):
         # the grid's integral evaluates the joint at every grid point in one
-        # batch, and the claimed density is one gamma_pdf call per point
+        # batch, before the claimed density
         grid = make_theta_grid(1000, step=0.1)
-        batch_sizes, claimed_calls = [], []
+        batch_sizes = []
         joint_in = marginal._zpoisson_joint_in_psi
 
         def recording_joint_in(theta, x):
@@ -263,11 +278,9 @@ class TestZPoissonMarginal:
             return joint_in(theta, x)
 
         monkeypatch.setattr(marginal, "_zpoisson_joint_in_psi", recording_joint_in)
-        monkeypatch.setattr(marginal, "gamma_pdf", lambda *args: claimed_calls.append(args))
         with pytest.raises(QuadratureError):
             zpoisson_marginal(1000, grid)
         assert batch_sizes and max(batch_sizes) < grid.size
-        assert claimed_calls == []
 
     def test_strategies_agree(self):
         grid = make_theta_grid(1, step=0.1)
