@@ -5,11 +5,12 @@ steered by :class:`~zerocount.numerics.ToleranceConfig`: the integrand gets
 n = 15 m abscissae for the m panels an integral starts from (all in one
 call) and n = 30 for each split (both halves in one call) as an ndarray,
 and returns shape ``(n,)``, or ``(n, K)`` for K integrals over shared
-panels; numpy is imported only when it runs. A cold integral starts
-from one panel (m = 1); a sequence of similar integrals can share a warm
-state, each then starting from the partition the last one converged on, at
-the same tolerance. Its failures always surface as
-:class:`~zerocount.errors.QuadratureError` carrying the partial sum.
+panels; numpy is imported only when it runs. A cold integral starts from
+one panel, or on the doubling route from one per octave of its first two
+(30 nodes). Similar integrals can share a warm state, each starting from
+the partition the last one converged on, at the same tolerance. Failures
+always surface as :class:`~zerocount.errors.QuadratureError` carrying the
+partial sum.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
     def rule(centres, half):
         # m panels in one call, from their (m, 1) centres and half-widths:
         # (15 m, K) values -> (m, K) K15 sums and G7 errors
-        y = g((centres + half * nodes).ravel())
-        y = y.reshape(half.size, 15, -1)
+        y = g((centres + half * nodes).ravel()).reshape(half.size, 15, -1)
         fine = k15 @ y
         return half * fine, np.abs(half * (fine - g7 @ y[:, 1::2]))
 
@@ -127,44 +127,42 @@ def _doubling(g, lower, edges, tol, shaped):
     """Octaves of doubling width from ``[lower, lower + 1]`` until two in a row
     add nothing beyond the tolerance in any component.
 
-    ``edges`` partition the first octaves (a cold start: the first octave as
-    one panel). One adaptive pass integrates all of them at one octave's
-    tolerance, and the quiet-octave rule is applied to their sums in turn;
-    only if it has not fired do the octaves beyond follow, one adaptive pass
-    each, cold. Returns the (K,) integral and the edges of the octaves used.
+    ``edges`` partition the first octaves, or are ``None`` for a cold start
+    from the first two, one panel each. One adaptive pass integrates them,
+    and each pass after it the next two octaves, cold, all at one octave's
+    tolerance. The quiet-octave rule runs over the octaves' sums in order, so
+    ``g`` may be evaluated up to one octave past the last one summed. Returns
+    the (K,) integral and the edges of the octaves summed.
     """
     import numpy as np
 
-    abs_tol, rel_tol = tol.abs_tol / 4, tol.quad_rel_tol / 4
-    _, edges, vals = _adaptive(g, edges, abs_tol, rel_tol, shaped)
-    starts, start, width = [], lower, 1.0
-    while start < edges[-1]:
-        starts.append(start)
-        start, width = start + width, 2.0 * width
-    values = np.add.reduceat(vals, np.searchsorted(edges, starts), axis=0)
-
-    total, start, width, quiet_extensions, previous = 0.0, lower, 1.0, 0, math.inf
-    for octave in range(_MAX_OCTAVES):
-        if octave < len(values):
-            value = values[octave]
-        else:
-            value, octave_edges, _ = _adaptive(g, [start, start + width], abs_tol, rel_tol, shaped)
-            edges = edges + octave_edges[1:]
-        total = total + value
+    start, width = lower, 1.0
+    octaves, used, total, previous, quiet = 0, [lower], 0.0, math.inf, 0
+    while octaves < _MAX_OCTAVES:
+        if edges is None:  # one panel per octave, its edges summed as below
+            edges = [start, start + width, start + width + 2.0 * width]
+        _, edges, vals = _adaptive(g, edges, tol.abs_tol / 4, tol.quad_rel_tol / 4, shaped)
+        used += edges[1:]
+        starts = []
+        while start < edges[-1]:
+            starts.append(start)
+            start, width = start + width, 2.0 * width
+        values = np.add.reduceat(vals, np.searchsorted(edges, starts), axis=0)
+        sizes = np.abs(values)
+        values[0] += total  # the running totals, added in turn as by a loop
+        totals = np.add.accumulate(values)
         # an octave below tolerance is quiet only once the octaves stop
         # growing: mass far from lower leaves the first ones tiny but rising
-        size = np.abs(value)
-        quiet = bool((size <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(total))).all()
-                     and (size <= previous).all())
-        previous = size
-        quiet_extensions = quiet_extensions + 1 if quiet else 0
-        start, width = start + width, 2.0 * width
-        if quiet_extensions == 2:
-            return total, edges[:np.searchsorted(edges, start, side="right")]
-    raise QuadratureError(
-        f"tail mass did not stabilize within {_MAX_OCTAVES} extensions",
-        partial_sum=shaped(total), error_estimate=float("nan"),
-    )
+        before = np.concatenate((np.broadcast_to(previous, sizes[:1].shape), sizes[:-1]))
+        quiets = ((sizes <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(totals)))
+                  & (sizes <= before)).all(axis=1)
+        for i, octave_quiet in enumerate(quiets[:_MAX_OCTAVES - octaves].tolist()):
+            quiet, total = quiet + 1 if octave_quiet else 0, totals[i]
+            if quiet == 2:  # the edges up to this octave's end
+                return total, used[:np.searchsorted(used, (starts + [start])[i + 1], "right")]
+        octaves, previous, edges = octaves + len(starts), sizes[-1], None
+    raise QuadratureError(f"tail mass did not stabilize within {_MAX_OCTAVES} octaves",
+                          partial_sum=shaped(total), error_estimate=float("nan"))
 
 
 def integrate_semi_infinite(
@@ -178,25 +176,27 @@ def integrate_semi_infinite(
     """Integrate ``f`` over ``[lower, inf)``, one function or K at once.
 
     ``f`` receives n abscissae as an ndarray: 15 m for the m panels an
-    integral starts from, or 30 for both halves of a split panel. It returns
-    shape ``(n,)``, giving a float, or ``(n, K)``, giving a ``(K,)`` ndarray
-    of K integrals that share their panels; each must meet
-    ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``. Row j must depend only on
-    abscissa j.
+    integral starts from (cold, one, or two on the doubling route), or 30
+    for both halves of a split panel. It returns shape ``(n,)``, giving a
+    float, or ``(n, K)``, giving a ``(K,)`` ndarray of K integrals that share
+    their panels; each must meet ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``.
+    Row j must depend only on abscissa j.
 
     ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``.
-    ``"doubling"``, an independent route, sums panels of doubling width until
-    two in a row add nothing beyond the tolerance in any component. Both need
-    mass reachable from ``lower``: a narrow bump far out can defeat them, and
-    a narrow bump near ``lower`` can defeat the transform route, whose first
-    panel and its splits may place no node in it (width 0.1 at ``lower + 3``
-    integrates to about 1e-70, not 0.18), with no error raised.
+    ``"doubling"``, an independent route, sums octaves of doubling width, two
+    per adaptive pass, until two in a row add nothing beyond the tolerance in
+    any component, so it may evaluate ``f`` up to one octave past the last
+    one it sums. Both need mass reachable from ``lower``: a narrow bump far
+    out can defeat them, and a narrow bump near ``lower`` can defeat the
+    transform route, whose first panel and its splits may place no node in
+    it (width 0.1 at ``lower + 3`` integrates to about 1e-70, not 0.18),
+    with no error raised.
 
     ``warm`` is private to the package: a dict shared by a sequence of calls
     on similar integrands. A call starts from the final partition of the last
-    one with the same strategy and ``lower`` instead of from one panel, and
-    leaves its own there; if that start fails, the call starts again cold.
-    Only the starting partition changes, not the tolerance each result meets.
+    one with the same strategy and ``lower`` instead of cold, and leaves its
+    own there; if that start fails, the call starts again cold. Only the
+    starting partition changes, not the tolerance each result meets.
 
     Raises
     ------
@@ -231,26 +231,21 @@ def integrate_semi_infinite(
     def shaped(value):
         return value if vector else float(value[0])
 
-    if strategy == "transform":
+    def route(edges):  # None starts cold
+        if strategy == "doubling":
+            return _doubling(g, lower, edges, tol, shaped)
         mapped = lambda u: g(lower + (1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
-
-        def route(edges):
-            return _adaptive(mapped, edges, tol.abs_tol, tol.quad_rel_tol, shaped)[:2]
-
-        cold = [0.0, 1.0]
-    else:
-        route = lambda edges: _doubling(g, lower, edges, tol, shaped)  # noqa: E731
-        cold = [lower, lower + 1.0]
+        return _adaptive(mapped, edges or [0.0, 1.0], tol.abs_tol, tol.quad_rel_tol, shaped)[:2]
 
     key = (strategy, lower)
     seed = warm.get(key) if warm is not None else None
     try:
-        total, edges = route(seed or cold)
+        total, edges = route(seed)
     except QuadratureError:
         if seed is None:
             raise
         # the partition another integrand left need not suit this one
-        total, edges = route(cold)
+        total, edges = route(None)
     if warm is not None:
         warm[key] = edges
     return shaped(total)
