@@ -136,6 +136,8 @@ def _doubling(g, lower, edges, tol, shaped):
     """
     import numpy as np
 
+    if lower + 1.0 == lower:  # the octaves' walk would never leave lower
+        raise QuadratureError(f"an octave of width 1 at lower={lower!r} is below float resolution")
     start, width = lower, 1.0
     octaves, used, total, previous, quiet = 0, [lower], 0.0, math.inf, 0
     while octaves < _MAX_OCTAVES:
