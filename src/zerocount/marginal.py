@@ -131,14 +131,14 @@ def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
             f"theta_grid must have at most {_MAX_GRID_POINTS} points, got {grid.size}"
         )
     if grid[0] != 0.0:
-        raise DomainError(f"theta_grid must start at 0, got {grid[0]!r}")
+        raise DomainError(f"theta_grid must start at 0, got {float(grid[0])!r}")
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("theta_grid must be strictly increasing")
     if not math.isfinite(grid[-1]):
         raise DomainError(f"theta_grid must be finite, got {float(grid[-1])!r}")
     if grid[-1] < reach:
         raise DomainError(
-            f"theta_grid must extend to at least x/2 + 10 = {reach}, got {grid[-1]!r}"
+            f"theta_grid must extend to at least x/2 + 10 = {reach}, got {float(grid[-1])!r}"
         )
     return grid
 

@@ -757,8 +757,12 @@ for name in ("decision", "marginal", "montecarlo"):
             ("from zerocount import cli\nimport zerocount.marginal\n"
              "assert cli.marginal is zerocount.marginal",
              ESTIMATE + ["cli", "marginal", "quadrature"]),
+            # a closed form: neither the quadrature kernel nor numpy
+            ("from zerocount.bayes import GammaDist, differential_entropy_gamma\n"
+             "differential_entropy_gamma(GammaDist(2.0, 1.0))", CORE),
         ],
-        ids=["cli", "bayes", "dunder-probe", "public-name", "marginal", "cli-then-marginal"],
+        ids=["cli", "bayes", "dunder-probe", "public-name", "marginal", "cli-then-marginal",
+             "entropy"],
     )
     def test_imports_run_only_what_they_need(self, code, ran):
         assert self.ran_after(code) == f"{sorted(ran)} False"

@@ -204,10 +204,13 @@ class TestGridHelpers:
                 make_theta_grid(x, step)
 
     def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            zpoisson_marginal(0, np.linspace(0.1, 12.0, 50))  # must start at 0
-        with pytest.raises(DomainError):
-            zpoisson_marginal(0, np.linspace(0.0, 5.0, 50))  # too short for x/2+10
+        # the endpoints print as floats, not as numpy scalars
+        with pytest.raises(DomainError, match=r"^theta_grid must start at 0, got 0\.1$"):
+            zpoisson_marginal(0, np.linspace(0.1, 12.0, 50))
+        with pytest.raises(
+            DomainError, match=r"^theta_grid must extend to at least x/2 \+ 10 = 10\.0, got 5\.0$"
+        ):
+            zpoisson_marginal(0, np.linspace(0.0, 5.0, 50))
         with pytest.raises(DomainError):
             zpoisson_marginal(0, np.zeros(10))  # not increasing
         for x in (0, 1):
