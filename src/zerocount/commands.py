@@ -262,11 +262,12 @@ def cmd_simulate(args) -> int:
         "sample_variance": None if math.isnan(summary.sample_variance) else summary.sample_variance,
         "dispersion": summary.dispersion,
     }
+    var = "undefined" if record["sample_variance"] is None else f"{summary.sample_variance:.6g}"
     disp = "undefined" if summary.dispersion is None else f"{summary.dispersion:.6g}"
     lines = [
         f"model={record['model']} n_draws={summary.n_draws} seed={args.seed}",
         f"sample_mean={summary.sample_mean:.6g}",
-        f"sample_variance={summary.sample_variance:.6g}",
+        f"sample_variance={var}",
         f"dispersion={disp}",
     ]
     _render(args, record, lines, seed=args.seed)
