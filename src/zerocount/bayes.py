@@ -67,20 +67,13 @@ class PriorSpec(_Record):
     def __init__(self, kind: PriorKind, a: float, b: float):
         _require_real(a, "prior shape a", 0.0)
         _require_real(b, "prior rate b", 0.0)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._store(kind, a, b)
 
 
 class GammaPosterior(_Record):
     """Proper Gamma(A, B) posterior for the rate rho, from measurements of duration t."""
 
     __slots__ = ("A", "B", "t")
-
-    def __init__(self, A: float, B: float, t: float):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "t", t)
 
     @property
     def mean(self) -> float:
@@ -108,12 +101,6 @@ class UpperLimitResult(_Record):
     """A one-sided Bayesian upper limit at confidence level ``CL``."""
 
     __slots__ = ("CL", "U_rho", "U_theta", "solver_residual")
-
-    def __init__(self, CL: float, U_rho: float, U_theta: float, solver_residual: float):
-        object.__setattr__(self, "CL", CL)
-        object.__setattr__(self, "U_rho", U_rho)
-        object.__setattr__(self, "U_theta", U_theta)
-        object.__setattr__(self, "solver_residual", solver_residual)
 
 
 def prior_params(kind: PriorKind, t: float | None = None) -> PriorSpec:

@@ -49,8 +49,7 @@ class CountData(_Record):
                 f"got a {total.bit_length()}-bit integer"
             ) from None
         _require_real(t, "t", 0.0, strict=True)
-        object.__setattr__(self, "counts", values)
-        object.__setattr__(self, "t", float(t))
+        self._store(values, float(t))
 
     @property
     def n(self) -> int:
@@ -69,15 +68,6 @@ class MLReport(_Record):
     """
 
     __slots__ = ("theta_hat", "rho_hat", "var_counts", "var_mean", "var_rate", "pathological")
-
-    def __init__(self, theta_hat: float, rho_hat: float, var_counts: float, var_mean: float,
-                 var_rate: float, pathological: bool):
-        object.__setattr__(self, "theta_hat", theta_hat)
-        object.__setattr__(self, "rho_hat", rho_hat)
-        object.__setattr__(self, "var_counts", var_counts)
-        object.__setattr__(self, "var_mean", var_mean)
-        object.__setattr__(self, "var_rate", var_rate)
-        object.__setattr__(self, "pathological", pathological)
 
 
 def _per_unit_time(mean: float, var: float, scale: float, t: float) -> tuple[float, float]:

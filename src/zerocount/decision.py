@@ -47,29 +47,11 @@ class RiskReport(_Record):
     __slots__ = ("prior", "mean_estimate", "bias_mean", "risk_mean", "var_estimate",
                  "bias_var", "risk_var", "theta_mode")
 
-    def __init__(self, prior: PriorSpec, mean_estimate: float, bias_mean: float,
-                 risk_mean: float, var_estimate: float, bias_var: float, risk_var: float,
-                 theta_mode: ThetaMode):
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "mean_estimate", mean_estimate)
-        object.__setattr__(self, "bias_mean", bias_mean)
-        object.__setattr__(self, "risk_mean", risk_mean)
-        object.__setattr__(self, "var_estimate", var_estimate)
-        object.__setattr__(self, "bias_var", bias_var)
-        object.__setattr__(self, "risk_var", risk_var)
-        object.__setattr__(self, "theta_mode", theta_mode)
-
 
 class AdmissibilityRanking(_Record):
     """Priors ordered by ascending (risk_mean, risk_var)."""
 
     __slots__ = ("entries", "excluded", "verdict")
-
-    def __init__(self, entries: tuple[RiskReport, ...],
-                 excluded: tuple[tuple[PriorKind, str], ...], verdict: str):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "verdict", verdict)
 
 
 class RiskOracleReport(_Record):
@@ -77,15 +59,6 @@ class RiskOracleReport(_Record):
 
     __slots__ = ("theta", "n", "prior", "mean_discrepancy", "variance_discrepancy",
                  "risk_discrepancy")
-
-    def __init__(self, theta: float, n: int, prior: PriorSpec, mean_discrepancy: float,
-                 variance_discrepancy: float, risk_discrepancy: float):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "mean_discrepancy", mean_discrepancy)
-        object.__setattr__(self, "variance_discrepancy", variance_discrepancy)
-        object.__setattr__(self, "risk_discrepancy", risk_discrepancy)
 
     @property
     def max_discrepancy(self) -> float:

@@ -44,7 +44,7 @@ class PoissonParams(_Record):
 
     def __init__(self, theta: float):
         _require_real(theta, "theta", 0.0)
-        object.__setattr__(self, "theta", theta)
+        self._store(theta)
 
 
 class GammaDist(_Record):
@@ -55,8 +55,7 @@ class GammaDist(_Record):
     def __init__(self, a: float, b: float):
         _require_real(a, "shape a", 0.0, strict=True)
         _require_real(b, "rate b", 0.0, strict=True)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._store(a, b)
 
 
 class ZPoissonParams(_Record):
@@ -77,8 +76,7 @@ class ZPoissonParams(_Record):
                 f"psi * exp(-theta) = {psi * math.exp(-theta)!r} "
                 "exceeds 1; no such distribution exists"
             )
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "psi", psi)
+        self._store(theta, psi)
 
     @property
     def p0(self) -> float:
@@ -93,8 +91,7 @@ class NBParams(_Record):
     def __init__(self, theta: float, a: float):
         _require_real(theta, "theta", 0.0, strict=True)
         _require_real(a, "shape a", 0.0, strict=True)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "a", a)
+        self._store(theta, a)
 
 
 def poisson_pmf(x: int, theta: float) -> float:

@@ -10,8 +10,9 @@ naming the parameter: ``_require_int`` for counts, sizes and seeds, and
 ``_require_real`` for real values, which must be finite and inside their
 stated interval.
 
-The package's frozen records derive from ``_Record``: each lists its fields
-in ``__slots__`` and stores them once, in ``__init__``, with
+The package's frozen records derive from ``_Record``: each declares its
+fields once, in ``__slots__``, and ``_Record`` compiles from them a
+constructor that takes them in that order and stores each one with
 ``object.__setattr__``; after that, assignment and deletion raise
 ``AttributeError``.
 """
@@ -78,7 +79,11 @@ class ImproperPosteriorError(ZeroCountError):
 
 
 class _Record:
-    """Base of the frozen records: equality, hash and repr over ``__slots__``.
+    """Base of the frozen records: constructor, equality, hash and repr over ``__slots__``.
+
+    A subclass declares its fields once, in ``__slots__``; ``_store`` is an
+    ``__init__(self, <fields>)`` compiled from them that stores each (PEP 557 style),
+    and a subclass that validates defines ``__init__`` to end in ``self._store(...)``.
 
     The repr reads ``Name(field=value, ...)`` in slot order, and two records
     are equal when they are of one class and their field tuples are; a
@@ -87,6 +92,14 @@ class _Record:
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        stores = "".join(f"\n object.__setattr__(self, {name!r}, {name})" for name in cls.__slots__)
+        exec(f"def __init__(self, {', '.join(cls.__slots__)}):{stores}", namespace := {})
+        cls._store = namespace["__init__"]
+        cls._store.__qualname__ = f"{cls.__qualname__}.__init__"  # TypeError messages name it
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._store
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -74,17 +74,6 @@ class MarginalComparison(_Record):
     __slots__ = ("x", "theta_grid", "numeric_density", "claimed_density", "l1_distance",
                  "linf_distance", "numeric_norm")
 
-    def __init__(self, x: int, theta_grid: np.ndarray, numeric_density: np.ndarray,
-                 claimed_density: np.ndarray, l1_distance: float, linf_distance: float,
-                 numeric_norm: float):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "theta_grid", theta_grid)
-        object.__setattr__(self, "numeric_density", numeric_density)
-        object.__setattr__(self, "claimed_density", claimed_density)
-        object.__setattr__(self, "l1_distance", l1_distance)
-        object.__setattr__(self, "linf_distance", linf_distance)
-        object.__setattr__(self, "numeric_norm", numeric_norm)
-
     @property
     def numeric_norm_residual(self) -> float:
         return abs(self.numeric_norm - 1.0)

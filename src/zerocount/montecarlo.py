@@ -73,23 +73,11 @@ class SimSummary(_Record):
 
     __slots__ = ("sample_mean", "sample_variance", "dispersion", "n_draws")
 
-    def __init__(self, sample_mean: float, sample_variance: float, dispersion: float | None,
-                 n_draws: int):
-        object.__setattr__(self, "sample_mean", sample_mean)
-        object.__setattr__(self, "sample_variance", sample_variance)
-        object.__setattr__(self, "dispersion", dispersion)
-        object.__setattr__(self, "n_draws", n_draws)
-
 
 class CoverageResult(_Record):
     """Empirical coverage of an upper limit, with its binomial standard error."""
 
     __slots__ = ("coverage", "standard_error", "reps")
-
-    def __init__(self, coverage: float, standard_error: float, reps: int):
-        object.__setattr__(self, "coverage", coverage)
-        object.__setattr__(self, "standard_error", standard_error)
-        object.__setattr__(self, "reps", reps)
 
 
 def _poisson(rng: np.random.Generator, lam, size=None) -> np.ndarray:

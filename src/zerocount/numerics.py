@@ -154,8 +154,7 @@ class ToleranceConfig(_Record):
     def __init__(self, abs_tol: float = 1e-12, quad_rel_tol: float = 1e-9):
         _require_real(abs_tol, "abs_tol", 0.0, strict=True)
         _require_real(quad_rel_tol, "quad_rel_tol", 0.0, strict=True)
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "quad_rel_tol", quad_rel_tol)
+        self._store(abs_tol, quad_rel_tol)
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -2,12 +2,14 @@
 equality, hashing, repr and pickling.
 
 The records are plain classes with ``__slots__`` on a shared base, not
-dataclasses. The repr strings and validation messages below are literals
-taken from the frozen dataclasses they replaced, so the text a user sees
-did not change.
+dataclasses. The base compiles each record's constructor from its
+``__slots__``; a record that validates defines its own. The repr strings
+and validation messages below are literals taken from the frozen
+dataclasses they replaced, so the text a user sees did not change.
 """
 
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -108,6 +110,9 @@ RECORDS = [
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+# the records whose own __init__ checks or normalizes its arguments before storing them
+VALIDATING = {PoissonParams, GammaDist, ZPoissonParams, NBParams, CountData, PriorSpec,
+              ToleranceConfig}
 # numpy arrays have no hash, and a multi-element array no truth value
 HASHABLE = [case for case in RECORDS if case[0] is not MarginalComparison]
 
@@ -120,6 +125,12 @@ class TestEveryRecord:
         assert not hasattr(record, "__dict__")
         for name, value in kwargs.items():
             assert getattr(record, name) is value or getattr(record, name) == value
+
+    def test_signature_lists_the_slots_in_order(self, cls, kwargs, text):
+        assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+
+    def test_only_validating_records_define_init(self, cls, kwargs, text):
+        assert (cls.__init__ is not cls._store) == (cls in VALIDATING)
 
     def test_positional_and_keyword_construction_agree(self, cls, kwargs, text):
         assert repr(cls(*kwargs.values())) == repr(cls(**kwargs)) == text
@@ -223,6 +234,11 @@ def test_validation_errors(cls, kwargs, message):
         (GammaDist, {"a": 1.0}, "missing 1 required positional argument: 'b'"),
         (PriorSpec, {"kind": PriorKind.BL, "a": 1.0, "b": 0.0, "c": 1},
          "got an unexpected keyword argument 'c'"),
+        # records without an __init__ of their own: the constructor compiled from __slots__
+        (GammaPosterior, {"A": 4.0, "B": 3.0}, "missing 1 required positional argument: 't'"),
+        (UpperLimitResult,
+         {"CL": 0.95, "U_rho": 2.5, "U_theta": 3.75, "solver_residual": 0.0, "U": 1.0},
+         "got an unexpected keyword argument 'U'"),
     ],
 )
 def test_bad_arguments_are_type_errors(cls, kwargs, message):
