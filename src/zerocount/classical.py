@@ -127,9 +127,11 @@ def simple_probability_upper_limit(
     n = _require_int(n, "n", 1)
     _require_real(t, "t", 0.0, strict=True)
     _require_real(alpha, "alpha", 0.0, 1.0, strict=True)
-    inverse = 1.0 / alpha
-    # 1/alpha overflows below alpha = 5.6e-309, where -ln(alpha) is still exact
-    u_theta = (math.log(inverse) if inverse != math.inf else -math.log(alpha)) / n
+    if alpha > 0.5:  # alpha - 1 is exact here, and near 1 a rounded 1/alpha is far off
+        u_theta = -math.log1p(alpha - 1.0) / n
+    else:  # 1/alpha overflows below alpha = 5.6e-309, where -ln(alpha) is still exact
+        inverse = 1.0 / alpha
+        u_theta = (math.log(inverse) if inverse != math.inf else -math.log(alpha)) / n
     return (u_theta, u_theta / t)
 
 

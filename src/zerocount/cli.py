@@ -81,11 +81,12 @@ def round_half_away(x: float, decimals: int = 1) -> float:
     return math.copysign(math.floor(abs(x) * scale + 0.5) / scale, x)
 
 
-def _fmt(value) -> str:
+def _fmt(value, table: bool = False) -> str:
+    """A cell: float as ``repr``, None empty; in a ``table`` line ``.6g`` and ``undefined``."""
     if isinstance(value, float):
-        return repr(value)
+        return f"{value:.6g}" if table else repr(value)
     if value is None:
-        return ""
+        return "undefined" if table else ""
     return str(value)
 
 
@@ -171,11 +172,12 @@ def _metadata(subcommand: str, seed: int | None = None,
     return meta
 
 
-def _pairs(record: dict) -> str:
-    return " ".join(f"{key}={_fmt(value)}" for key, value in record.items())
+def _pairs(record: dict, *keys: str, table: bool = False) -> str:
+    return " ".join(f"{key}={_fmt(record[key], table)}" for key in keys or record)
 
 
-def _csv_text(meta: dict, notes, header: list[str], rows) -> str:
+def _csv_text(meta: dict, notes, rows) -> str:
+    """The metadata and ``notes`` as ``#`` lines, then ``rows``: a list of dicts keyed by column."""
     import csv
 
     buf = io.StringIO()
@@ -189,9 +191,8 @@ def _csv_text(meta: dict, notes, header: list[str], rows) -> str:
     for line in notes:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerow(rows[0].keys())
+    writer.writerows([_fmt(cell) for cell in row.values()] for row in rows)
     return buf.getvalue()
 
 
@@ -201,21 +202,19 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _render(args, payload: dict, lines: list[str], *, notes=(), header=None, rows=None,
+def _render(args, payload: dict, lines: list[str], *, notes=(), rows=None,
             seed=None, tol=None) -> None:
     """Write one command's record to stdout in the chosen ``--format``.
 
-    JSON is the metadata block plus ``payload``. CSV is the metadata as ``#``
-    lines, then ``notes``, ``header`` and ``rows``; a flat ``payload`` given
-    without ``rows`` becomes one row. The table format prints ``lines``.
+    JSON is the metadata block plus ``payload``. CSV is :func:`_csv_text` of
+    ``notes`` and ``rows``; a flat ``payload`` given without ``rows`` is the
+    one row. The table format prints ``lines``.
     """
     meta = _metadata(args.command, seed, tol)
     if args.format == "json":
         sys.stdout.write(_json_text({"metadata": meta, **payload}))
     elif args.format == "csv":
-        if rows is None:
-            header, rows = list(payload), [list(payload.values())]
-        sys.stdout.write(_csv_text(meta, notes, header, rows))
+        sys.stdout.write(_csv_text(meta, notes, [payload] if rows is None else rows))
     else:
         print(*lines, sep="\n")
 
@@ -223,10 +222,12 @@ def _render(args, payload: dict, lines: list[str], *, notes=(), header=None, row
 # ---------------------------------------------------------------- estimate
 
 
-_ESTIMATE_HEADER = [
+_MOMENTS = ("mean_theta", "var_theta", "mean_rho", "var_rho")
+# a CSV row's columns, in order: each row fills this template by key
+_ESTIMATE_ROW = dict.fromkeys([
     "prior", "a", "b", "post_shape", "post_rate", "mean_rho", "var_rho",
     "mean_theta", "var_theta", "cl", "u_rho", "u_theta", "residual", "status",
-]
+])
 
 
 def _prior_row(spec: PriorSpec, data: CountData, cls: list[float]) -> dict:
@@ -276,9 +277,8 @@ def cmd_estimate(args) -> int:
     ml_record = {name: getattr(ml, name) for name in ml.__slots__}
     notes = [f"# counts: {_pairs(counts_record)}", f"# ml: {_pairs(ml_record)}"]
     lines = [
-        f"counts: n={data.n} total={data.total} t={data.t:g}",
-        f"ML: theta_hat={ml.theta_hat:.6g} rho_hat={ml.rho_hat:.6g} "
-        f"var_counts={ml.var_counts:.6g} var_mean={ml.var_mean:.6g} var_rate={ml.var_rate:.6g}",
+        f"counts: {_pairs(counts_record, table=True)}",
+        f"ML: {_pairs(ml_record, *ml.__slots__[:-1], table=True)}",  # the five estimates
     ]
     if ml.pathological:
         lines.append(
@@ -288,9 +288,10 @@ def cmd_estimate(args) -> int:
 
     simple = None
     if data.total == 0:
-        mean_t, var_t, mean_r, var_r = simple_probability_estimates(data.n, data.t)
-        moments = {"mean_theta": mean_t, "var_theta": var_t, "mean_rho": mean_r, "var_rho": var_r}
-        alphas = [args.alpha] if args.alpha is not None else [1.0 - cl for cl in cls]
+        moments = dict(zip(_MOMENTS, simple_probability_estimates(data.n, data.t)))
+        # the tail 1 - cl rounds to 1 at a --cl of 2**-54 or less
+        alphas = [args.alpha] if args.alpha is not None else [
+            1.0 - _require_real(cl, "--cl", 2.0**-54, 1.0, strict=True) for cl in cls]
         limits = []
         for alpha in alphas:
             u_theta, u_rho = simple_probability_upper_limit(data.n, data.t, alpha)
@@ -298,10 +299,7 @@ def cmd_estimate(args) -> int:
         simple = {**moments, "upper_limits": limits}
         notes.append(f"# simple_probability: {_pairs(moments)}")
         notes += [f"# simple_upper_limit: {_pairs(lim)}" for lim in limits]
-        lines.append(
-            "simple probability: mean_theta={mean_theta:.6g} var_theta={var_theta:.6g} "
-            "mean_rho={mean_rho:.6g} var_rho={var_rho:.6g}".format(**moments)
-        )
+        lines.append(f"simple probability: {_pairs(moments, table=True)}")
         lines += [
             "  alpha={alpha:g}: U_theta={u_theta:.6g} U_rho={u_rho:.6g}".format(**lim)
             for lim in limits
@@ -311,22 +309,19 @@ def cmd_estimate(args) -> int:
     rows = []
     for rec in records:
         head = f"prior {rec['prior']} (a={rec['a']:g}, b={rec['b']:g}): "
+        cells = {**_ESTIMATE_ROW, **{k: v for k, v in rec.items() if k in _ESTIMATE_ROW}}
         if rec["improper"]:
-            rows.append([rec["prior"], rec["a"], rec["b"]] + [None] * 10 + ["improper"])
+            rows.append({**cells, "status": "improper"})
             lines += [head + "IMPROPER", f"  {rec['message']}"]
             continue
         post = rec["posterior"]
-        cells = [
-            rec["prior"], rec["a"], rec["b"], post["shape"], post["rate"],
-            rec["mean_rho"], rec["var_rho"], rec["mean_theta"], rec["var_theta"],
-        ]
+        cells.update(post_shape=post["shape"], post_rate=post["rate"])
         lines.append(
             head + f"posterior Gamma(shape={post['shape']:g}, rate={post['rate']:g}) "
-            f"mean_theta={rec['mean_theta']:.6g} var_theta={rec['var_theta']:.6g} "
-            f"mean_rho={rec['mean_rho']:.6g} var_rho={rec['var_rho']:.6g}"
+            + _pairs(rec, *_MOMENTS, table=True)
         )
         for lim in rec["upper_limits"]:
-            rows.append(cells + [lim["cl"], lim["u_rho"], lim["u_theta"], lim["residual"], "ok"])
+            rows.append({**cells, **lim, "status": "ok"})
             lines.append(
                 f"  CL={lim['cl']:g}: U_theta={lim['u_theta']:.6g} U_rho={lim['u_rho']:.6g} "
                 f"residual={lim['residual']:.3g}"
@@ -338,7 +333,7 @@ def cmd_estimate(args) -> int:
         "simple_probability": simple,
         "priors": records,
     }
-    _render(args, payload, lines, notes=notes, header=_ESTIMATE_HEADER, rows=rows)
+    _render(args, payload, lines, notes=notes, rows=rows)
     return EXIT_IMPROPER if all(rec["improper"] for rec in records) else EXIT_OK
 
 

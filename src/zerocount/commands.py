@@ -36,9 +36,9 @@ def _write_file(out_dir: str, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _write_csv(args, name: str, header: list[str], rows, notes=()) -> None:
+def _write_csv(args, name: str, rows, notes=()) -> None:
     meta = _metadata(f"{args.command}/{name}")
-    _write_file(args.out, f"{name}.csv", _csv_text(meta, notes, header, rows))
+    _write_file(args.out, f"{name}.csv", _csv_text(meta, notes, rows))
 
 
 # ---------------------------------------------------------------- tables
@@ -69,10 +69,10 @@ def cmd_tables(args) -> int:
                 "u_theta_rounded": round_half_away(u_theta),
             }
         )
-    _write_csv(
-        args, "table3", ["alpha", "cl", "u_theta"],
-        [[r["alpha"], r["cl"], f"{r['u_theta_rounded']:.1f}"] for r in table3],
-    )
+    _write_csv(args, "table3", [
+        {"alpha": r["alpha"], "cl": r["cl"], "u_theta": f"{r['u_theta_rounded']:.1f}"}
+        for r in table3
+    ])
 
     by_kind = {entry.prior.kind: entry for entry in decision.compare_priors(0, 1).entries}
     table4 = []
@@ -89,7 +89,7 @@ def cmd_tables(args) -> int:
                 "risk_var": entry.risk_var,
             }
         )
-    _write_csv(args, "table4", list(table4[0]), [list(r.values()) for r in table4])
+    _write_csv(args, "table4", table4)
 
     posts = _zero_record_posteriors()
     table5 = []
@@ -103,10 +103,10 @@ def cmd_tables(args) -> int:
                 "residual": lim.solver_residual,
             }
         table5.append(row)
-    _write_csv(
-        args, "table5", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
-        [[r["cl"]] + [f"{r[key]['u_theta_rounded']:.1f}" for key in posts] for r in table5],
-    )
+    _write_csv(args, "table5", [
+        {"cl": r["cl"], **{f"u_theta_{key}": f"{r[key]['u_theta_rounded']:.1f}" for key in posts}}
+        for r in table5
+    ])
 
     if args.format == "json":
         payload = {
@@ -128,42 +128,38 @@ def _frange(start: float, stop: float, step: float) -> list[float]:
 
 
 def cmd_figures(args) -> int:
-    _write_csv(
-        args, "fig1", ["theta", "zero_class_probability"],
-        [[th, prob_all_zero(1, th)] for th in _frange(0.0, 6.0, 0.01)],
-    )
+    _write_csv(args, "fig1", [
+        {"theta": th, "zero_class_probability": prob_all_zero(1, th)}
+        for th in _frange(0.0, 6.0, 0.01)
+    ])
 
     kinds = (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)
-    _write_csv(
-        args, "fig2", ["rho", "bl", "jj", "jr", "me"],
-        [
-            [rho] + [prior_density(kind, rho, t=1.0, normalized=True) for kind in kinds]
-            for rho in _frange(0.01, 5.0, 0.01)
-        ],
-    )
+    _write_csv(args, "fig2", [
+        {"rho": rho, **{kind.value.lower(): prior_density(kind, rho, t=1.0, normalized=True)
+                        for kind in kinds}}
+        for rho in _frange(0.01, 5.0, 0.01)
+    ])
 
     posts = _zero_record_posteriors()
-    curves = [GammaDist(a=post.A, b=post.B) for post in posts.values()]
-    _write_csv(
-        args, "fig3", ["theta", *posts],
-        [[th] + [gamma_pdf(th, curve) for curve in curves] for th in _frange(0.01, 6.0, 0.01)],
-        notes=[f"# bayes_means: {_pairs({key: post.mean for key, post in posts.items()})}"],
-    )
+    curves = {key: GammaDist(a=post.A, b=post.B) for key, post in posts.items()}
+    _write_csv(args, "fig3", [
+        {"theta": th, **{key: gamma_pdf(th, curve) for key, curve in curves.items()}}
+        for th in _frange(0.01, 6.0, 0.01)
+    ], notes=[f"# bayes_means: {_pairs({key: post.mean for key, post in posts.items()})}"])
 
-    _write_csv(
-        args, "fig4", ["cl", "u_theta_bl", "u_theta_jr", "u_theta_me"],
-        [
-            [cl] + [upper_limit(post, cl).U_theta for post in posts.values()]
-            for cl in _frange(0.50, 0.99, 0.005)
-        ],
-    )
+    _write_csv(args, "fig4", [
+        {"cl": cl, **{f"u_theta_{key}": upper_limit(post, cl).U_theta
+                      for key, post in posts.items()}}
+        for cl in _frange(0.50, 0.99, 0.005)
+    ])
 
     zp = ZPoissonParams(theta=4.5, psi=10.8907923667246459)
     nb = NBParams(theta=4.0, a=8.0)
-    _write_csv(
-        args, "fig5", ["x", "poisson", "zpoisson", "nb"],
-        [[x, poisson_pmf(x, 4.0), zpoisson_pmf(x, zp), nb_pmf(x, nb)] for x in range(51)],
-    )
+    _write_csv(args, "fig5", [
+        {"x": x, "poisson": poisson_pmf(x, 4.0), "zpoisson": zpoisson_pmf(x, zp),
+         "nb": nb_pmf(x, nb)}
+        for x in range(51)
+    ])
     return EXIT_OK
 
 
@@ -202,11 +198,10 @@ def cmd_marginalize(args) -> int:
         "verdict": verdict,
     }
     lines = [
-        f"model={model} x={comp.x} strategy={args.strategy}",
+        _pairs(summary, "model", "x", "strategy", table=True),
         f"grid: {summary['grid_points']} points on [0, {summary['theta_max']:g}]",
-        f"l1_distance={comp.l1_distance:.6g}",
-        f"linf_distance={comp.linf_distance:.6g}",
-        f"numeric_norm_residual={comp.numeric_norm_residual:.6g}",
+        *(_pairs(summary, key, table=True)
+          for key in ("l1_distance", "linf_distance", "numeric_norm_residual")),
         f"verdict: {verdict}",
     ]
     columns = {
@@ -217,8 +212,8 @@ def cmd_marginalize(args) -> int:
     _render(
         args, {**summary, **columns}, lines,
         notes=[f"# {key}: {_fmt(value)}" for key, value in summary.items()],
-        header=["theta", "numeric_density", "claimed_density"],
-        rows=zip(*columns.values()), tol=tol,
+        rows=[{"theta": th, "numeric_density": numeric, "claimed_density": claimed}
+              for th, numeric, claimed in zip(*columns.values())], tol=tol,
     )
     return EXIT_OK
 
@@ -262,13 +257,8 @@ def cmd_simulate(args) -> int:
         "sample_variance": None if math.isnan(summary.sample_variance) else summary.sample_variance,
         "dispersion": summary.dispersion,
     }
-    var = "undefined" if record["sample_variance"] is None else f"{summary.sample_variance:.6g}"
-    disp = "undefined" if summary.dispersion is None else f"{summary.dispersion:.6g}"
-    lines = [
-        f"model={record['model']} n_draws={summary.n_draws} seed={args.seed}",
-        f"sample_mean={summary.sample_mean:.6g}",
-        f"sample_variance={var}",
-        f"dispersion={disp}",
+    lines = [_pairs(record, "model", "n_draws", "seed", table=True)] + [
+        _pairs(record, key, table=True) for key in ("sample_mean", "sample_variance", "dispersion")
     ]
     _render(args, record, lines, seed=args.seed)
     return EXIT_OK
@@ -290,10 +280,7 @@ def cmd_coverage(args) -> int:
         "coverage": result.coverage,
         "standard_error": result.standard_error,
     }
-    lines = [
-        f"coverage={result.coverage:.6g} standard_error={result.standard_error:.6g} "
-        f"reps={result.reps}"
-    ]
+    lines = [_pairs(record, "coverage", "standard_error", "reps", table=True)]
     _render(args, record, lines, seed=args.seed)
     return EXIT_OK
 
@@ -321,13 +308,11 @@ def cmd_jj_divergence(args) -> int:
                 "relative_gap": abs(evidence - log_form) / abs(log_form),
             }
         )
-    lines = [f"u_theta={args.u_theta:g}"] + [
+    payload = {"u_theta": args.u_theta, "rows": rows}
+    lines = [_pairs(payload, "u_theta", table=True)] + [
         "epsilon={epsilon:g}: alpha={alpha:.6g} evidence={truncated_evidence:.6g} "
         "log_form={log_approximation:.6g} rel_gap={relative_gap:.3g}".format(**row)
         for row in rows
     ]
-    _render(
-        args, {"u_theta": args.u_theta, "rows": rows}, lines,
-        header=list(rows[0]), rows=[list(row.values()) for row in rows],
-    )
+    _render(args, payload, lines, rows=rows)
     return EXIT_OK

@@ -471,7 +471,10 @@ def exp_integral_e1(x: float) -> float:
                 return total
             sign = -sign
         raise ConvergenceError(f"E1 series stalled at x={x!r}")
-    return _upper_gamma_fraction(0.0, x) * math.exp(-x)
+    # E1(x) < e^-x / x: once e^-x underflows, so does E1 (and for x past 2^53
+    # the fraction could not settle)
+    scale = math.exp(-x)
+    return _upper_gamma_fraction(0.0, x) * scale if scale != 0.0 else 0.0
 
 
 def __getattr__(name: str):

@@ -164,6 +164,22 @@ class TestSimpleProbability:
         assert u_theta == -math.log(alpha) / n
         assert u_rho == u_theta / 2.0
 
+    @pytest.mark.parametrize(
+        "alpha, expected",
+        [
+            # -ln(alpha) of each double, from mpmath at 40 digits
+            (0.5000000000000001, 0.6931471805599451),
+            (0.75, 0.2876820724517809),
+            (0.999999999999999, 9.992007221626415e-16),
+            (1.0 - 2.0**-53, 1.1102230246251565e-16),
+        ],
+    )
+    def test_alpha_near_one_keeps_its_digits(self, alpha, expected):
+        # ln(1/alpha) rounds 1/alpha first: 11% high at 1 - 1e-15, double at
+        # 1 - 2^-53
+        u_theta, _ = simple_probability_upper_limit(1, 1.0, alpha)
+        assert abs(u_theta - expected) <= 2.0**-52 * expected
+
     def test_domain(self):
         with pytest.raises(DomainError):
             simple_probability_estimates(0, 1.0)

@@ -216,6 +216,19 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--counts", "0", "--cl", "1.5")
         assert code == 2
 
+    def test_cl_whose_tail_rounds_to_one_names_cl(self, capsys):
+        # 1 - 1e-17 is 1.0: the error names the flag given, not an alpha
+        code, out, err = run_cli(capsys, "estimate", "--counts", "0", "--prior", "bl",
+                                 "--cl", "1e-17")
+        assert code == 2
+        assert err.startswith("error: --cl must be finite and in (5.55112e-17, 1), got 1e-17"), err
+
+    def test_simple_limit_at_tiny_cl_is_minus_log_alpha(self, capsys):
+        # alpha = 1 - 1e-15; -ln(alpha) from mpmath, where ln(1/alpha) was 11% high
+        payload = run_json(capsys, "estimate", "--counts", "0", "--prior", "bl", "--cl", "1e-15")
+        (lim,) = payload["simple_probability"]["upper_limits"]
+        assert lim["u_theta"] == 9.992007221626415e-16
+
     def test_unknown_prior_exits_2(self, capsys):
         assert run_cli(capsys, "estimate", "--counts", "0", "--prior", "flat")[0] == 2
 
@@ -646,6 +659,12 @@ class TestJJDivergence:
     def test_bad_eps_list_exits_2(self, capsys):
         assert run_cli(capsys, "jj-divergence", "--eps", "a,b")[0] == 2
 
+    def test_huge_upper_limit_gives_alpha_zero(self, capsys):
+        # E1(1e-300 * 1e308) underflows to 0; it once raised (exit 4)
+        payload = run_json(capsys, "jj-divergence", "--u-theta", "1e308", "--eps", "1e-300")
+        (row,) = payload["rows"]
+        assert row["alpha"] == 0.0
+
 
 class TestNumpyLoading:
     """The closed-form commands never import numpy; the array commands do.
@@ -653,8 +672,9 @@ class TestNumpyLoading:
     Neither loads ``fractions`` (and with it ``decimal``): the estimates
     divide ints directly. The records are not dataclasses, so the
     closed-form commands load neither ``dataclasses`` nor the ``inspect``
-    it imports; numpy imports ``inspect`` itself. Each case runs in a fresh
-    interpreter, since this one has numpy loaded.
+    it imports; numpy imports ``inspect`` itself. The standard library's
+    ``csv`` and ``json`` load only for their ``--format``. Each case runs
+    in a fresh interpreter, since this one has all of these loaded.
     """
 
     SCRIPT = """
@@ -664,13 +684,16 @@ from zerocount.cli import main
 assert "numpy" not in sys.modules, "numpy loaded on import"
 for argv in ARGV_LISTS:
     assert main(argv) == 0, argv
-print(sorted({"numpy", "fractions", "decimal", "dataclasses", "inspect"} & set(sys.modules)))
+print(sorted(WATCHED & set(sys.modules)))
 """
 
-    def modules_loaded_after(self, argv_lists) -> str:
+    def modules_loaded_after(
+        self, argv_lists, watched=("numpy", "fractions", "decimal", "dataclasses", "inspect")
+    ) -> str:
+        script = self.SCRIPT.replace("ARGV_LISTS", repr(argv_lists))
         env = dict(os.environ, PYTHONPATH=str(Path(zerocount.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT.replace("ARGV_LISTS", repr(argv_lists))],
+            [sys.executable, "-c", script.replace("WATCHED", repr(set(watched)))],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -694,6 +717,13 @@ print(sorted({"numpy", "fractions", "decimal", "dataclasses", "inspect"} & set(s
     )
     def test_array_commands_load_numpy(self, argv):
         assert self.modules_loaded_after([argv]) == "['inspect', 'numpy']"
+
+    @pytest.mark.parametrize(
+        "fmt, loaded", [("table", "[]"), ("csv", "['csv']"), ("json", "['json']")]
+    )
+    def test_estimate_loads_only_its_format(self, fmt, loaded):
+        argv = ["estimate", "--counts", "0", "--format", fmt]
+        assert self.modules_loaded_after([argv], watched=("csv", "json")) == loaded
 
 
 CORE = ["bayes", "classical", "distributions", "errors", "numerics"]
