@@ -11,12 +11,16 @@ measured and reported, never asserted away).
 Each joint density is a numpy function over a (nuisance x theta) grid, so
 the whole comparison grid is one vector integral of
 :func:`integrate_semi_infinite`, and the evidence is an outer integral over
-theta whose integrand is one inner vector integral at the outer kernel's 15 or
-30 nodes (one panel, or both halves of a split one). Those inner integrals
-share a warm state: each starts from the nuisance partition the one before
-it converged on, all of its panels in one call, and still meets its own
-tolerance. The grid's integral, a column per grid point, starts cold from one
-panel, so no call of its integrand gets more than 30 rows. Both models run
+theta whose integrand is one inner vector integral at the outer kernel's
+nodes. Every integral starts from its route's graded partition, ``_START``,
+all of its panels in one call: eight u-panels halving toward both ends, or
+the first six octaves. Converged partitions refine there, and a start from one
+panel reached them only by about ten sequential splits. The first inner
+integral starts graded, and each later one from the nuisance partition the
+one before it converged on; each still meets its own tolerance. The grid's
+integral, a column per grid point, starts graded only while that call holds
+at most the 30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid;
+a larger grid starts cold, so no integrand call exceeds that. Both models run
 through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
 normalized posterior, so a residual at or above the 1e-6 budget raises
@@ -61,6 +65,13 @@ _MAX_GRID_POINTS = 100_000
 # the most a z-Poisson marginal's theta integral may miss 1 by, and the most
 # its density may miss the claimed form by for a PASS verdict
 _NORM_BUDGET = 1e-6
+# the partition every integral starts from, per route (see the module
+# docstring): u-panels graded toward both ends, where the far tail and the NB
+# shape's a -> 0 sit, and the first six octaves, one panel each
+_START = {
+    "transform": [0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0],
+    "doubling": [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0],
+}
 
 
 class MarginalComparison(_Record):
@@ -153,9 +164,9 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     evidence that divides it. Without it the joint is a normalized posterior
     (z-Poisson), so a norm that misses 1 by the budget raises
     ``QuadratureError`` before any grid work. The norm is the marginal's theta
-    integral by the other strategy, over the evidence. These integrals' inner
-    calls share one warm start, and the grid's call runs last and cold (see
-    the module docstring).
+    integral by the other strategy, over the evidence. Every integral starts
+    graded, the inner ones after the first from the last one's partition, and
+    the grid's call runs last (see the module docstring).
     """
     import numpy as np
 
@@ -163,21 +174,27 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     tol = tol if tol is not None else DEFAULT_TOL
     other = "doubling" if strategy == "transform" else "transform"
 
+    def start(route: str) -> dict:
+        return {(route, 0.0): _START[route]}
+
     def marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
         joint = joint_in(theta, x)
         return integrate_semi_infinite(
             lambda u: joint(u[:, None]), tol=tol, strategy=strategy, warm=warm
         )
 
-    warm: dict = {}
+    warm = start(strategy)
 
     def inner(theta: np.ndarray) -> np.ndarray:
         return marginal(theta, warm)
 
+    def theta_integral(route: str) -> float:
+        return integrate_semi_infinite(inner, 0.0, tol, route, warm=start(route))
+
     # one scope for every joint call below, theta = 0 included
     with np.errstate(divide="ignore"):
-        evidence = integrate_semi_infinite(inner, 0.0, tol, strategy) if normalize else 1.0
-        norm = integrate_semi_infinite(inner, 0.0, tol, other) / evidence
+        evidence = theta_integral(strategy) if normalize else 1.0
+        norm = theta_integral(other) / evidence
         if not normalize and abs(norm - 1.0) >= _NORM_BUDGET:
             raise QuadratureError(
                 f"the z-Poisson marginal integrates to {norm!r} over theta: "
@@ -185,7 +202,10 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
                 f"the {_NORM_BUDGET:g} budget",
                 partial_sum=norm,
             )
-        numeric = marginal(grid, None) / evidence
+        # the graded start's first call holds 15 (len - 1) rows per grid
+        # point; past the cells of one 30-row split of a full grid, cold
+        graded = 15 * (len(_START[strategy]) - 1) * grid.size <= 30 * _MAX_GRID_POINTS
+        numeric = marginal(grid, start(strategy) if graded else None) / evidence
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: the Gamma(x+1, 2)
     # density by gamma_pdf's operations in its order, its constants hoisted
     a = x + 1.0
@@ -250,9 +270,11 @@ def zpoisson_marginal(
 
     Raises:
         QuadratureError: the marginal's theta integral by the other strategy
-            misses 1 by the 1e-6 budget or more, as at x = 1000 on either
-            strategy or x = 200 on ``"doubling"``, whose theta integrals miss
-            the mass near x/2. ``partial_sum`` is that integral.
+            misses 1 by the 1e-6 budget or more, as at x = 1000 on
+            ``"transform"``: the doubling theta integral finds the joint
+            underflowed to 0 over its first octaves and stops before the mass
+            near x/2. ``partial_sum`` is that integral. The graded starts find
+            that mass at x = 200 and x = 1000 on ``"doubling"``.
     """
     x = _require_int(x, "x")
     return _marginalize(x, theta_grid, tol, strategy, _zpoisson_joint_in_psi)

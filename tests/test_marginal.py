@@ -33,7 +33,7 @@ TIGHT = ToleranceConfig(abs_tol=1e-15, quad_rel_tol=1e-11)
 # forces relative convergence even when the integrand is exponentially small
 SCALEFREE = ToleranceConfig(abs_tol=1e-300, quad_rel_tol=1e-9)
 # loose enough that the NB strategies' evidences disagree by more than 1e-6
-LOOSE = ToleranceConfig(abs_tol=1e-4, quad_rel_tol=1e-3)
+LOOSE = ToleranceConfig(abs_tol=0.1, quad_rel_tol=0.5)
 
 
 class TestZPoissonJoint:
@@ -258,15 +258,22 @@ class TestZPoissonMarginal:
         comp = zpoisson_marginal(50, make_theta_grid(50, step=1.0), strategy="transform")
         assert comp.numeric_norm_residual < 1e-6
 
-    @pytest.mark.parametrize(
-        "x,strategy", [(1000, "transform"), (1000, "doubling"), (200, "doubling")]
-    )
-    def test_missed_mass_raises(self, x, strategy):
-        # the theta integrals look for the mass near 0 and find almost none of
-        # the mass near x/2 (0.0, 3.5e-99 and 4.4e-30): a density that does not
-        # integrate to 1 is refused, not returned with a residual of 1
+    @pytest.mark.parametrize("x", [200, 1000])
+    def test_far_mass_integrates_to_one_on_doubling(self, x):
+        # from one panel the transform route's theta check found almost none
+        # of the mass near x/2 (3.5e-99 and 4.4e-30); its graded start finds
+        # it (residuals 2.2e-13 and 4.0e-14, L-inf distances about 1e-17)
+        comp = zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy="doubling")
+        assert comp.numeric_norm_residual < 1e-12
+        assert comp.linf_distance < 1e-15
+
+    def test_missed_mass_raises(self):
+        # the doubling theta check, that of the transform route, finds the
+        # joint underflowed to 0 over its first octaves and stops before the
+        # mass near x/2: a density that does not integrate to 1 is refused,
+        # not returned with a residual of 1
         with pytest.raises(QuadratureError, match="is at or above the 1e-06 budget$") as caught:
-            zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy=strategy)
+            zpoisson_marginal(1000, make_theta_grid(1000, step=0.1), strategy="transform")
         assert 0.0 <= caught.value.partial_sum < 1e-6
 
     def test_missed_mass_is_refused_before_the_grid_work(self, monkeypatch):
@@ -321,9 +328,9 @@ class TestNBMarginalNumeric:
 
     def test_loose_tolerance_residual_is_reported_not_raised(self):
         # the NB residual measures how far the two strategies' evidences agree,
-        # so the z-Poisson norm budget does not apply to it (4.6e-6 here)
+        # so the z-Poisson norm budget does not apply to it (3.6e-4 here)
         comp = nb_marginal_numeric(0, make_theta_grid(0, step=0.1), tol=LOOSE)
-        assert 1e-6 < comp.numeric_norm_residual < 1e-4
+        assert 1e-6 < comp.numeric_norm_residual < 1e-3
 
     def test_shape_cutoff_drives_toward_claimed(self):
         # restricting to a >= cutoff forces the NB toward its Poisson limit,
@@ -401,41 +408,74 @@ class TestWorkCount:
     """Integrand calls (one on the panels an integral or octave starts from,
     then one per split on both halves' 30 nodes, inner and outer integrals
     alike) of the default marginals. The counts are deterministic; the caps
-    sit about 20% above what the kernel needs now that the inner integrals of
-    the evidence start from the partition the last one converged on (75 and
-    99 for NB x = 1, 25 and 25 for z-Poisson x = 0). Each inner integral
-    starting from one panel needed 287, 460, 43 and 49; one call per panel
-    before that 811, 1148, 83 and 91; and the scalar per-theta quadrature
-    before that over 15,000 and 2,000 panels. The call on the comparison
-    grid, a column per grid point, starts cold: none of its integrand calls
-    gets more than 30 rows."""
+    sit about 20% above what the kernel needs now that every integral starts
+    from its route's graded partition, ``marginal._START`` (33 and 54 for NB
+    x = 1, 3 and 7 for z-Poisson x = 0). From one panel, with each inner
+    integral starting from the partition the last one converged on, they
+    needed 69, 85, 19 and 19; each inner integral from one panel 287, 460, 43
+    and 49; one call per panel before that 811, 1148, 83 and 91; and the
+    scalar per-theta quadrature before that over 15,000 and 2,000 panels.
+
+    The comparison grid's integral, a column per grid point, starts graded
+    only while that start's call holds at most 30 * _MAX_GRID_POINTS cells,
+    those of one 30-row split of a full grid; a larger grid starts cold, so
+    no call exceeds that envelope."""
 
     CAPS = {
-        ("nb", "transform"): 90,
-        ("nb", "doubling"): 120,
-        ("zpoisson", "transform"): 30,
-        ("zpoisson", "doubling"): 30,
+        ("nb", "transform"): 40,
+        ("nb", "doubling"): 65,
+        ("zpoisson", "transform"): 4,
+        ("zpoisson", "doubling"): 8,
     }
+    ENVELOPE = 30 * marginal._MAX_GRID_POINTS
+
+    @staticmethod
+    def record(monkeypatch):
+        """The (rows, columns) of every integrand call of the marginals."""
+        shapes = []
+        integrate = marginal.integrate_semi_infinite
+
+        def recording(f, *args, **kwargs):
+            def recorded(nodes):
+                values = f(nodes)
+                shapes.append((nodes.size, values.size // nodes.size))
+                return values
+
+            return integrate(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(marginal, "integrate_semi_infinite", recording)
+        return shapes
 
     @pytest.mark.parametrize("model,strategy", sorted(CAPS))
     def test_integrand_calls_are_capped(self, monkeypatch, model, strategy):
-        calls = 0
-        integrate = marginal.integrate_semi_infinite
+        shapes = self.record(monkeypatch)
+        x = 1 if model == "nb" else 0
+        grid = make_theta_grid(x, 0.1)
+        marginalize = nb_marginal_numeric if model == "nb" else zpoisson_marginal
+        marginalize(x, grid, strategy=strategy)
+        assert len(shapes) <= self.CAPS[model, strategy]
+        # the grid's integral starts graded: 8 u-panels or 6 octaves
+        grid_rows = [rows for rows, columns in shapes if columns == grid.size]
+        assert grid_rows[0] == 15 * (len(marginal._START[strategy]) - 1)
+        assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
 
-        def counting(f, *args, **kwargs):
-            def counted(nodes):
-                nonlocal calls
-                calls += 1
-                values = f(nodes)
-                if values.ndim == 2 and values.shape[1] > 30:  # the comparison grid
-                    assert nodes.size <= 30
-                return values
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_grid_starts_graded_up_to_the_envelope(self, monkeypatch, strategy, past):
+        # 25,000 points on the transform route and 33,333 on doubling start
+        # graded; one more starts from one panel, or two octaves
+        start_rows = 15 * (len(marginal._START[strategy]) - 1)
+        size = self.ENVELOPE // start_rows + past
+        shapes = self.record(monkeypatch)
+        zpoisson_marginal(0, np.linspace(0.0, 12.0, size), strategy=strategy)
+        grid_rows = [rows for rows, columns in shapes if columns == size]
+        cold_rows = 15 if strategy == "transform" else 30
+        assert grid_rows[0] == (cold_rows if past else start_rows)
+        assert max(grid_rows) * size <= self.ENVELOPE
 
-            return integrate(counted, *args, **kwargs)
-
-        monkeypatch.setattr(marginal, "integrate_semi_infinite", counting)
-        if model == "nb":
-            nb_marginal_numeric(1, make_theta_grid(1, 0.1), strategy=strategy)
-        else:
-            zpoisson_marginal(0, make_theta_grid(0, 0.1), strategy=strategy)
-        assert calls <= self.CAPS[model, strategy]
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    def test_a_full_grid_calls_with_30_rows(self, monkeypatch, strategy):
+        size = marginal._MAX_GRID_POINTS
+        shapes = self.record(monkeypatch)
+        zpoisson_marginal(0, np.linspace(0.0, 12.0, size), strategy=strategy)
+        assert max(rows for rows, columns in shapes if columns == size) == 30
