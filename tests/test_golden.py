@@ -22,11 +22,15 @@ keeps the ``.py313`` variants, which need regenerating by hand.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
+import math
 import os
 import shutil
 import sys
 import tempfile
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -174,6 +178,51 @@ def test_golden(name):
 
 def test_every_golden_directory_has_a_case():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_dir()) == sorted(CASES)
+
+
+# The most any z-Poisson marginalize density, numeric or claimed, misses the
+# Gamma(x + 1, 2) density by, relative: the worst cases over these golden
+# files (both at x = 2 on the doubling route) were 3.66e-15 and 3.54e-15 both
+# before and after the marginals' graded starts moved the numeric values.
+ZPOISSON_REL_BOUND = {"numeric_density": 3.7e-15, "claimed_density": 3.6e-15}
+
+
+def _gamma_density(x: int, theta: float) -> float:
+    """2 (2 theta)^x e^{-2 theta} / x!, the double nearest its 40-digit value."""
+    if theta == 0.0:
+        return 2.0 if x == 0 else 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(theta)
+        return float(2 ** (x + 1) * t**x * (-2 * t).exp() / math.factorial(x))
+
+
+def _zpoisson_rows(name: str) -> tuple[int, list[dict[str, float]]]:
+    """A z-Poisson marginalize case's x and its grid rows, from CSV or JSON."""
+    text = (GOLDEN_DIR / name / "stdout").read_text()
+    if name.endswith("_json"):
+        payload = json.loads(text)
+        columns = ("theta_grid", "numeric_density", "claimed_density")
+        return payload["x"], [dict(zip(columns, row)) for row in
+                              zip(*(payload[column] for column in columns))]
+    lines = text.splitlines()
+    x = int(next(line for line in lines if line.startswith("# x: ")).split()[-1])
+    rows = csv.DictReader(line for line in lines if not line.startswith("#"))
+    return x, [{key: float(value) for key, value in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in CASES if name.startswith("marginalize_zpoisson") and
+    not name.endswith("_table")  # the table prints no densities
+))
+def test_zpoisson_golden_densities_are_exact(name):
+    x, rows = _zpoisson_rows(name)
+    assert len(rows) >= 27
+    for row in rows:
+        theta = row.get("theta", row.get("theta_grid"))
+        exact = _gamma_density(x, theta)
+        for column, bound in ZPOISSON_REL_BOUND.items():
+            assert abs(row[column] - exact) <= bound * exact, (column, theta)
 
 
 def regenerate() -> None:
