@@ -271,6 +271,8 @@ def cmd_estimate(args) -> int:
     cls = args.cl or [0.95]
     for cl in cls:
         _require_real(cl, "--cl", 0.0, 1.0, strict=True)
+    if args.alpha is not None:  # checked on any record, though only an all-zero one uses it
+        _require_real(args.alpha, "--alpha", 0.0, 1.0, strict=True)
     priors = [parse_prior(name, args.t) for name in args.prior or _STANDARD_PRIORS]
 
     counts_record = {"n": data.n, "total": data.total, "t": data.t}

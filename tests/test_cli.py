@@ -187,6 +187,17 @@ class TestEstimate:
         assert lim["u_theta"] == -math.log(1e-320) / 2
         assert math.isfinite(lim["u_rho"])
 
+    @pytest.mark.parametrize("counts", ["0", "1"])
+    @pytest.mark.parametrize("alpha", ["5", "nan", "inf", "0", "1", "-0.5"])
+    def test_invalid_alpha_exits_2_on_any_record(self, capsys, counts, alpha):
+        # a record with a count has no simple-probability limit, and once
+        # printed its Bayesian limits with the invalid --alpha unmentioned
+        code, out, err = run_cli(capsys, "estimate", "--counts", counts, "--alpha", alpha,
+                                 "--prior", "bl")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --alpha must be finite and in (0, 1), got {float(alpha)!r}")
+
     def test_custom_prior_runs(self, capsys):
         payload = run_json(
             capsys, "estimate", "--counts", "0", "--prior", "custom:1.5,0.5"
