@@ -240,6 +240,10 @@ def jj_divergence_demo(epsilon: float, U_theta: float) -> float:
     pinned, so alpha -> 0: the truncated posterior concentrates all its
     mass at the origin and any fixed upper limit becomes certain. That is
     the quantitative sense in which the JJ prior fails for all-zero data.
+
+    The log form is the truncated evidence only as epsilon -> 0: at epsilon
+    = 0.56 it is 0.0026 where E1(epsilon) is 0.493. An epsilon whose ratio
+    would pass 1, no tail probability, raises ``DomainError``.
     """
     _require_real(epsilon, "epsilon", 0.0, strict=True)
     _require_real(U_theta, "U_theta", 0.0, strict=True)
@@ -248,7 +252,14 @@ def jj_divergence_demo(epsilon: float, U_theta: float) -> float:
         raise DomainError(
             f"epsilon = {epsilon!r} is too large: -gamma_E - ln(epsilon) must be positive"
         )
-    return exp_integral_e1(U_theta + epsilon) / denominator
+    numerator = exp_integral_e1(U_theta + epsilon)
+    if numerator > denominator:
+        raise DomainError(
+            f"epsilon = {epsilon!r} is too large for U_theta = {U_theta!r}: "
+            f"E1(U_theta + epsilon) = {numerator:.6g} exceeds -gamma_E - ln(epsilon) = "
+            f"{denominator:.6g}, so alpha would exceed 1"
+        )
+    return numerator / denominator
 
 
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)  # B_2, B_4, ..., B_12

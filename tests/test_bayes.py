@@ -388,6 +388,24 @@ class TestJJDivergence:
             # denominator -gamma_E - ln(eps) is negative here
             jj_divergence_demo(1.0, 1.0)
 
+    @pytest.mark.parametrize("epsilon,u_theta", [(0.56, 1.0), (0.5, 0.4)])
+    def test_a_ratio_past_one_is_refused(self, epsilon, u_theta):
+        # these once returned alpha = 35.1632 and 2.24429, no tail probability
+        with pytest.raises(DomainError, match="so alpha would exceed 1$"):
+            jj_divergence_demo(epsilon, u_theta)
+
+    def test_the_ratio_may_reach_one(self):
+        # the largest epsilon accepted at U_theta = 1 gives a ratio just below 1
+        accepted, refused = 0.0, 0.5615
+        for _ in range(60):
+            middle = 0.5 * (accepted + refused)
+            try:
+                jj_divergence_demo(middle, 1.0)
+                accepted = middle
+            except DomainError:
+                refused = middle
+        assert 0.999 < jj_divergence_demo(accepted, 1.0) <= 1.0
+
 
 # The Gamma entropy H = a - ln b + lnGamma(a) + (1 - a) psi(a), as the double
 # nearest its mpmath value at 40 digits; tests/make_entropy_references.py

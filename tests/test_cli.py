@@ -670,6 +670,14 @@ class TestJJDivergence:
     def test_bad_eps_list_exits_2(self, capsys):
         assert run_cli(capsys, "jj-divergence", "--eps", "a,b")[0] == 2
 
+    @pytest.mark.parametrize("argv", [("--eps", "0.56"), ("--eps", "0.5", "--u-theta", "0.4")])
+    def test_alpha_past_one_exits_2(self, capsys, argv):
+        # once exit 0 with alpha=35.1632 and alpha=2.24429
+        code, out, err = run_cli(capsys, "jj-divergence", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: epsilon = 0.5") and "so alpha would exceed 1" in err, err
+
     def test_huge_upper_limit_gives_alpha_zero(self, capsys):
         # E1(1e-300 * 1e308) underflows to 0; it once raised (exit 4)
         payload = run_json(capsys, "jj-divergence", "--u-theta", "1e308", "--eps", "1e-300")
