@@ -260,9 +260,10 @@ class TestZPoissonMarginal:
 
     @pytest.mark.parametrize("x", [200, 1000])
     def test_far_mass_integrates_to_one_on_doubling(self, x):
-        # from one panel the transform route's theta check found almost none
-        # of the mass near x/2 (3.5e-99 and 4.4e-30); its graded start finds
-        # it (residuals 2.2e-13 and 4.0e-14, L-inf distances about 1e-17)
+        # from one panel the theta check, the transform route, found almost
+        # none of the mass near x/2 (4.4e-30 and 3.5e-99); from its graded
+        # start it finds it (residuals 2.2e-13 and 4.0e-14, L-inf distances
+        # about 1e-17)
         comp = zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy="doubling")
         assert comp.numeric_norm_residual < 1e-12
         assert comp.linf_distance < 1e-15
