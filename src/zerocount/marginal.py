@@ -69,8 +69,8 @@ _NORM_BUDGET = 1e-6
 # docstring): u-panels graded toward both ends, where the far tail and the NB
 # shape's a -> 0 sit, and the first six octaves, one panel each
 _START = {
-    "transform": [0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0],
-    "doubling": [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0],
+    "transform": (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0),
+    "doubling": (0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0),
 }
 
 
