@@ -9,19 +9,16 @@ the claimed closed form rests on a heuristic cancellation, so the gap is
 measured and reported, never asserted away).
 
 Each joint density is a numpy function over a (nuisance x theta) grid, so
-the whole comparison grid is one vector integral of
-:func:`integrate_semi_infinite`, and the evidence is an outer integral over
-theta whose integrand is one inner vector integral at the outer kernel's
-nodes. Every integral starts from its route's graded partition, ``_START``,
-all of its panels in one call: eight u-panels halving toward both ends, or
-the first six octaves. Converged partitions refine there, and a start from one
-panel reached them only by about ten sequential splits. The first inner
-integral starts graded, and each later one from the nuisance partition the
-one before it converged on; each still meets its own tolerance. The grid's
-integral, a column per grid point, starts graded only while that call holds
-at most the 30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid;
-a larger grid starts cold, so no integrand call exceeds that. Both models run
-through one driver, and their residuals are a genuine cross-check: the
+the comparison grid is a vector integral of :func:`integrate_semi_infinite`,
+one column per grid point, and the evidence is an outer integral over theta
+whose integrand is one inner vector integral at the outer kernel's nodes.
+Every integral starts cold, from the kernel's graded partition for its
+route, except the inner ones after the first, which start from the nuisance
+partition the one before converged on; each still meets its own tolerance.
+The grid is integrated in blocks of at most 25,000 columns, so no integrand
+call, of at most 120 rows (a cold transform start), holds more than the
+30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid. Both models
+run through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
 normalized posterior, so a residual at or above the 1e-6 budget raises
 ``QuadratureError``, before any grid work is spent. The NB residual, the two
@@ -58,20 +55,16 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 # Every grid point is one column of the marginal's vector integral, so memory
-# and time grow linearly with the grid: 10^5 points take a process about
-# 140 MB at peak and 1 to 2 s (NB, x = 1, either strategy, on a shared 2-vCPU
-# VM), and step 1e-6 at x = 1 (12.5 million points) exhausts memory.
+# and time grow linearly with the grid: 10^5 points take a process 86 to
+# 102 MB at peak and 0.5 to 0.7 s (NB, x = 1, either strategy, on a shared 2-vCPU
+# VM). The cap bounds both; step 1e-6 at x = 1 would ask for 12.5 million.
 _MAX_GRID_POINTS = 100_000
+# the most grid points one integral takes: the transform route's cold start,
+# 8 panels of 15 nodes, then holds 30 * _MAX_GRID_POINTS cells
+_GRID_BLOCK = 30 * _MAX_GRID_POINTS // 120
 # the most a z-Poisson marginal's theta integral may miss 1 by, and the most
 # its density may miss the claimed form by for a PASS verdict
 _NORM_BUDGET = 1e-6
-# the partition every integral starts from, per route (see the module
-# docstring): u-panels graded toward both ends, where the far tail and the NB
-# shape's a -> 0 sit, and the first six octaves, one panel each
-_START = {
-    "transform": (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0),
-    "doubling": (0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0),
-}
 
 
 class MarginalComparison(_Record):
@@ -164,9 +157,9 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     evidence that divides it. Without it the joint is a normalized posterior
     (z-Poisson), so a norm that misses 1 by the budget raises
     ``QuadratureError`` before any grid work. The norm is the marginal's theta
-    integral by the other strategy, over the evidence. Every integral starts
-    graded, the inner ones after the first from the last one's partition, and
-    the grid's call runs last (see the module docstring).
+    integral by the other strategy, over the evidence. The inner integrals
+    share one warm state, and the grid runs last, in blocks (see the module
+    docstring).
     """
     import numpy as np
 
@@ -174,22 +167,19 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     tol = tol if tol is not None else DEFAULT_TOL
     other = "doubling" if strategy == "transform" else "transform"
 
-    def start(route: str) -> dict:
-        return {(route, 0.0): _START[route]}
-
-    def marginal(theta: np.ndarray, warm: dict | None) -> np.ndarray:
+    def marginal(theta: np.ndarray, warm: dict | None = None) -> np.ndarray:
         joint = joint_in(theta, x)
         return integrate_semi_infinite(
             lambda u: joint(u[:, None]), tol=tol, strategy=strategy, warm=warm
         )
 
-    warm = start(strategy)
+    warm = {}
 
     def inner(theta: np.ndarray) -> np.ndarray:
         return marginal(theta, warm)
 
     def theta_integral(route: str) -> float:
-        return integrate_semi_infinite(inner, 0.0, tol, route, warm=start(route))
+        return integrate_semi_infinite(inner, 0.0, tol, route)
 
     # one scope for every joint call below, theta = 0 included
     with np.errstate(divide="ignore"):
@@ -202,10 +192,9 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
                 f"the {_NORM_BUDGET:g} budget",
                 partial_sum=norm,
             )
-        # the graded start's first call holds 15 (len - 1) rows per grid
-        # point; past the cells of one 30-row split of a full grid, cold
-        graded = 15 * (len(_START[strategy]) - 1) * grid.size <= 30 * _MAX_GRID_POINTS
-        numeric = marginal(grid, start(strategy) if graded else None) / evidence
+        numeric = np.concatenate([
+            marginal(grid[i:i + _GRID_BLOCK]) for i in range(0, grid.size, _GRID_BLOCK)
+        ]) / evidence
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: the Gamma(x+1, 2)
     # density by gamma_pdf's operations in its order, its constants hoisted
     a = x + 1.0

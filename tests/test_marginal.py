@@ -411,17 +411,16 @@ class TestWorkCount:
     then one per split on both halves' 30 nodes, inner and outer integrals
     alike) of the default marginals. The counts are deterministic; the caps
     sit about 20% above what the kernel needs now that every integral starts
-    from its route's graded partition, ``marginal._START`` (33 and 54 for NB
-    x = 1, 3 and 7 for z-Poisson x = 0). From one panel, with each inner
-    integral starting from the partition the last one converged on, they
-    needed 69, 85, 19 and 19; each inner integral from one panel 287, 460, 43
-    and 49; one call per panel before that 811, 1148, 83 and 91; and the
-    scalar per-theta quadrature before that over 15,000 and 2,000 panels.
+    cold from its route's graded partition (33 and 54 for NB x = 1, 3 and 7
+    for z-Poisson x = 0). From one panel, with each inner integral starting
+    from the partition the last one converged on, they needed 69, 85, 19 and
+    19; each inner integral from one panel 287, 460, 43 and 49; one call per
+    panel before that 811, 1148, 83 and 91; and the scalar per-theta
+    quadrature before that over 15,000 and 2,000 panels.
 
-    The comparison grid's integral, a column per grid point, starts graded
-    only while that start's call holds at most 30 * _MAX_GRID_POINTS cells,
-    those of one 30-row split of a full grid; a larger grid starts cold, so
-    no call exceeds that envelope."""
+    The comparison grid's integral, a column per grid point, runs in blocks
+    of at most 25,000 columns, each starting cold, so no call exceeds the
+    30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid."""
 
     CAPS = {
         ("nb", "transform"): 40,
@@ -430,6 +429,8 @@ class TestWorkCount:
         ("zpoisson", "doubling"): 8,
     }
     ENVELOPE = 30 * marginal._MAX_GRID_POINTS
+    # a cold start's rows: 8 u-panels or 6 octaves of 15 nodes
+    START_ROWS = {"transform": 120, "doubling": 90}
 
     @staticmethod
     def record(monkeypatch):
@@ -456,28 +457,30 @@ class TestWorkCount:
         marginalize = nb_marginal_numeric if model == "nb" else zpoisson_marginal
         marginalize(x, grid, strategy=strategy)
         assert len(shapes) <= self.CAPS[model, strategy]
-        # the grid's integral starts graded: 8 u-panels or 6 octaves
+        # the grid's integral starts cold, from the graded partition
         grid_rows = [rows for rows, columns in shapes if columns == grid.size]
-        assert grid_rows[0] == 15 * (len(marginal._START[strategy]) - 1)
+        assert grid_rows[0] == self.START_ROWS[strategy]
         assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
+
+    def grid_starts(self, monkeypatch, strategy, size):
+        """The columns of each cold start of the grid's blocks, in order."""
+        shapes = self.record(monkeypatch)
+        zpoisson_marginal(0, np.linspace(0.0, 12.0, size), strategy=strategy)
+        assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
+        # the theta integral starts on the other route's rows, and an inner
+        # integral has a column per theta node: 30, 90 or 120 of them
+        return [columns for rows, columns in shapes
+                if rows == self.START_ROWS[strategy] and columns not in (30, 90, 120)]
 
     @pytest.mark.parametrize("strategy", ["transform", "doubling"])
     @pytest.mark.parametrize("past", [0, 1])
     def test_grid_starts_graded_up_to_the_envelope(self, monkeypatch, strategy, past):
-        # 25,000 points on the transform route and 33,333 on doubling start
-        # graded; one more starts from one panel, or two octaves
-        start_rows = 15 * (len(marginal._START[strategy]) - 1)
-        size = self.ENVELOPE // start_rows + past
-        shapes = self.record(monkeypatch)
-        zpoisson_marginal(0, np.linspace(0.0, 12.0, size), strategy=strategy)
-        grid_rows = [rows for rows, columns in shapes if columns == size]
-        cold_rows = 15 if strategy == "transform" else 30
-        assert grid_rows[0] == (cold_rows if past else start_rows)
-        assert max(grid_rows) * size <= self.ENVELOPE
+        # 25,000 points are one block; one more point is a second block of
+        # one column, and each block starts graded
+        blocks = [25_000, 1] if past else [25_000]
+        assert self.grid_starts(monkeypatch, strategy, 25_000 + past) == blocks
 
     @pytest.mark.parametrize("strategy", ["transform", "doubling"])
-    def test_a_full_grid_calls_with_30_rows(self, monkeypatch, strategy):
+    def test_a_full_grid_runs_in_four_blocks(self, monkeypatch, strategy):
         size = marginal._MAX_GRID_POINTS
-        shapes = self.record(monkeypatch)
-        zpoisson_marginal(0, np.linspace(0.0, 12.0, size), strategy=strategy)
-        assert max(rows for rows, columns in shapes if columns == size) == 30
+        assert self.grid_starts(monkeypatch, strategy, size) == [size // 4] * 4
