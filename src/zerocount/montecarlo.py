@@ -38,6 +38,9 @@ __all__ = [
 
 PRNG_ALGORITHM = "PCG64"
 
+# the most draws or replicates one call takes: each is an int64 held in
+# memory at once (80 MB at the cap), 9x the most any workload passes
+_MAX_DRAWS = 10**7
 _ZP_TAIL = 1e-13
 # above this mean the z-Poisson sampler draws the zero-inflated form, not a table
 _ZP_TABLE_MAX_THETA = 50.0
@@ -54,6 +57,14 @@ def prng_metadata() -> dict[str, str]:
         "prng_library": f"numpy {np.__version__}",
         "prng_seeding": "numpy.random.default_rng(seed)",
     }
+
+
+def _require_draws(value, name: str) -> int:
+    """``value`` as an int in [1, _MAX_DRAWS], checked before any draw."""
+    value = _require_int(value, name, 1)
+    if value > _MAX_DRAWS:
+        raise DomainError(f"{name} must be at most {_MAX_DRAWS}, got {value!r}")
+    return value
 
 
 def _validate_seed(seed: int) -> int:
@@ -129,10 +140,13 @@ def _sample_zpoisson(params: ZPoissonParams, n_draws: int, rng: np.random.Genera
 
 
 def sample(model: Model, n_draws: int, seed: int) -> np.ndarray:
-    """Draw ``n_draws`` counts from ``model``, deterministically in ``seed``."""
+    """Draw ``n_draws`` counts from ``model``, deterministically in ``seed``.
+
+    ``n_draws`` above 10^7 raises ``DomainError``.
+    """
     import numpy as np
 
-    n_draws = _require_int(n_draws, "n_draws", 1)
+    n_draws = _require_draws(n_draws, "n_draws")
     seed = _validate_seed(seed)
     rng = np.random.default_rng(seed)
     if isinstance(model, PoissonParams):
@@ -188,7 +202,8 @@ def coverage_experiment(
     asks whether the posterior upper limit at confidence ``cl`` sits at or
     above ``true_rho``. Coverage is unconditional over S. A prior that goes
     improper for a realized S (JJ with zero counts) aborts with an error
-    naming the first offending replicate.
+    naming the first offending replicate. ``reps`` above 10^7 raises
+    ``DomainError``.
     """
     import numpy as np
 
@@ -196,7 +211,7 @@ def coverage_experiment(
     _require_real(t, "t", 0.0, strict=True)
     n = _require_int(n, "n", 1)
     _require_real(cl, "cl", 0.0, 1.0, strict=True)
-    reps = _require_int(reps, "reps", 1)
+    reps = _require_draws(reps, "reps")
     seed = _validate_seed(seed)
 
     rng = np.random.default_rng(seed)

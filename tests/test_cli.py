@@ -502,6 +502,16 @@ class TestSimulateAndCoverage:
             assert code == 2, argv
             assert err.startswith("error:")
 
+    def test_draws_and_replicates_past_the_cap_exit_2(self, capsys):
+        for argv, name in (
+            (("simulate", "--model", "poisson", "--theta", "1", "--draws", "10000001"), "n_draws"),
+            (("simulate", "--model", "poisson", "--theta", "1", "--bins", "10000001"), "n_draws"),
+            (("coverage", "--rho", "1", "--prior", "bl", "--reps", "10000001"), "reps"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith(f"error: {name} must be at most 10000000"), err
+
     def test_coverage_at_zero_rate_is_total(self, capsys):
         payload = run_json(
             capsys, "coverage", "--rho", "0", "--prior", "ME", "--cl", "0.95",

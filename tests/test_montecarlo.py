@@ -186,6 +186,21 @@ class TestSamplerLimits:
         with pytest.raises(DomainError):
             coverage_experiment(1e20, 1.0, 1, BL, 0.95, reps=10, seed=0)
 
+    def test_draws_and_replicates_past_the_cap_are_refused_before_any_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        past = montecarlo._MAX_DRAWS + 1
+        assert past == 10**7 + 1
+        for run, name in (
+            (lambda: sample(PoissonParams(theta=1.0), past, seed=0), "n_draws"),
+            (lambda: dispersion_experiment(1.0, past, seed=0), "n_draws"),
+            (lambda: coverage_experiment(1.0, 1.0, 1, BL, 0.95, reps=past, seed=0), "reps"),
+        ):
+            with pytest.raises(DomainError, match=f"^{name} must be at most 10000000, got 10000001$"):
+                run()
+
 
 class TestSummarize:
     def test_hand_values(self):
