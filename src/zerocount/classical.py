@@ -13,9 +13,12 @@ Bayesian routes.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .errors import DomainError, _Record, _require_int, _require_real
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 __all__ = [
     "CountData",

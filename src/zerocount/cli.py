@@ -29,7 +29,6 @@ import io
 import math
 import re
 import sys
-from pathlib import Path
 
 from . import __version__
 from .bayes import PriorKind, PriorSpec, posterior, prior_params, upper_limit
@@ -126,7 +125,8 @@ def parse_counts_arg(text: str) -> list[int]:
 
 def read_counts_file(path: str) -> list[int]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     counts = []

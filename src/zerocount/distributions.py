@@ -16,10 +16,13 @@ the top end).
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .errors import ConvergenceError, DomainError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 __all__ = [
     "PoissonParams",

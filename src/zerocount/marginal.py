@@ -35,12 +35,12 @@ joint forms.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, QuadratureError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
 from .quadrature import integrate_semi_infinite
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -16,12 +16,12 @@ yield the same draws, bit for bit, under the same numpy version.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
 from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 from .errors import DomainError, QuadratureError, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 __all__ = ["integrate_semi_infinite"]
 

@@ -780,10 +780,10 @@ ran = [name for name, module in sys.modules.items()
 print(sorted(name[len("zerocount."):] for name in ran), "numpy" in sys.modules)
 """
 
-    def ran_after(self, code: str) -> str:
+    def ran_after(self, code: str, *flags: str) -> str:
         env = dict(os.environ, PYTHONPATH=str(Path(zerocount.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", code + self.REPORT],
+            [sys.executable, *flags, "-c", code + self.REPORT],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -802,6 +802,17 @@ for name in ("decision", "marginal", "montecarlo"):
     assert "zerocount." + name in sys.modules, name
 """
         assert self.ran_after(code) == f"{sorted(ESTIMATE + ['cli'])} False"
+
+    def test_estimate_without_site_imports_neither_typing_nor_pathlib(self):
+        # under -S no site hook preloads them, so this sees the package's own
+        code = """
+import sys
+from zerocount.cli import main
+assert main(["estimate", "--counts", "0,1"]) == 0
+loaded = [name for name in ("pathlib", "typing") if name in sys.modules]
+assert not loaded, loaded
+"""
+        assert self.ran_after(code, "-S") == f"{sorted(ESTIMATE + ['cli'])} False"
 
     @pytest.mark.parametrize(
         "code,ran",
