@@ -57,8 +57,7 @@ _LN2 = math.log(2.0)
 # Every grid point is one column of the marginal's vector integral, so memory
 # and time grow linearly with the grid: 10^5 points take a process 86 to
 # 102 MB at peak and 0.5 to 0.7 s (NB, x = 1, either strategy, on a shared
-# 2-vCPU VM). The cap bounds both; step 1e-6 at x = 1 would ask for 12.5
-# million.
+# 2-vCPU VM), and the cap bounds both.
 _MAX_GRID_POINTS = 100_000
 # the most grid points one integral takes: the transform route's cold start,
 # 8 panels of 15 nodes, then holds 30 * _MAX_GRID_POINTS cells

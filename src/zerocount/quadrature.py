@@ -7,10 +7,12 @@ call) and n = 30 for each split (both halves in one call) as an ndarray,
 and returns shape ``(n,)``, or ``(n, K)`` for K integrals over shared
 panels; numpy is imported only when it runs. A cold integral starts from
 its route's graded partition, a fixed initial partition of the QUADPACK
-QAGI map (Piessens et al., 1983): eight u-panels, or six octaves. Similar
-integrals can share a warm state, each starting from the partition the
-last one converged on, at the same tolerance. Failures always surface as
-:class:`~zerocount.errors.QuadratureError` carrying the partial sum.
+QAGI map (Piessens et al., 1983): eight u-panels, or six octaves, where
+converged partitions refine and which one panel reached only by about ten
+sequential splits. Similar integrals can share a warm state, each starting
+from the partition the last one converged on, at the same tolerance.
+Failures always surface as :class:`~zerocount.errors.QuadratureError`
+carrying the partial sum.
 """
 
 from __future__ import annotations
