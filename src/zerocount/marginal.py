@@ -179,7 +179,7 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
         return marginal(theta, warm)
 
     def theta_integral(route: str) -> float:
-        return integrate_semi_infinite(inner, 0.0, tol, route)
+        return integrate_semi_infinite(inner, tol, route)
 
     # one scope for every joint call below, theta = 0 included
     with np.errstate(divide="ignore"):

@@ -1,4 +1,4 @@
-"""Adaptive quadrature over semi-infinite intervals.
+"""Adaptive quadrature over [0, inf).
 
 One adaptive, vector-valued G7/K15 Gauss-Kronrod kernel, its accuracy
 steered by :class:`~zerocount.numerics.ToleranceConfig`: the integrand gets
@@ -12,7 +12,7 @@ converged partitions refine and which one panel reached only by about ten
 sequential splits. Similar integrals can share a warm state, each starting
 from the partition the last one converged on, at the same tolerance.
 Failures always surface as :class:`~zerocount.errors.QuadratureError`
-carrying the partial sum.
+carrying the partial sum. For [c, inf), integrate ``lambda y: f(c + y)``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, QuadratureError, _require_real
+from .errors import DomainError, QuadratureError
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -34,7 +34,7 @@ _MAX_PANELS = 4096
 _MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
 _MAX_OCTAVES = 64
 # the transform route's cold start: u-panels graded toward both ends, where
-# the far tail (u -> 0) and an integrand steep at lower (u -> 1) sit
+# the far tail (u -> 0) and an integrand steep at 0 (u -> 1) sit
 _U_START = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0)
 
 # Nested Gauss-Kronrod pair G7/K15 (QUADPACK's QK15): the Gauss nodes are the
@@ -131,25 +131,22 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
             return total, [bounds[i][0] for i in order] + [float(edges[-1])], vals[order]
 
 
-def _doubling(g, lower, edges, tol, shaped):
-    """Octaves of doubling width from ``[lower, lower + 1]`` until two in a row
-    add nothing beyond the tolerance in any component.
+def _doubling(g, edges, tol, shaped):
+    """Octaves of doubling width from ``[0, 1]`` until two in a row add
+    nothing beyond the tolerance in any component.
 
-    Octave k starts at ``lower + (2^k - 1)``. ``edges`` partition the first
-    octaves, or are ``None`` for a cold start from the first six, one panel
-    each. One adaptive pass integrates them, and each pass after it the next
-    two octaves, one panel each, all at one octave's tolerance. The
+    Octave k starts at ``2^k - 1``, an exact double. ``edges`` partition the
+    first octaves, or are ``None`` for a cold start from the first six, one
+    panel each. One adaptive pass integrates them, and each pass after it
+    the next two octaves, one panel each, all at one octave's tolerance. The
     quiet-octave rule runs over the octaves' sums in order, so ``g`` may be
     evaluated up to one octave past the last one summed. Returns the (K,)
     integral and the edges of the octaves summed.
     """
     import numpy as np
 
-    if lower + 1.0 == lower:  # the octaves' walk would never leave lower
-        raise QuadratureError(f"an octave of width 1 at lower={lower!r} is below float resolution")
-    # where octave k starts: one expression for every edge, so they agree
-    at = lambda k: lower + (2.0**k - 1.0)  # noqa: E731
-    octaves, used, total, previous, quiet = 0, [lower], 0.0, math.inf, 0
+    at = lambda k: 2.0**k - 1.0  # noqa: E731
+    octaves, used, total, previous, quiet = 0, [0.0], 0.0, math.inf, 0
     while octaves < _MAX_OCTAVES:
         if edges is None:  # the first six octaves, or the next two
             edges = [at(k) for k in range(octaves, octaves + (3 if octaves else 7))]
@@ -164,7 +161,7 @@ def _doubling(g, lower, edges, tol, shaped):
         values[0] += total  # the running totals, added in turn as by a loop
         totals = np.add.accumulate(values)
         # an octave below tolerance is quiet only once the octaves stop
-        # growing: mass far from lower leaves the first ones tiny but rising
+        # growing: mass far from 0 leaves the first ones tiny but rising
         before = np.concatenate((np.broadcast_to(previous, sizes[:1].shape), sizes[:-1]))
         quiets = ((sizes <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(totals)))
                   & (sizes <= before)).all(axis=1)
@@ -177,15 +174,11 @@ def _doubling(g, lower, edges, tol, shaped):
                           partial_sum=shaped(total), error_estimate=float("nan"))
 
 
-def integrate_semi_infinite(
-    f: Callable,
-    lower: float = 0.0,
-    tol: ToleranceConfig | None = None,
-    strategy: str = "transform",
-    *,
-    warm: dict | None = None,
-):
-    """Integrate ``f`` over ``[lower, inf)``, one function or K at once.
+def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
+                            strategy: str = "transform", *, warm: dict | None = None):
+    """Integrate ``f`` over ``[0, inf)``, one function or K at once.
+
+    For ``[c, inf)``, integrate the shifted ``lambda y: f(c + y)``.
 
     ``f`` receives n abscissae as an ndarray: 15 m for the m panels an
     integral starts from (cold, 8, or 6 on the doubling route), or 30 for
@@ -194,23 +187,22 @@ def integrate_semi_infinite(
     their panels; each must meet ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``.
     Row j must depend only on abscissa j.
 
-    ``"transform"`` integrates in ``u`` through ``x = lower + (1 - u)/u``,
-    from eight u-panels halving toward both ends. ``"doubling"``, an
-    independent route, sums octaves of doubling width, six in its first
-    adaptive pass and two per pass after it, until two in a row add nothing
-    beyond the tolerance in any component, so it may evaluate ``f`` up to
-    one octave past the last one it sums. Both need mass reachable from
-    ``lower``: a bump that no node of the starting panels or their splits
-    lands in is missed with no error raised. Of 45 bumps centred at
-    ``lower`` + 1.5 to 40, of widths 0.01 to 0.2, the transform route misses
-    16 (width 0.05 at ``lower + 10`` integrates to about 4e-20, not 0.089)
-    and the doubling route 28, every one from ``lower + 10`` on.
+    ``"transform"`` integrates in ``u`` through ``x = (1 - u)/u``, from
+    eight u-panels halving toward both ends. ``"doubling"``, an independent
+    route, sums octaves of doubling width, six in its first adaptive pass
+    and two per pass after it, until two in a row add nothing beyond the
+    tolerance in any component, so it may evaluate ``f`` up to one octave
+    past the last one it sums. Both need mass reachable from 0: a bump that
+    no node of the starting panels or their splits lands in is missed with
+    no error raised. Of 45 bumps centred at 1.5 to 40, of widths 0.01 to
+    0.2, the transform route misses 16 (width 0.05 at 10 integrates to
+    about 4e-20, not 0.089) and the doubling route 28, every one from 10 on.
 
     ``warm`` is private to the package: a dict shared by a sequence of calls
     on similar integrands. A call starts from the final partition of the last
-    one with the same strategy and ``lower`` instead of cold, and leaves its
-    own there; if that start fails, the call starts again cold. Only the
-    starting partition changes, not the tolerance each result meets.
+    one with the same strategy instead of cold, and leaves its own there; if
+    that start fails, the call starts again cold. Only the starting
+    partition changes, not the tolerance each result meets.
 
     Raises
     ------
@@ -221,7 +213,6 @@ def integrate_semi_infinite(
     """
     import numpy as np
 
-    _require_real(lower, "lower", 0.0)
     if strategy not in ("transform", "doubling"):
         raise DomainError(f"unknown quadrature strategy {strategy!r}")
     tol = tol if tol is not None else DEFAULT_TOL
@@ -247,12 +238,11 @@ def integrate_semi_infinite(
 
     def route(edges):  # None starts cold
         if strategy == "doubling":
-            return _doubling(g, lower, edges, tol, shaped)
-        mapped = lambda u: g(lower + (1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
+            return _doubling(g, edges, tol, shaped)
+        mapped = lambda u: g((1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
         return _adaptive(mapped, edges or _U_START, tol.abs_tol, tol.quad_rel_tol, shaped)[:2]
 
-    key = (strategy, lower)
-    seed = warm.get(key) if warm is not None else None
+    seed = warm.get(strategy) if warm is not None else None
     try:
         total, edges = route(seed)
     except QuadratureError:
@@ -261,5 +251,5 @@ def integrate_semi_infinite(
         # the partition another integrand left need not suit this one
         total, edges = route(None)
     if warm is not None:
-        warm[key] = edges
+        warm[strategy] = edges
     return shaped(total)
