@@ -112,7 +112,7 @@ def simple_probability_estimates(
     as a density n e^{-n theta} in theta, has mean 1/n and variance 1/n^2;
     dividing by t and t^2 converts to the rate.
     """
-    n = _require_int(n, "n", 1)
+    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     _require_real(t, "t", 0.0, strict=True)
     mean_theta = 1.0 / n
     var_theta = 1.0 / n**2
@@ -127,7 +127,7 @@ def simple_probability_upper_limit(
     Integrating the renormalized zero-class density beyond U leaves mass
     alpha when U_theta = ln(1/alpha)/n.
     """
-    n = _require_int(n, "n", 1)
+    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     _require_real(t, "t", 0.0, strict=True)
     _require_real(alpha, "alpha", 0.0, 1.0, strict=True)
     if alpha > 0.5:  # alpha - 1 is exact here, and near 1 a rounded 1/alpha is far off

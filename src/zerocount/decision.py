@@ -68,7 +68,8 @@ class RiskOracleReport(_Record):
 
 
 def _check_sn(S: int, n: int) -> tuple[int, int]:
-    return _require_int(S, "S"), _require_int(n, "n", 1)
+    return (_require_real(_require_int(S, "S"), "S", 0.0),
+            _require_real(_require_int(n, "n", 1), "n", 1.0))
 
 
 def _bayes_mean_counts(S: int, n: int, a: float, b: float) -> float:
@@ -90,9 +91,9 @@ def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) ->
     mode it is the observed total S and theta is replaced by S/n.
     """
     mode = ThetaMode(mode)
-    n = _require_int(n, "n", 1)
+    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     if mode is ThetaMode.PLUG_IN:
-        theta = _require_int(s_or_theta, "S") / n
+        theta = _require_real(_require_int(s_or_theta, "S"), "S", 0.0) / n
     else:
         theta = _require_real(s_or_theta, "theta", 0.0)
     return (a - b * theta) / (n + b)
@@ -189,7 +190,7 @@ def validate_risk_oracle(
     bias^2 + variance.
     """
     _require_real(theta, "theta", 0.0)
-    n = _require_int(n, "n", 1)
+    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     tol = tol if tol is not None else DEFAULT_TOL
     a, b = prior.a, prior.b
     denom = n + b

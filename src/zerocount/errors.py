@@ -8,7 +8,8 @@ input from numerical trouble can catch ``DomainError`` versus
 Arguments are checked by two private validators that raise ``DomainError``
 naming the parameter: ``_require_int`` for counts, sizes and seeds, and
 ``_require_real`` for real values, which must be finite and inside their
-stated interval.
+stated interval. A count used as a float passes both, so an int past the
+float range is a ``DomainError``; messages show values by ``_shown``.
 
 The package's frozen records derive from ``_Record``: each declares its
 fields once, in ``__slots__``, and ``_Record`` compiles from them a
@@ -126,6 +127,14 @@ class _Record:
         return type(self), self._values()
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or an int of over 1,024 bits by its bit length: such an
+    int is past every double, and ``repr`` raises past 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _require_int(value, name: str, minimum: int = 0) -> int:
     """Return ``value`` as an ``int`` if it is an integer >= ``minimum``.
 
@@ -141,7 +150,7 @@ def _require_int(value, name: str, minimum: int = 0) -> int:
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
@@ -162,5 +171,5 @@ def _require_real(value, name: str, low: float, high: float = math.inf, *, stric
     if not valid:
         closing = ")" if strict or high == math.inf else "]"
         interval = f"{'(' if strict else '['}{low:g}, {high:g}{closing}"
-        raise DomainError(f"{name} must be finite and in {interval}, got {value!r}")
+        raise DomainError(f"{name} must be finite and in {interval}, got {_shown(value)}")
     return value

@@ -19,7 +19,8 @@ import math
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
-from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
+from .errors import (DomainError, ImproperPosteriorError, _Record, _require_int, _require_real,
+                     _shown)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -63,14 +64,14 @@ def _require_draws(value, name: str) -> int:
     """``value`` as an int in [1, _MAX_DRAWS], checked before any draw."""
     value = _require_int(value, name, 1)
     if value > _MAX_DRAWS:
-        raise DomainError(f"{name} must be at most {_MAX_DRAWS}, got {value!r}")
+        raise DomainError(f"{name} must be at most {_MAX_DRAWS}, got {_shown(value)}")
     return value
 
 
 def _validate_seed(seed: int) -> int:
     seed = _require_int(seed, "seed")
     if seed >= 2**64:
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {_shown(seed)}")
     return seed
 
 
@@ -209,7 +210,7 @@ def coverage_experiment(
 
     _require_real(true_rho, "true_rho", 0.0)
     _require_real(t, "t", 0.0, strict=True)
-    n = _require_int(n, "n", 1)
+    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     _require_real(cl, "cl", 0.0, 1.0, strict=True)
     reps = _require_draws(reps, "reps")
     seed = _validate_seed(seed)

@@ -24,9 +24,17 @@ from zerocount.bayes import (
 from zerocount.classical import (
     CountData,
     ml_estimates,
+    simple_probability_estimates,
     simple_probability_upper_limit,
 )
-from zerocount.decision import ThetaMode, _bayes_mean_counts, bias_mean, validate_risk_oracle
+from zerocount.decision import (
+    ThetaMode,
+    _bayes_mean_counts,
+    bias_mean,
+    compare_priors,
+    risk_mean,
+    validate_risk_oracle,
+)
 from zerocount.distributions import (
     GammaDist,
     NBParams,
@@ -34,9 +42,12 @@ from zerocount.distributions import (
     ZPoissonParams,
     expectation_over_poisson,
     gamma_pdf,
+    nb_pmf,
     poisson_pmf,
+    prob_all_zero,
+    zpoisson_pmf,
 )
-from zerocount.errors import DomainError
+from zerocount.errors import DomainError, _require_int, _require_real
 from zerocount.marginal import make_theta_grid, nb_marginal_numeric, zpoisson_marginal
 from zerocount.montecarlo import coverage_experiment, sample
 from zerocount.numerics import inv_reg_inc_gamma_lower, reg_inc_gamma_lower
@@ -44,6 +55,7 @@ from zerocount.numerics import inv_reg_inc_gamma_lower, reg_inc_gamma_lower
 BL = prior_params(PriorKind.BL)
 POISSON = PoissonParams(theta=1.0)
 INF, NAN = math.inf, math.nan
+BIG = 10**400  # past the float range
 
 CALLS = {
     "posterior_inf_S": lambda: posterior_from_sufficient(INF, 1, 1.0, BL),
@@ -106,9 +118,20 @@ NON_FINITE_CALLS = {
     "gamma_dist_inf_a": ("shape a", lambda: GammaDist(INF, 1.0)),
     "posterior_inf_t": ("t", lambda: posterior_from_sufficient(0, 1, INF, BL)),
     "theta_grid_inf_step": ("step", lambda: make_theta_grid(0, step=INF)),
-    "theta_grid_huge_x": ("x", lambda: make_theta_grid(10**400)),
-    "zpoisson_marginal_huge_x": ("x", lambda: zpoisson_marginal(10**400, make_theta_grid(0))),
-    "nb_marginal_huge_x": ("x", lambda: nb_marginal_numeric(10**400, make_theta_grid(0))),
+    "theta_grid_huge_x": ("x", lambda: make_theta_grid(BIG)),
+    "zpoisson_marginal_huge_x": ("x", lambda: zpoisson_marginal(BIG, make_theta_grid(0))),
+    "nb_marginal_huge_x": ("x", lambda: nb_marginal_numeric(BIG, make_theta_grid(0))),
+    "poisson_pmf_huge_x": ("x", lambda: poisson_pmf(BIG, 2.0)),
+    "nb_pmf_huge_x": ("x", lambda: nb_pmf(BIG, NBParams(1, 2))),
+    "zpoisson_pmf_huge_x": ("x", lambda: zpoisson_pmf(BIG, ZPoissonParams(1, 1.5))),
+    "prob_all_zero_huge_n": ("n", lambda: prob_all_zero(BIG, 1.0)),
+    "simple_estimates_huge_n": ("n", lambda: simple_probability_estimates(BIG)),
+    "simple_limit_huge_n": ("n", lambda: simple_probability_upper_limit(BIG, 1.0, 0.05)),
+    "bias_mean_huge_S": ("S", lambda: bias_mean(BIG, 1, 1, 0, "PlugIn")),
+    "risk_mean_huge_S": ("S", lambda: risk_mean(BIG, 1, 1, 0)),
+    "compare_priors_huge_S": ("S", lambda: compare_priors(BIG, 1)),
+    "risk_oracle_huge_n": ("n", lambda: validate_risk_oracle(1.0, BIG, BL)),
+    "coverage_huge_n": ("n", lambda: coverage_experiment(0.5, 1.0, BIG, BL, 0.95, 10, 0)),
     # not a number at all: a DomainError, not a TypeError from the comparison
     "poisson_pmf_str_theta": ("theta", lambda: poisson_pmf(0, "1")),
 }
@@ -150,6 +173,31 @@ def test_overflowing_exposure_raises_domain_error(case):
     prefix, call = OVERFLOW_CALLS[case]
     with pytest.raises(DomainError, match=f"^{prefix}"):
         call()
+
+
+# ints of more than 4,300 digits, which repr cannot print: a message shows
+# them by their bit length. case -> (message, call)
+HUGE = 10**5000
+UNPRINTABLE_CALLS = {
+    "require_int_negative": ("n must be an integer >= 0, got a negative 16610-bit integer",
+                             lambda: _require_int(-HUGE, "n")),
+    "require_real": ("x must be finite and in [0, inf), got a 16610-bit integer",
+                     lambda: _require_real(HUGE, "x", 0.0)),
+    "sample_draws": ("n_draws must be at most 10000000, got a 16610-bit integer",
+                     lambda: sample(PoissonParams(1.0), HUGE, 0)),
+    "sample_seed": ("seed must be an unsigned 64-bit integer, got a 16610-bit integer",
+                    lambda: sample(PoissonParams(1.0), 10, HUGE)),
+    "theta_grid_x": ("x must be finite and in [0, inf), got a 16610-bit integer",
+                     lambda: make_theta_grid(HUGE)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPRINTABLE_CALLS))
+def test_an_unprintable_int_is_shown_by_its_bit_length(case):
+    message, call = UNPRINTABLE_CALLS[case]
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("marginal", [zpoisson_marginal, nb_marginal_numeric])
