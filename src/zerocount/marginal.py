@@ -237,7 +237,7 @@ def zpoisson_joint_posterior(theta, psi, x: int):
     4 (1 - psi) e^{-psi} for x = 1, and 0 for x >= 2. theta and psi may be
     arrays that broadcast; scalars give a float.
     """
-    x = _require_int(x, "x")
+    x = _require_real(_require_int(x, "x"), "x", 0.0)
     theta_arr = _require_reals(theta, "theta", 0.0)
     psi_arr = _require_reals(psi, "psi", 0.0, strict=True)
     out = _zpoisson_joint_in_psi(theta_arr, x)(psi_arr)
@@ -324,7 +324,7 @@ def nb_joint_density(theta, a, x: int):
     """
     import numpy as np
 
-    x = _require_int(x, "x")
+    x = _require_real(_require_int(x, "x"), "x", 0.0)
     theta_arr, a_arr = _require_reals(theta, "theta", 0.0), _require_reals(a, "a", 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a trailing axis keeps 0-d inputs arrays, which _nb_joint writes into

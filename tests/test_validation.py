@@ -48,7 +48,13 @@ from zerocount.distributions import (
     zpoisson_pmf,
 )
 from zerocount.errors import DomainError, _require_int, _require_real
-from zerocount.marginal import make_theta_grid, nb_marginal_numeric, zpoisson_marginal
+from zerocount.marginal import (
+    make_theta_grid,
+    nb_joint_density,
+    nb_marginal_numeric,
+    zpoisson_joint_posterior,
+    zpoisson_marginal,
+)
 from zerocount.montecarlo import coverage_experiment, sample
 from zerocount.numerics import inv_reg_inc_gamma_lower, reg_inc_gamma_lower
 
@@ -132,6 +138,8 @@ NON_FINITE_CALLS = {
     "compare_priors_huge_S": ("S", lambda: compare_priors(BIG, 1)),
     "risk_oracle_huge_n": ("n", lambda: validate_risk_oracle(1.0, BIG, BL)),
     "coverage_huge_n": ("n", lambda: coverage_experiment(0.5, 1.0, BIG, BL, 0.95, 10, 0)),
+    "zpoisson_joint_huge_x": ("x", lambda: zpoisson_joint_posterior(1.0, 1.0, BIG)),
+    "nb_joint_huge_x": ("x", lambda: nb_joint_density(1.0, 1.0, BIG)),
     # not a number at all: a DomainError, not a TypeError from the comparison
     "poisson_pmf_str_theta": ("theta", lambda: poisson_pmf(0, "1")),
 }
