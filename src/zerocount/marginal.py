@@ -12,12 +12,14 @@ Each joint density is a numpy function over a (nuisance x theta) grid, so
 the comparison grid is a vector integral of :func:`integrate_semi_infinite`,
 one column per grid point, and the evidence is an outer integral over theta
 whose integrand is one inner vector integral at the outer kernel's nodes.
-Every integral starts cold, from the kernel's graded partition for its
-route, except the inner ones after the first, which start from the nuisance
-partition the one before converged on; each still meets its own tolerance.
-The grid is integrated in blocks of at most 25,000 columns, so no integrand
-call, of at most 120 rows (a cold transform start), holds more than the
-30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid. Both models
+The theta integrals and the first inner one start cold, from the kernel's
+graded partition for their route. Every later inner integral, and each
+block of the grid, starts from the nuisance partition the integral before
+converged on; each still meets its own tolerance. A block's first call has
+15 rows per panel of that partition, or of a cold retry's at most 8, so a
+block of 30 * _MAX_GRID_POINTS // (15 * max(m, 8)) columns for m panels
+holds no more than the 30 * _MAX_GRID_POINTS cells of one 30-row split of a
+full grid. Both models
 run through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
 normalized posterior, so a residual at or above the 1e-6 budget raises
@@ -59,9 +61,10 @@ _LN2 = math.log(2.0)
 # 102 MB at peak and 0.5 to 0.7 s (NB, x = 1, either strategy, on a shared
 # 2-vCPU VM), and the cap bounds both.
 _MAX_GRID_POINTS = 100_000
-# the most grid points one integral takes: the transform route's cold start,
-# 8 panels of 15 nodes, then holds 30 * _MAX_GRID_POINTS cells
-_GRID_BLOCK = 30 * _MAX_GRID_POINTS // 120
+# NB cost grows with x, as the rising factorial takes x / 8 array passes per
+# joint call: at the finest grid x = 300 takes 25 s and x = 1000 took 60 s,
+# and at the default step x = 3000 took 28 s (shared 2-vCPU VM)
+_MAX_NB_COUNT = 300
 # the most a z-Poisson marginal's theta integral may miss 1 by, and the most
 # its density may miss the claimed form by for a PASS verdict
 _NORM_BUDGET = 1e-6
@@ -158,8 +161,8 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     (z-Poisson), so a norm that misses 1 by the budget raises
     ``QuadratureError`` before any grid work. The norm is the marginal's theta
     integral by the other strategy, over the evidence. The inner integrals
-    share one warm state, and the grid runs last, in blocks (see the module
-    docstring).
+    and the grid, which runs last in blocks, share one warm state (see the
+    module docstring).
     """
     import numpy as np
 
@@ -167,19 +170,14 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     tol = tol if tol is not None else DEFAULT_TOL
     other = "doubling" if strategy == "transform" else "transform"
 
-    def marginal(theta: np.ndarray, warm: dict | None = None) -> np.ndarray:
-        joint = joint_in(theta, x)
-        return integrate_semi_infinite(
-            lambda u: joint(u[:, None]), tol=tol, strategy=strategy, warm=warm
-        )
-
     warm = {}
 
-    def inner(theta: np.ndarray) -> np.ndarray:
-        return marginal(theta, warm)
+    def marginal(theta: np.ndarray) -> np.ndarray:
+        joint = joint_in(theta, x)
+        return integrate_semi_infinite(lambda u: joint(u[:, None]), tol, strategy, warm=warm)
 
     def theta_integral(route: str) -> float:
-        return integrate_semi_infinite(inner, tol, route)
+        return integrate_semi_infinite(marginal, tol, route)
 
     # one scope for every joint call below, theta = 0 included
     with np.errstate(divide="ignore"):
@@ -192,9 +190,15 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
                 f"the {_NORM_BUDGET:g} budget",
                 partial_sum=norm,
             )
-        numeric = np.concatenate([
-            marginal(grid[i:i + _GRID_BLOCK]) for i in range(0, grid.size, _GRID_BLOCK)
-        ]) / evidence
+        blocks, start = [], 0
+        while start < grid.size:
+            # the first call holds 15 rows per panel of the partition this block
+            # starts from, which the block before may have refined, or of a cold
+            # retry's 8 (6 octaves on doubling): at most 30 * _MAX_GRID_POINTS cells
+            width = 30 * _MAX_GRID_POINTS // (15 * max(len(warm[strategy]) - 1, 8))
+            blocks.append(marginal(grid[start:start + width]))
+            start += width
+        numeric = np.concatenate(blocks) / evidence
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: the Gamma(x+1, 2)
     # density by gamma_pdf's operations in its order, its constants hoisted
     a = x + 1.0
@@ -320,11 +324,12 @@ def nb_joint_density(theta, a, x: int):
 
     Boundary values keep the integrand finite everywhere: at a = 0 the NB
     factor degenerates to a point mass at x = 0, and at theta = 0 likewise.
-    theta and a may be arrays that broadcast; scalars give a float.
+    theta and a may be arrays that broadcast; scalars give a float. An x
+    above 300 raises ``DomainError``: the cost grows with x.
     """
     import numpy as np
 
-    x = _require_real(_require_int(x, "x"), "x", 0.0)
+    x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)
     theta_arr, a_arr = _require_reals(theta, "theta", 0.0), _require_reals(a, "a", 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a trailing axis keeps 0-d inputs arrays, which _nb_joint writes into
@@ -350,9 +355,10 @@ def nb_marginal_numeric(
 
     ``a_lower`` restricts the shape integration to [a_lower, inf); pushing
     it up forces the NB toward its Poisson limit and the marginal toward
-    the claimed form.
+    the claimed form. An x above 300 raises ``DomainError``: the cost
+    grows with x.
     """
-    x = _require_int(x, "x")
+    x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)
     _require_real(a_lower, "a_lower", 0.0)
     return _marginalize(
         x, theta_grid, tol, strategy, lambda theta, x: lambda d: _nb_joint(d, theta, x, a_lower),

@@ -449,6 +449,11 @@ class TestMarginalize:
     def test_negative_x_exits_2(self, capsys):
         assert run_cli(capsys, "marginalize", "--model", "zpoisson", "--x", "-1")[0] == 2
 
+    def test_nb_count_past_the_cap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "marginalize", "--model", "nb", "--x", "301")
+        assert code == 2
+        assert "x must be finite and in [0, 300], got 301" in err
+
 
 class TestSimulateAndCoverage:
     def test_poisson_dispersion_experiment(self, capsys):

@@ -7,6 +7,7 @@ checked against analytic identities and between independent strategies.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -23,7 +24,7 @@ from zerocount.marginal import (
     zpoisson_joint_posterior,
     zpoisson_marginal,
 )
-from zerocount.numerics import ToleranceConfig
+from zerocount.numerics import DEFAULT_TOL, ToleranceConfig
 
 E_M1 = 0.367879441171442322
 E_M2 = 0.135335283236612692
@@ -367,6 +368,21 @@ class TestNBMarginalNumeric:
             nb_marginal_numeric(0, make_theta_grid(0, step=0.25), a_lower=-1.0)
 
 
+# the most a z-Poisson grid density may miss the Gamma(x + 1, 2) density by,
+# relative, over x = 0..10 at step 0.1 (see TestWarmGrid)
+ZPOISSON_REL_BOUND = 7e-15
+
+
+def _gamma_density(x: int, theta: float) -> float:
+    """2 (2 theta)^x e^{-2 theta} / x!, the double nearest its 40-digit value."""
+    if theta == 0.0:
+        return 2.0 if x == 0 else 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(theta)
+        return float(2 ** (x + 1) * t**x * (-2 * t).exp() / math.factorial(x))
+
+
 def _at(comp, theta):
     idx = int(np.argmin(np.abs(comp.theta_grid - theta)))
     assert abs(comp.theta_grid[idx] - theta) < 1e-12
@@ -406,81 +422,138 @@ class TestFrozenReferences:
         assert abs(_at(comp, theta) - expected) <= 1e-10
 
 
+def _record_integrals(monkeypatch):
+    """The marginals' integrals, in the order they start, as dicts: ``outer``,
+    whether no other integral encloses it; ``panels``, those of the warm
+    partition it starts from (None for a cold start); ``shapes``, the (rows,
+    columns) of each integrand call; ``result``; and ``cold``, which
+    integrates the same integrand again from a cold start."""
+    integrals, depth = [], [0]
+    integrate = marginal.integrate_semi_infinite
+
+    def recording(f, tol, strategy, *, warm=None):
+        seed = None if warm is None else warm.get(strategy)
+        shapes = []
+        entry = {"outer": depth[0] == 0, "panels": None if seed is None else len(seed) - 1,
+                 "shapes": shapes, "cold": lambda: integrate(f, tol, strategy)}
+        integrals.append(entry)
+
+        def recorded(nodes):
+            values = f(nodes)
+            shapes.append((nodes.size, values.size // nodes.size))
+            return values
+
+        depth[0] += 1
+        try:
+            entry["result"] = integrate(recorded, tol, strategy, warm=warm)
+        finally:
+            depth[0] -= 1
+        return entry["result"]
+
+    monkeypatch.setattr(marginal, "integrate_semi_infinite", recording)
+    return integrals
+
+
+def _grid_blocks(integrals):
+    """The grid's blocks: the outer integrals that start warm, as the theta
+    integrals do not."""
+    return [entry for entry in integrals if entry["outer"] and entry["panels"] is not None]
+
+
 class TestWorkCount:
     """Integrand calls (one on the panels an integral or octave starts from,
     then one per split on both halves' 30 nodes, inner and outer integrals
     alike) of the default marginals. The counts are deterministic; the caps
-    sit about 20% above what the kernel needs now that every integral starts
-    cold from its route's graded partition (33 and 54 for NB x = 1, 3 and 7
-    for z-Poisson x = 0). From one panel, with each inner integral starting
-    from the partition the last one converged on, they needed 69, 85, 19 and
-    19; each inner integral from one panel 287, 460, 43 and 49; one call per
-    panel before that 811, 1148, 83 and 91; and the scalar per-theta
-    quadrature before that over 15,000 and 2,000 panels.
+    sit about 20% above what the kernel needs now that the comparison grid
+    starts from the nuisance partition the last inner integral converged on
+    (32 and 45 for NB x = 1, 3 and 5 for z-Poisson x = 0). With the grid
+    starting cold from the graded partition they needed 33, 54, 3 and 7; from
+    one panel, with each inner integral starting from the partition the last
+    one converged on, 69, 85, 19 and 19; each inner integral from one panel
+    287, 460, 43 and 49; one call per panel before that 811, 1148, 83 and 91;
+    and the scalar per-theta quadrature before that over 15,000 and 2,000
+    panels.
 
     The comparison grid's integral, a column per grid point, runs in blocks
-    of at most 25,000 columns, each starting cold, so no call exceeds the
+    whose first call has 15 rows per panel of the partition it starts from,
+    at least 8 of them for a cold retry, so no call exceeds the
     30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid."""
 
     CAPS = {
-        ("nb", "transform"): 40,
-        ("nb", "doubling"): 65,
+        ("nb", "transform"): 38,
+        ("nb", "doubling"): 54,
         ("zpoisson", "transform"): 4,
-        ("zpoisson", "doubling"): 8,
+        ("zpoisson", "doubling"): 6,
     }
     ENVELOPE = 30 * marginal._MAX_GRID_POINTS
-    # a cold start's rows: 8 u-panels or 6 octaves of 15 nodes
-    START_ROWS = {"transform": 120, "doubling": 90}
-
-    @staticmethod
-    def record(monkeypatch):
-        """The (rows, columns) of every integrand call of the marginals."""
-        shapes = []
-        integrate = marginal.integrate_semi_infinite
-
-        def recording(f, *args, **kwargs):
-            def recorded(nodes):
-                values = f(nodes)
-                shapes.append((nodes.size, values.size // nodes.size))
-                return values
-
-            return integrate(recorded, *args, **kwargs)
-
-        monkeypatch.setattr(marginal, "integrate_semi_infinite", recording)
-        return shapes
 
     @pytest.mark.parametrize("model,strategy", sorted(CAPS))
     def test_integrand_calls_are_capped(self, monkeypatch, model, strategy):
-        shapes = self.record(monkeypatch)
+        integrals = _record_integrals(monkeypatch)
         x = 1 if model == "nb" else 0
         grid = make_theta_grid(x, 0.1)
         marginalize = nb_marginal_numeric if model == "nb" else zpoisson_marginal
         marginalize(x, grid, strategy=strategy)
+        shapes = [shape for entry in integrals for shape in entry["shapes"]]
         assert len(shapes) <= self.CAPS[model, strategy]
-        # the grid's integral starts cold, from the graded partition
-        grid_rows = [rows for rows, columns in shapes if columns == grid.size]
-        assert grid_rows[0] == self.START_ROWS[strategy]
+        # the grid, one block, starts from the partition the last inner
+        # integral converged on: 15 rows per panel
+        [block] = _grid_blocks(integrals)
+        assert block["shapes"][0] == (15 * block["panels"], grid.size)
         assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
 
-    def grid_starts(self, monkeypatch, strategy, size):
-        """The columns of each cold start of the grid's blocks, in order."""
-        shapes = self.record(monkeypatch)
-        zpoisson_marginal(0, np.linspace(0.0, 12.0, size), strategy=strategy)
-        assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
-        # the theta integral starts on the other route's rows, and an inner
-        # integral has a column per theta node: 30, 90 or 120 of them
-        return [columns for rows, columns in shapes
-                if rows == self.START_ROWS[strategy] and columns not in (30, 90, 120)]
-
     @pytest.mark.parametrize("strategy", ["transform", "doubling"])
-    @pytest.mark.parametrize("past", [0, 1])
-    def test_grid_starts_graded_up_to_the_envelope(self, monkeypatch, strategy, past):
-        # 25,000 points are one block; one more point is a second block of
-        # one column, and each block starts graded
-        blocks = [25_000, 1] if past else [25_000]
-        assert self.grid_starts(monkeypatch, strategy, 25_000 + past) == blocks
-
-    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
-    def test_a_full_grid_runs_in_four_blocks(self, monkeypatch, strategy):
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_every_block_width_follows_the_partition_it_starts_from(
+            self, monkeypatch, x, strategy):
+        # a full grid: each block's width comes from the partition the block
+        # before left, 25,000 columns for up to 8 panels
         size = marginal._MAX_GRID_POINTS
-        assert self.grid_starts(monkeypatch, strategy, size) == [size // 4] * 4
+        integrals = _record_integrals(monkeypatch)
+        zpoisson_marginal(x, np.linspace(0.0, 12.0, size), strategy=strategy)
+        blocks = _grid_blocks(integrals)
+        widths = [block["shapes"][0][1] for block in blocks]
+        limits = [30 * marginal._MAX_GRID_POINTS // (15 * max(block["panels"], 8))
+                  for block in blocks]
+        assert sum(widths) == size
+        assert widths[:-1] == limits[:-1]
+        assert 0 < widths[-1] <= limits[-1]
+        assert all(block["shapes"][0][0] == 15 * block["panels"] for block in blocks)
+        shapes = [shape for entry in integrals for shape in entry["shapes"]]
+        assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
+
+
+class TestWarmGrid:
+    """The comparison grid starts from the partition the last inner integral
+    converged on, and each column still meets its own tolerance."""
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("model,x,a_lower", [
+        *(("nb", x, cut) for x in range(4) for cut in (0.0, 5.0)),
+        *(("zpoisson", x, None) for x in range(6)),
+    ])
+    def test_warm_grid_agrees_with_a_cold_start(self, monkeypatch, model, x, a_lower, strategy):
+        integrals = _record_integrals(monkeypatch)
+        grid = make_theta_grid(x, 0.1)
+        if model == "nb":
+            nb_marginal_numeric(x, grid, strategy=strategy, a_lower=a_lower)
+        else:
+            zpoisson_marginal(x, grid, strategy=strategy)
+        tol = DEFAULT_TOL
+        for block in _grid_blocks(integrals):
+            with np.errstate(divide="ignore"):  # the joints' log at theta = 0
+                cold = block["cold"]()
+            bound = tol.quad_rel_tol * np.abs(cold) + tol.abs_tol
+            assert np.all(np.abs(block["result"] - cold) <= bound)
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    def test_zpoisson_densities_are_exact(self, strategy):
+        # the worst over x = 0..10 at step 0.1 was 6.56e-15 (transform) and
+        # 6.19e-15 (doubling), as with a cold grid; at x = 1, theta = 0 the
+        # exact density is 0 and the numeric one 2.9e-16
+        for x in range(11):
+            comp = zpoisson_marginal(x, make_theta_grid(x, 0.1), strategy=strategy)
+            for theta, value in zip(comp.theta_grid.tolist(), comp.numeric_density.tolist()):
+                exact = _gamma_density(x, theta)
+                bound = ZPOISSON_REL_BOUND * exact if exact else DEFAULT_TOL.abs_tol
+                assert abs(value - exact) <= bound, (x, theta)

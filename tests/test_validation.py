@@ -215,3 +215,17 @@ def test_caller_built_theta_grid_is_capped(marginal):
     grid = [12.0 * i / 100_000 for i in range(100_001)]
     with pytest.raises(DomainError, match="^theta_grid must have at most 100000 points, got 100001"):
         marginal(0, grid)
+
+
+# the NB joint's cost grows with x, so a count past the cap raises before any
+# work, naming x and the cap. case -> call
+NB_COUNT_CALLS = {
+    "nb_joint_density": lambda: nb_joint_density(1.0, 1.0, 301),
+    "nb_marginal_numeric": lambda: nb_marginal_numeric(301, make_theta_grid(301)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NB_COUNT_CALLS))
+def test_an_nb_count_past_the_cap_raises_domain_error(case):
+    with pytest.raises(DomainError, match=r"^x must be finite and in \[0, 300\], got 301$"):
+        NB_COUNT_CALLS[case]()
