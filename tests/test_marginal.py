@@ -539,8 +539,9 @@ class TestWarmGrid:
             nb_marginal_numeric(x, grid, strategy=strategy, a_lower=a_lower)
         else:
             zpoisson_marginal(x, grid, strategy=strategy)
-        tol = DEFAULT_TOL
-        for block in _grid_blocks(integrals):
+        tol, blocks = DEFAULT_TOL, _grid_blocks(integrals)
+        assert blocks
+        for block in blocks:
             with np.errstate(divide="ignore"):  # the joints' log at theta = 0
                 cold = block["cold"]()
             bound = tol.quad_rel_tol * np.abs(cold) + tol.abs_tol
