@@ -207,10 +207,16 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
     gamma; U_theta = U_rho * t restates it for the counts parameter. The
     solver matches the smaller tail, and ``solver_residual`` is that tail's
     relative residual at U_rho: (P - CL)/CL for CL <= 1/2, else
-    ((1 - CL) - Q)/(1 - CL) with Q = 1 - P summed directly.
+    ((1 - CL) - Q)/(1 - CL) with Q = 1 - P summed directly. A limit past
+    the float range, as from a subnormal rate B, raises ``DomainError``.
     """
     _require_real(CL, "CL", 0.0, 1.0, strict=True)
     u_rho = inv_reg_inc_gamma_lower(post.A, CL) / post.B
+    if u_rho == math.inf:
+        raise DomainError(
+            f"the upper limit at CL = {CL!r} passes the float range: the gamma quantile over "
+            f"the posterior rate B = {post.B!r} overflows"
+        )
     p, q = _gamma_pq(post.A, post.B * u_rho)
     residual = (p - CL) / CL if CL <= 0.5 else ((1.0 - CL) - q) / (1.0 - CL)
     return UpperLimitResult(

@@ -16,7 +16,7 @@ The theta integrals and the first inner one start cold, from the kernel's
 graded partition for their route. Every later inner integral, and each
 block of the grid, starts from the nuisance partition the integral before
 converged on; each still meets its own tolerance. A block's first call has
-15 rows per panel of that partition, or of a cold retry's at most 8, so a
+15 rows per panel of that partition, or of a cold retry's 8, so a
 block of 30 * _MAX_GRID_POINTS // (15 * max(m, 8)) columns for m panels
 holds no more than the 30 * _MAX_GRID_POINTS cells of one 30-row split of a
 full grid. Both models
@@ -194,7 +194,7 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
         while start < grid.size:
             # the first call holds 15 rows per panel of the partition this block
             # starts from, which the block before may have refined, or of a cold
-            # retry's 8 (6 octaves on doubling): at most 30 * _MAX_GRID_POINTS cells
+            # retry's 8: at most 30 * _MAX_GRID_POINTS cells
             width = 30 * _MAX_GRID_POINTS // (15 * max(len(warm[strategy]) - 1, 8))
             blocks.append(marginal(grid[start:start + width]))
             start += width
@@ -265,9 +265,10 @@ def zpoisson_marginal(
         QuadratureError: the marginal's theta integral by the other strategy
             misses 1 by the 1e-6 budget or more, as at x = 1000 on
             ``"transform"``: the doubling theta integral finds the joint
-            underflowed to 0 over its first octaves and stops before the mass
-            near x/2. ``partial_sum`` is that integral. The graded starts find
-            that mass at x = 200 and x = 1000 on ``"doubling"``.
+            underflowed to 0 at every node of its start and its splits, none
+            of them near the mass at x/2. ``partial_sum`` is that integral.
+            The graded starts find that mass at x = 400 on ``"transform"``
+            and at x = 200 and x = 1000 on ``"doubling"``.
     """
     x = _require_int(x, "x")
     return _marginalize(x, theta_grid, tol, strategy, _zpoisson_joint_in_psi)
@@ -360,7 +361,11 @@ def nb_marginal_numeric(
     """
     x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)
     _require_real(a_lower, "a_lower", 0.0)
+    # the evidence is about 2^-(x + 1), which abs_tol swamps at large x: the
+    # Gamma(x + 1, 2) normalizer, a power of two, rescales every double exactly
+    normalizer = 2.0 ** (x + 1)
     return _marginalize(
-        x, theta_grid, tol, strategy, lambda theta, x: lambda d: _nb_joint(d, theta, x, a_lower),
+        x, theta_grid, tol, strategy,
+        lambda theta, x: lambda d: normalizer * _nb_joint(d, theta, x, a_lower),
         normalize=True,
     )

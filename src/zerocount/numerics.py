@@ -69,6 +69,9 @@ _TEMME_MIN_SHAPE = 50.0
 _TEMME_BAND = 0.3
 _SMALL_SHAPE = 0.5
 _SMALL_SHAPE_X = 1.5
+# Past this shape every quantile of a double p in (0, 1) lies within about
+# 39 sqrt(a) of a (|z| < 39), under a hundredth of an ulp of a: the root is a
+_HUGE_SHAPE = 1e40
 
 # d_{k,n} of Temme's expansion, C_k(eta) = sum_n d_{k,n} eta^n (DLMF 8.12.12):
 # the doubles of the exact rationals, derived with Lagrange inversion of
@@ -366,7 +369,9 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     while the bracket has no upper end. The first step below ``1e-8 x`` ends
     the loop, which returns ``x`` less that step: Halley's method converges
     cubically, so the root is then within about ``1e-24 x``, far below one
-    ulp. Catalog shapes at CL 0.9 to 0.99 take two or three evaluations of
+    ulp. Above ``a = 1e40`` the root rounds to ``a`` itself, which is
+    returned with no evaluation (``lgamma(a + 1)`` overflows past 2.5e305).
+    Catalog shapes at CL 0.9 to 0.99 take two or three evaluations of
     ``P``, and ``a = 1`` takes one. At a subnormal ``x``, where Halley's
     factor overflows, the step is Newton's, and below ``1e-300`` a step of
     one ulp also ends the loop. When the lower bound underflows and
@@ -381,6 +386,8 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     """
     _require_real(a, "shape parameter", 0.0, strict=True)
     _require_real(p, "p", 0.0, 1.0, strict=True)
+    if a > _HUGE_SHAPE:
+        return a
     lower = p <= 0.5
     tail = p if lower else 1.0 - p
     if a == 1.0:  # P(1, x) = 1 - e^-x: start at the root itself

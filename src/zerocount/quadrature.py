@@ -5,20 +5,19 @@ steered by :class:`~zerocount.numerics.ToleranceConfig`: the integrand gets
 n = 15 m abscissae for the m panels an integral starts from (all in one
 call) and n = 30 for each split (both halves in one call) as an ndarray,
 and returns shape ``(n,)``, or ``(n, K)`` for K integrals over shared
-panels; numpy is imported only when it runs. A cold integral starts from
-its route's graded partition, a fixed initial partition of the QUADPACK
-QAGI map (Piessens et al., 1983): eight u-panels, or six octaves, where
-converged partitions refine and which one panel reached only by about ten
-sequential splits. Similar integrals can share a warm state, each starting
-from the partition the last one converged on, at the same tolerance.
-Failures always surface as :class:`~zerocount.errors.QuadratureError`
-carrying the partial sum. For [c, inf), integrate ``lambda y: f(c + y)``.
+panels; numpy is imported only when it runs. Each route maps [0, inf) onto
+a finite interval, as QUADPACK's QAGI does (Piessens et al., 1983), and a
+cold integral starts from eight graded panels of it, where converged
+partitions refine and which one panel reached only by about ten sequential
+splits. Similar integrals can share a warm state, each starting from the
+partition the last one converged on, at the same tolerance.
+Failures always surface as :class:`~zerocount.errors.QuadratureError`,
+carrying the partial sum where there is one. For [c, inf), integrate ``lambda y: f(c + y)``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 from .errors import DomainError, QuadratureError
 from .numerics import DEFAULT_TOL, ToleranceConfig
@@ -32,10 +31,12 @@ __all__ = ["integrate_semi_infinite"]
 # Budgets that guard against runaway loops, not accuracy knobs
 _MAX_PANELS = 4096
 _MIN_REL_WIDTH = 200.0 * 2.0**-52  # QUADPACK's bound on a panel split
-_MAX_OCTAVES = 64
-# the transform route's cold start: u-panels graded toward both ends, where
-# the far tail (u -> 0) and an integrand steep at 0 (u -> 1) sit
+# Each route's cold start. The transform route's u-panels are graded toward
+# both ends, where the far tail (u -> 0) and an integrand steep at 0 (u -> 1)
+# sit; the doubling route's v-panels are the first six octaves and the tail's
+# u-panels [1/16, 1] and (0, 1/16]
 _U_START = (0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0)
+_V_START = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0 - 1 / 16, 7.0)
 
 # Nested Gauss-Kronrod pair G7/K15 (QUADPACK's QK15): the Gauss nodes are the
 # odd-indexed Kronrod nodes, and all are interior to the panel. The literals
@@ -75,8 +76,7 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
     every component's summed error meets it. The starting panels are one
     call of ``g`` on their 15 m nodes, and each split is one call on both
     halves' 30 nodes, each panel keeping its own K15 sum and G7 error.
-    Returns the (K,) integral, the final partition's edges and its
-    panels' (n, K) K15 sums in the order of those edges.
+    Returns the (K,) integral and the final partition's edges.
     """
     import numpy as np
 
@@ -97,8 +97,8 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
                                   0.5 * (edges[1:] - edges[:-1])[:, None])
     total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
     tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-    if (total_err <= tol).all():  # no split: the starting panels, in order
-        return total, edges.tolist(), first_vals
+    if (total_err <= tol).all():  # no split: the starting panels
+        return total, edges.tolist()
     bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     capacity = max(16, 2 * len(bounds))
     vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
@@ -127,51 +127,28 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
         vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         if (total_err <= tol).all():
-            order = sorted(range(n + 1), key=bounds.__getitem__)
-            return total, [bounds[i][0] for i in order] + [float(edges[-1])], vals[order]
+            return total, sorted(lo for lo, _ in bounds) + [float(edges[-1])]
 
 
-def _doubling(g, edges, tol, shaped):
-    """Octaves of doubling width from ``[0, 1]`` until two in a row add
-    nothing beyond the tolerance in any component.
+def _transform(u):
+    """x = (1 - u)/u for u in (0, 1], and dv/dx = u^2."""
+    return (1.0 - u) / u, u * u
 
-    Octave k starts at ``2^k - 1``, an exact double. ``edges`` partition the
-    first octaves, or are ``None`` for a cold start from the first six, one
-    panel each. One adaptive pass integrates them, and each pass after it
-    the next two octaves, one panel each, all at one octave's tolerance. The
-    quiet-octave rule runs over the octaves' sums in order, so ``g`` may be
-    evaluated up to one octave past the last one summed. Returns the (K,)
-    integral and the edges of the octaves summed.
-    """
+
+def _octaves(v):
+    """x(v) and dv/dx for v in [0, 7): on [k, k + 1], k < 6, the octave
+    [2^k - 1, 2^(k+1) - 1], linear in x; on [6, 7), [63, inf) through
+    x = 63 + (1 - u)/u with u = 7 - v."""
     import numpy as np
 
-    at = lambda k: 2.0**k - 1.0  # noqa: E731
-    octaves, used, total, previous, quiet = 0, [0.0], 0.0, math.inf, 0
-    while octaves < _MAX_OCTAVES:
-        if edges is None:  # the first six octaves, or the next two
-            edges = [at(k) for k in range(octaves, octaves + (3 if octaves else 7))]
-        _, edges, vals = _adaptive(g, edges, tol.abs_tol / 4, tol.quad_rel_tol / 4, shaped)
-        used += edges[1:]
-        end = octaves
-        while at(end) < edges[-1]:
-            end += 1
-        starts = [at(k) for k in range(octaves, end)]
-        values = np.add.reduceat(vals, np.searchsorted(edges, starts), axis=0)
-        sizes = np.abs(values)
-        values[0] += total  # the running totals, added in turn as by a loop
-        totals = np.add.accumulate(values)
-        # an octave below tolerance is quiet only once the octaves stop
-        # growing: mass far from 0 leaves the first ones tiny but rising
-        before = np.concatenate((np.broadcast_to(previous, sizes[:1].shape), sizes[:-1]))
-        quiets = ((sizes <= np.maximum(tol.abs_tol, tol.quad_rel_tol * np.abs(totals)))
-                  & (sizes <= before)).all(axis=1)
-        for i, octave_quiet in enumerate(quiets[:_MAX_OCTAVES - octaves].tolist()):
-            quiet, total = quiet + 1 if octave_quiet else 0, totals[i]
-            if quiet == 2:  # the edges up to this octave's end
-                return total, used[:np.searchsorted(used, at(octaves + i + 1), "right")]
-        octaves, previous, edges = end, sizes[-1], None
-    raise QuadratureError(f"tail mass did not stabilize within {_MAX_OCTAVES} octaves",
-                          partial_sum=shaped(total), error_estimate=float("nan"))
+    k = np.minimum(v.astype(int), 6)
+    width, u = np.ldexp(1.0, k), 7.0 - v
+    tail = k == 6
+    return (np.where(tail, 63.0 + (1.0 - u) / u, width * (v - k) + (width - 1.0)),
+            np.where(tail, u * u, 1.0 / width))
+
+
+_ROUTES = {"transform": (_transform, _U_START), "doubling": (_octaves, _V_START)}
 
 
 def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
@@ -181,22 +158,24 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
     For ``[c, inf)``, integrate the shifted ``lambda y: f(c + y)``.
 
     ``f`` receives n abscissae as an ndarray: 15 m for the m panels an
-    integral starts from (cold, 8, or 6 on the doubling route), or 30 for
-    both halves of a split panel. It returns shape ``(n,)``, giving a
-    float, or ``(n, K)``, giving a ``(K,)`` ndarray of K integrals that share
-    their panels; each must meet ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``.
-    Row j must depend only on abscissa j.
+    integral starts from (8 cold), or 30 for both halves of a split panel.
+    It returns shape ``(n,)``, giving a float, or ``(n, K)``, giving a
+    ``(K,)`` ndarray of K integrals that share their panels; each must meet
+    ``max(tol.abs_tol, tol.quad_rel_tol * |I_k|)``. Row j must depend only
+    on abscissa j.
 
     ``"transform"`` integrates in ``u`` through ``x = (1 - u)/u``, from
-    eight u-panels halving toward both ends. ``"doubling"``, an independent
-    route, sums octaves of doubling width, six in its first adaptive pass
-    and two per pass after it, until two in a row add nothing beyond the
-    tolerance in any component, so it may evaluate ``f`` up to one octave
-    past the last one it sums. Both need mass reachable from 0: a bump that
-    no node of the starting panels or their splits lands in is missed with
-    no error raised. Of 45 bumps centred at 1.5 to 40, of widths 0.01 to
-    0.2, the transform route misses 16 (width 0.05 at 10 integrates to
-    about 4e-20, not 0.089) and the doubling route 28, every one from 10 on.
+    eight u-panels halving toward both ends. ``"doubling"`` integrates in
+    ``v`` over [0, 7]: [k, k + 1] is the octave [2^k - 1, 2^(k+1) - 1],
+    linear in x, for k < 6, and [6, 7) is [63, inf) through
+    ``x = 63 + (1 - u)/u`` with ``u = 7 - v``; it starts from the six
+    octaves and the u-panels [1/16, 1] and (0, 1/16]. Below x = 63 the two
+    routes share no node, so each checks the other. Both need mass reachable
+    from their starts: a bump that no node of the starting panels or their
+    splits lands in is missed with no error raised. Of 45 bumps centred at
+    1.5 to 40, of widths 0.01 to 0.2, the transform route misses 16 (width
+    0.05 at 10 integrates to about 4e-20, not 0.089) and the doubling route
+    10; of widths 0.5 and 1, neither misses one.
 
     ``warm`` is private to the package: a dict shared by a sequence of calls
     on similar integrands. A call starts from the final partition of the last
@@ -207,19 +186,21 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
     Raises
     ------
     QuadratureError
-        On a non-finite value of ``f``, or when the panel budget or float
-        resolution runs out or the tail never stabilizes (divergent
-        integrands). It carries the partial sum and error estimate.
+        On a non-finite value of ``f`` or of ``f`` times the map's Jacobian,
+        as of a divergent integrand far out, or, carrying the partial sum and
+        error estimate, when the panel budget or float resolution runs out.
     """
     import numpy as np
 
-    if strategy not in ("transform", "doubling"):
+    if strategy not in _ROUTES:
         raise DomainError(f"unknown quadrature strategy {strategy!r}")
+    to_x, start = _ROUTES[strategy]
     tol = tol if tol is not None else DEFAULT_TOL
     vector = False
 
-    def g(x):
+    def mapped(v):  # f dx = f / (dv/dx) dv
         nonlocal vector
+        x, dv_dx = to_x(v)
         y = np.asarray(f(x), dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != x.size:
             raise DomainError(
@@ -227,7 +208,9 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
                 f"got {y.shape}"
             )
         vector = y.ndim == 2
-        y = y.reshape(x.size, -1)
+        # dv/dx underflows toward u = 0: inf or NaN there is a divergent integrand
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y = y.reshape(x.size, -1) / dv_dx[:, None]
         if not np.isfinite(y).all():
             bad = ~np.isfinite(y).all(axis=1)
             raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
@@ -236,20 +219,14 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
     def shaped(value):
         return value if vector else float(value[0])
 
-    def route(edges):  # None starts cold
-        if strategy == "doubling":
-            return _doubling(g, edges, tol, shaped)
-        mapped = lambda u: g((1.0 - u) / u) / (u * u)[:, None]  # noqa: E731
-        return _adaptive(mapped, edges or _U_START, tol.abs_tol, tol.quad_rel_tol, shaped)[:2]
-
     seed = warm.get(strategy) if warm is not None else None
     try:
-        total, edges = route(seed)
+        total, edges = _adaptive(mapped, seed or start, tol.abs_tol, tol.quad_rel_tol, shaped)
     except QuadratureError:
         if seed is None:
             raise
         # the partition another integrand left need not suit this one
-        total, edges = route(None)
+        total, edges = _adaptive(mapped, start, tol.abs_tol, tol.quad_rel_tol, shaped)
     if warm is not None:
         warm[strategy] = edges
     return shaped(total)

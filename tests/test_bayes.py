@@ -335,6 +335,17 @@ class TestUpperLimits:
             # rounding in P near a = 6e4 is about 2e-10 of P
             assert abs(result.solver_residual) <= 1e-9
 
+    def test_limit_past_the_float_range_raises(self):
+        # a subnormal rate B: once U_rho = inf with solver_residual 1.0
+        post = posterior_from_sufficient(0, 1, 1e-310, prior_params(PriorKind.BL))
+        with pytest.raises(DomainError, match="passes the float range"):
+            upper_limit(post, 0.95)
+
+    def test_huge_shape_gives_a_limit(self):
+        # P^-1(3e305, CL) once raised a bare OverflowError from lgamma
+        post = posterior_from_sufficient(1, 1, 1.0, PriorSpec(PriorKind.CUSTOM, a=3e305, b=1.0))
+        assert upper_limit(post, 0.95).U_rho == 1.5e305
+
     def test_cl_domain(self):
         post = posterior_from_sufficient(0, 1, 1.0, prior_params(PriorKind.BL))
         with pytest.raises(DomainError):

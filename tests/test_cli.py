@@ -409,13 +409,22 @@ class TestMarginalize:
 
     def test_nb_loose_tolerance_stays_report_only(self, capsys):
         # the NB residual is the two strategies' disagreement, which a loosened
-        # --tol widens past 1e-6: reported, never a numeric failure
+        # --tol widens past 1e-6 (1.6e-4 here): reported, never a numeric failure
         payload = run_json(
-            capsys, "marginalize", "--model", "nb", "--x", "0",
+            capsys, "marginalize", "--model", "nb", "--x", "50", "--a-lower", "100",
             "--tol", "abs_tol=0.1,quad_rel_tol=0.5",
         )
         assert payload["verdict"] == "REPORT-ONLY"
         assert payload["numeric_norm_residual"] > 1e-6
+
+    def test_nb_large_count_on_doubling_exits_0(self, capsys):
+        # the doubling evidence, about 2^-301 before the Gamma(x + 1, 2)
+        # normalizer, read exactly 0: once a ZeroDivisionError traceback (exit 1)
+        payload = run_json(
+            capsys, "marginalize", "--model", "nb", "--x", "300", "--a-lower", "100",
+            "--strategy", "doubling",
+        )
+        assert payload["numeric_norm_residual"] < 1e-12
 
     def test_nb_shape_cutoff_past_the_exp_range(self, capsys):
         # e^{-760} underflows: once a ZeroDivisionError traceback (exit 1)
@@ -659,6 +668,22 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith(
             "error: incomplete gamma inverse underflows for a=0.0005, p=0.5: "), err
+
+    def test_huge_posterior_shape_exits_0(self, capsys):
+        # lgamma(a + 1) overflows past a = 2.56e305: once an OverflowError
+        # traceback (exit 1); the limit is the shape over the rate
+        payload = run_json(capsys, "estimate", "--counts", "1", "--prior", "custom:3e305,1")
+        (limit,) = payload["priors"][0]["upper_limits"]
+        assert limit["u_rho"] == 1.5e305
+
+    def test_limit_past_the_float_range_exits_2(self, capsys):
+        # t = 1e-310 puts every limit past the float range: once exit 0 with
+        # coverage=1 from infinite limits
+        code, out, err = run_cli(
+            capsys, "coverage", "--rho", "1", "--prior", "bl", "--reps", "10", "--t", "1e-310",
+        )
+        assert code == 2
+        assert err.startswith("error: the upper limit at CL = 0.95 passes the float range"), err
 
     def test_large_total_at_the_median_exits_0(self, capsys):
         # once exit 4 ("series stalled"); the root of P(10000001, x) = 1/2

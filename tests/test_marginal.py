@@ -259,12 +259,14 @@ class TestZPoissonMarginal:
         comp = zpoisson_marginal(50, make_theta_grid(50, step=1.0), strategy="transform")
         assert comp.numeric_norm_residual < 1e-6
 
-    @pytest.mark.parametrize("x,strategy", [(200, "doubling"), (1000, "doubling")])
+    @pytest.mark.parametrize("x,strategy", [(200, "doubling"), (1000, "doubling"),
+                                            (400, "transform")])
     def test_far_mass_integrates_to_one(self, x, strategy):
-        # from one panel the theta check, the transform route, found almost
-        # none of the mass near x/2 (4.4e-30 and 3.5e-99); from its graded
-        # start it finds it (residuals 2.2e-13 and 4.0e-14, L-inf distances
-        # about 1e-17)
+        # from one panel the transform theta check found almost none of the
+        # mass near x/2 (4.4e-30 and 3.5e-99); from its graded start it finds
+        # it (residuals 2.2e-13 and 4.0e-14, L-inf distances about 1e-17).
+        # At x = 400 the doubling theta check stopped on octaves that read 0
+        # (exit 4); through its tail map it reads 6.7e-14
         comp = zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy=strategy)
         assert comp.numeric_norm_residual < 1e-12
         assert comp.linf_distance < 1e-15
@@ -272,9 +274,9 @@ class TestZPoissonMarginal:
     @pytest.mark.parametrize("x,strategy", [(1000, "transform")])
     def test_missed_mass_raises(self, x, strategy):
         # the doubling theta check, that of the transform route, finds the
-        # joint underflowed to 0 over its first octaves and stops before the
-        # mass near x/2: a density that does not integrate to 1 is refused,
-        # not returned with a residual of 1
+        # joint underflowed to 0 at every node of its cold start and of its
+        # splits, none of which lands near the mass at x/2: a density that
+        # does not integrate to 1 is refused, not returned with a residual of 1
         with pytest.raises(QuadratureError, match="is at or above the 1e-06 budget$") as caught:
             zpoisson_marginal(x, make_theta_grid(x, step=0.1), strategy=strategy)
         assert 0.0 <= caught.value.partial_sum < 1e-6
@@ -331,8 +333,8 @@ class TestNBMarginalNumeric:
 
     def test_loose_tolerance_residual_is_reported_not_raised(self):
         # the NB residual measures how far the two strategies' evidences agree,
-        # so the z-Poisson norm budget does not apply to it (3.6e-4 here)
-        comp = nb_marginal_numeric(0, make_theta_grid(0, step=0.1), tol=LOOSE)
+        # so the z-Poisson norm budget does not apply to it (1.6e-4 here)
+        comp = nb_marginal_numeric(50, make_theta_grid(50, step=1.0), tol=LOOSE, a_lower=100.0)
         assert 1e-6 < comp.numeric_norm_residual < 1e-3
 
     def test_shape_cutoff_drives_toward_claimed(self):
@@ -354,6 +356,17 @@ class TestNBMarginalNumeric:
         comp = nb_marginal_numeric(1, make_theta_grid(1, step=0.5), strategy=strategy,
                                    a_lower=cut)
         assert comp.numeric_norm_residual < 1e-12
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("x", [10, 50, 100, 200, 300])
+    def test_large_count_keeps_its_norm(self, x, strategy):
+        # the evidence is about 2^-(x + 1); without the Gamma(x + 1, 2)
+        # normalizer abs_tol swamped it: x = 100 and a_lower = 100 read 0.0495,
+        # and x = 50 and a_lower = 5 on doubling 3.8e-9
+        grid = make_theta_grid(x, step=2.0)
+        for cut in (0.0, 5.0, 20.0, 100.0, 1000.0):
+            comp = nb_marginal_numeric(x, grid, strategy=strategy, a_lower=cut)
+            assert comp.numeric_norm_residual < 1e-12, cut
 
     @pytest.mark.parametrize("cut", [1e300, 1e305, 1.7e308])
     def test_poisson_limit_at_an_extreme_cutoff(self, cut):
@@ -461,13 +474,13 @@ def _grid_blocks(integrals):
 
 
 class TestWorkCount:
-    """Integrand calls (one on the panels an integral or octave starts from,
-    then one per split on both halves' 30 nodes, inner and outer integrals
-    alike) of the default marginals. The counts are deterministic; the caps
-    sit about 20% above what the kernel needs now that the comparison grid
-    starts from the nuisance partition the last inner integral converged on
-    (32 and 45 for NB x = 1, 3 and 5 for z-Poisson x = 0). With the grid
-    starting cold from the graded partition they needed 33, 54, 3 and 7; from
+    """Integrand calls (one on the panels an integral starts from, then one
+    per split on both halves' 30 nodes, inner and outer integrals alike) of
+    the default marginals. The counts are deterministic; the caps sit about
+    20% above what the kernel needs now that both routes are one adaptive
+    integral from eight panels (26 and 31 for NB x = 1, 3 and 3 for z-Poisson
+    x = 0). With the doubling route summing octaves two per pass they needed
+    32, 45, 3 and 5; with the grid also starting cold 33, 54, 3 and 7; from
     one panel, with each inner integral starting from the partition the last
     one converged on, 69, 85, 19 and 19; each inner integral from one panel
     287, 460, 43 and 49; one call per panel before that 811, 1148, 83 and 91;
@@ -480,10 +493,10 @@ class TestWorkCount:
     30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid."""
 
     CAPS = {
-        ("nb", "transform"): 38,
-        ("nb", "doubling"): 54,
+        ("nb", "transform"): 31,
+        ("nb", "doubling"): 37,
         ("zpoisson", "transform"): 4,
-        ("zpoisson", "doubling"): 6,
+        ("zpoisson", "doubling"): 4,
     }
     ENVELOPE = 30 * marginal._MAX_GRID_POINTS
 
