@@ -10,9 +10,9 @@ a finite interval, as QUADPACK's QAGI does (Piessens et al., 1983), and a
 cold integral starts from eight graded panels of it, where converged
 partitions refine and which one panel reached only by about ten sequential
 splits. Similar integrals can share a warm state, each starting from the
-partition the last one converged on, at the same tolerance.
-Failures always surface as :class:`~zerocount.errors.QuadratureError`,
-carrying the partial sum where there is one. For [c, inf), integrate ``lambda y: f(c + y)``.
+partition the last one converged on, at the same tolerance. Failures always
+surface as :class:`~zerocount.errors.QuadratureError`, carrying the partial
+sum where there is one. For [c, inf), integrate ``lambda y: f(c + y)``.
 """
 
 from __future__ import annotations
