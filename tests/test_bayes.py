@@ -4,6 +4,7 @@ Reference values were computed with mpmath at 30 significant digits.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -346,6 +347,15 @@ class TestUpperLimits:
         post = posterior_from_sufficient(1, 1, 1.0, PriorSpec(PriorKind.CUSTOM, a=3e305, b=1.0))
         assert upper_limit(post, 0.95).U_rho == 1.5e305
 
+    def test_huge_total_gives_its_limit(self):
+        # A + z sqrt(A) + (z^2 - 1)/3 at A = 1e20 + 1, exact far below an ulp;
+        # a ln x - lgamma(A) in the solver's step once gave 1.000000000042956e20
+        # with a residual of -5.68
+        post = posterior_from_sufficient(10**20, 1, 1.0, prior_params(PriorKind.BL))
+        result = upper_limit(post, 0.95)
+        assert result.U_rho == 1.0000000001644854e20
+        assert abs(result.solver_residual) < 1e-7
+
     def test_cl_domain(self):
         post = posterior_from_sufficient(0, 1, 1.0, prior_params(PriorKind.BL))
         with pytest.raises(DomainError):
@@ -356,6 +366,92 @@ class TestUpperLimits:
     def test_one_count_limit_equals_bl_mean(self):
         post = posterior_from_sufficient(0, 1, 1.0, prior_params(PriorKind.BL))
         assert one_count_upper_limit(1.0, 1.0) == post.mean == 1.0
+
+
+def tail_records():
+    """50 seeded custom-prior records like the tail of the limits benchmark:
+    shape 0.5 to 3, rate 0 to 5, S <= 10 (40% all-zero), CL 0.9 to 0.99."""
+    rng = random.Random(31)
+    for _ in range(50):
+        a, b = rng.uniform(0.5, 3.0), rng.uniform(0.0, 5.0)
+        S = 0 if rng.random() < 0.4 else rng.randint(1, 10)
+        n, t, cl = rng.randint(1, 10), 10.0 ** rng.uniform(-1.0, 3.0), rng.uniform(0.9, 0.99)
+        yield S, n, t, PriorSpec(PriorKind.CUSTOM, a=a, b=b), cl
+
+
+# float.hex of (U_rho, solver_residual) of tail_records(), frozen before the
+# continued fraction lost its tiny-guards: a change to the kernel that moves
+# one bit of these limits fails here by name
+TAIL_LIMIT_BITS = (
+    ("0x1.a27ad7028827ap+0", "-0x1.6407aab0ce44ap-49"),
+    ("0x1.b450d273f65a5p-5", "-0x1.11a2ad1a6b1a0p-48"),
+    ("0x1.ae7f56e9e6b70p+2", "-0x1.04c69d7f962cep-49"),
+    ("0x1.5f402571a51f2p-2", "0x1.1ce748c86029cp-52"),
+    ("0x1.adae52f90ecdcp-6", "-0x1.46489d6048f9dp-49"),
+    ("0x1.5e07db68be967p+3", "0x0.0p+0"),
+    ("0x1.87d65f560c504p-8", "0x0.0p+0"),
+    ("0x1.f846a8f529e3dp-2", "-0x1.ee8c53466f72bp-51"),
+    ("0x1.e92b14ef3e74ep-10", "-0x1.79e9a63a417dcp-53"),
+    ("0x1.2e5eb2dbea4e9p-10", "-0x1.45d546065e361p-52"),
+    ("0x1.2e91c0e574ad9p-3", "0x1.447d91c6866aap-50"),
+    ("0x1.b748fffda9598p+0", "-0x1.258556699a26ep-47"),
+    ("0x1.09391d233764fp+0", "0x1.757ad6f9593a5p-52"),
+    ("0x1.b396ad14e6ba7p-6", "0x1.59d7634b6d571p-50"),
+    ("0x1.22ec394c96b82p-9", "-0x1.d14eb32b738d1p-50"),
+    ("0x1.92c8902c875c5p-9", "0x1.a46c1af8c4de4p-48"),
+    ("0x1.58ad9f73dbc21p+1", "-0x1.e324cb91fe91ep-53"),
+    ("0x1.7940dcf5f9647p-4", "-0x1.6582b74d159b1p-52"),
+    ("0x1.e9b3ef1c9fb2fp-3", "0x1.41b818c22720dp-53"),
+    ("0x1.29b27ac6386c2p+0", "0x1.6601c3c9bcc81p-53"),
+    ("0x1.5c86a98b36e10p-1", "-0x1.0f0217f4d57fbp-51"),
+    ("0x1.db9575ec52293p+1", "0x1.782ea1b077043p-49"),
+    ("0x1.7ad3a9cf26601p+0", "0x0.0p+0"),
+    ("0x1.cd1cc95a65ab4p+1", "0x1.bfab1f3956f87p-51"),
+    ("0x1.d4361b8122401p-1", "0x1.49e956b90a51fp-50"),
+    ("0x1.f7b84678bc885p-3", "0x0.0p+0"),
+    ("0x1.815325ace4973p-9", "0x1.a9ce03f83a268p-53"),
+    ("0x1.8b3977dc20321p+1", "-0x1.2c796c3f7f6b1p-49"),
+    ("0x1.a6386d0b6e428p-1", "0x1.a7f8e9f25e1bbp-50"),
+    ("0x1.41b078093e930p-3", "-0x1.0a29ad7c40911p-53"),
+    ("0x1.61c2bde1769dfp-7", "-0x1.c5c2245379dabp-50"),
+    ("0x1.07eb325bbc472p-4", "0x1.7782bafdc118ap-51"),
+    ("0x1.3783cf02e1cdap-4", "0x1.2bcc700f20226p-47"),
+    ("0x1.2119158420648p+0", "-0x1.f10c9fab6265ep-50"),
+    ("0x1.3a92d9d1d9ad0p+2", "-0x1.5d5a0fa1ec690p-50"),
+    ("0x1.f3e912f5540aep-7", "0x1.f75a203029cfbp-52"),
+    ("0x1.ce89879ae07e5p-2", "-0x1.5c7034a6089e8p-51"),
+    ("0x1.8746a6b59b7bfp-1", "-0x1.788e72faccba1p-51"),
+    ("0x1.25cb29626002ap-4", "-0x1.b814cb1104a60p-50"),
+    ("0x1.51c67723b2b38p-5", "-0x1.7d826eaaa53cfp-51"),
+    ("0x1.1a477aab26501p-1", "-0x1.9a678ed28566dp-48"),
+    ("0x1.3b4696d45d550p-2", "0x1.4bb9c003c6b82p-51"),
+    ("0x1.6f86911f5f835p-1", "0x1.cee70383174e6p-51"),
+    ("0x1.72e54f3bca0d8p+1", "0x1.b31d6ce872adbp-50"),
+    ("0x1.df293bd7468c4p-5", "0x1.f3741fa1e9c14p-50"),
+    ("0x1.4c3e41458681bp+0", "-0x1.1d9b5d2f26e3ap-52"),
+    ("0x1.ef231e7d07fa1p-5", "-0x1.52ea828c74a63p-48"),
+    ("0x1.fd5459aa679cap-4", "0x1.66cf56210c2a1p-48"),
+    ("0x1.b9e50f940e800p-4", "0x1.51d075b11f89ep-53"),
+    ("0x1.17c345ab8426dp-6", "-0x1.fc0c83c954295p-50"),
+)
+
+
+class TestTailLimitBits:
+    def test_frozen_bits(self, monkeypatch):
+        calls = 0
+        fraction = numerics._upper_gamma_fraction
+
+        def counting(a, x):
+            nonlocal calls
+            calls += 1
+            return fraction(a, x)
+
+        monkeypatch.setattr(numerics, "_upper_gamma_fraction", counting)
+        for (S, n, t, spec, cl), bits in zip(tail_records(), TAIL_LIMIT_BITS, strict=True):
+            result = upper_limit(posterior_from_sufficient(S, n, t, spec), cl)
+            got = (result.U_rho.hex(), result.solver_residual.hex())
+            assert got == bits, (S, n, t, spec, cl)
+        assert calls >= 100  # the records run the fraction, 137 times
 
 
 class TestJJDivergence:
