@@ -454,6 +454,111 @@ class TestTailLimitBits:
         assert calls >= 100  # the records run the fraction, 137 times
 
 
+CATALOG = (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)
+
+
+def limit_path_records():
+    """60 seeded records through posterior_from_sufficient + upper_limit: 24
+    catalog-prior records at S <= 10 and CL 0.9 to 0.99, 16 at totals 1e3 to
+    1e6 (posterior shapes past 50, on the Temme paths), 16 at CL = 1 - 10^-k
+    for k 6 to 12, and 4 of JJ with no counts, whose posterior is improper."""
+    rng = random.Random(32)
+    for i in range(60):
+        kind = rng.choice(CATALOG)
+        n, t = rng.randint(1, 10), 10.0 ** rng.uniform(-1.0, 3.0)
+        if i < 24:
+            S, cl = rng.randint(0, 10), rng.uniform(0.9, 0.99)
+        elif i < 40:
+            S, cl = round(10.0 ** rng.uniform(3.0, 6.0)), rng.uniform(0.9, 0.99)
+        elif i < 56:
+            S, cl = rng.randint(0, 10), 1.0 - 10.0 ** -rng.randint(6, 12)
+        else:
+            kind, S, cl = PriorKind.JJ, 0, rng.uniform(0.9, 0.99)
+        if kind is PriorKind.JJ and S == 0 and i < 56:
+            S = 1  # the improper records are the last four
+        yield S, n, t, prior_params(kind, t=t), cl
+
+
+# float.hex of (U_rho, U_theta, solver_residual) of limit_path_records(),
+# frozen before the records stored their fields through slot descriptors and
+# the gamma inverse shared Temme's exponent with P; None where the posterior
+# is improper
+LIMIT_PATH_BITS = (
+    ("0x1.40ed565263ba5p+2", "0x1.e6759ef00ca6ap+0", "-0x1.2122d29e30c40p-52"),
+    ("0x1.7918799991b69p+1", "0x1.773c1538f6896p+2", "0x1.0d72905e52db6p-49"),
+    ("0x1.606d987e7abd3p-4", "0x1.17bfece37d362p+1", "-0x1.76b23412468c7p-51"),
+    ("0x1.d81b74eebababp+2", "0x1.9be2159b16e6dp-1", "0x1.e5ac166cbcdf6p-52"),
+    ("0x1.60af01cffb005p+0", "0x1.2ad8bb9c59573p-2", "-0x1.4a74dde4a9868p-52"),
+    ("0x1.3e5aac2312e9ap-1", "0x1.c53052a33fc87p+1", "0x1.250263686a115p-50"),
+    ("0x1.0c748045ffd2dp-2", "0x1.5ab6bd6b700c9p-1", "0x1.146fab739fc69p-51"),
+    ("0x1.560deb9004053p-3", "0x1.2621b9d2f3d1dp+1", "0x1.47a5adbe90048p-52"),
+    ("0x1.487dab696c133p-2", "0x1.c9e8a07c8e987p+2", "0x1.b02e37fcaa697p-53"),
+    ("0x1.926d088bde682p-5", "0x1.1a07f03a35718p+1", "0x1.85a8afbdc2318p-50"),
+    ("0x1.bccde3aea5dd2p+2", "0x1.830385d7302a3p-1", "-0x1.0b1c210748c39p-51"),
+    ("0x1.7dd18934d4c2bp+4", "0x1.0243193b29b2fp+3", "0x1.f5cc32c79ec42p-51"),
+    ("0x1.5fdb81451514ep-1", "0x1.2ff2723448547p+1", "0x1.54c98b6a0fa5ap-51"),
+    ("0x1.7026725435c00p-1", "0x1.df1150f5e3e84p+2", "-0x1.070a7c72c4e94p-49"),
+    ("0x1.c0fa5b6b2c7f9p-4", "0x1.cd1125239cf2fp-1", "0x1.0e688b57be5bap-50"),
+    ("0x1.1b2fe98abf5edp+0", "0x1.e441c4bd601ddp+1", "0x1.c9f1b1c3e7132p-52"),
+    ("0x1.71e2827bd6300p+2", "0x1.e3bebbc5bba14p+0", "0x1.934ed59612fc8p-49"),
+    ("0x1.491a019d7d5bdp-6", "0x1.3a04f7169055ap-1", "-0x1.2287d0ef11efcp-53"),
+    ("0x1.302d7a87a9d75p-2", "0x1.bfad8920260d1p+2", "-0x1.0ceb149a0777ap-52"),
+    ("0x1.cbd0d218a2f8ep-9", "0x1.b81b8e6423419p+0", "0x1.38c988b28107fp-50"),
+    ("0x1.6badb2038dbb9p+1", "0x1.507793ee8728cp+0", "0x1.b7ec6d0cd311cp-53"),
+    ("0x1.18ff7123ea669p-5", "0x1.217d249bacf9ap+2", "-0x1.bcf11a9fdfcd8p-49"),
+    ("0x1.36e065398bce4p+0", "0x1.251139a641f0bp-2", "-0x1.61103a9dd22c9p-52"),
+    ("0x1.83e3f80958f25p+6", "0x1.e4065f294f261p+3", "0x1.c8362d977ea59p-50"),
+    ("0x1.77b5a49200eccp+11", "0x1.1eab4d178198ep+11", "0x1.21ab598b2a742p-50"),
+    ("0x1.9ea9eaf413ef0p+3", "0x1.863940ca89189p+8", "0x1.d09c4c289be3cp-50"),
+    ("0x1.76da8778c7dabp+15", "0x1.521d563c03c3dp+18", "0x1.0547cf1f5ec77p-44"),
+    ("0x1.4231c2238411ep+14", "0x1.8caa76cee7469p+15", "-0x1.14eee8d301676p-44"),
+    ("0x1.6bd49fac962a3p+1", "0x1.22b11e6f6c21cp+8", "-0x1.5f57578f29160p-48"),
+    ("0x1.84aaf996033d4p+0", "0x1.d3b136d361adbp+7", "0x1.1cfc71c824861p-53"),
+    ("0x1.275193c9c9b38p+13", "0x1.1f6099100e614p+13", "0x1.428ebf79cb9efp-46"),
+    ("0x1.9cb6fff00eba6p+3", "0x1.76bbabecc4981p+8", "0x1.f63e7a9c03deap-48"),
+    ("0x1.21fd62e3c647dp+6", "0x1.3f0ea40c59ea0p+10", "0x1.dd5dd351a8f2ep-49"),
+    ("0x1.853af3da5a857p+9", "0x1.43dfa2b6008eap+15", "-0x1.12b5305d77d37p-45"),
+    ("0x1.042dbe17d971fp+9", "0x1.1da1214238dc9p+14", "-0x1.3c91fa96457a5p-48"),
+    ("0x1.bda1d1b46c553p+2", "0x1.04c5a956d4ef6p+11", "0x1.84c567798fa56p-46"),
+    ("0x1.86f81d79609aap+18", "0x1.7b76f319611aep+19", "-0x1.3999f9b580fc4p-43"),
+    ("0x1.9aaddd88af71dp+2", "0x1.75b03e37af577p+10", "-0x1.49a85310c0954p-48"),
+    ("0x1.be53e3d58d8c1p+13", "0x1.73a95c9acd134p+17", "0x1.11346c20c4451p-44"),
+    ("0x1.ef9af2b5cfc36p+16", "0x1.7ac879b6edbb8p+17", "0x1.9474c3a9493ffp-46"),
+    ("0x1.0e1786626e277p+3", "0x1.ba18c0cb51d29p+1", "-0x1.05f0b572bdb0dp-48"),
+    ("0x1.2c1bb8975b11ap+2", "0x1.1b0955c4fbf9bp+2", "0x1.6e35ffffd2c57p-51"),
+    ("0x1.e49f4209a2c6ap-8", "0x1.92d9d66940138p+2", "-0x1.2a05f28d68df9p-50"),
+    ("0x1.b27a3c69d75d8p-2", "0x1.a50b4c16ce98dp+1", "0x1.4f46ae6e95e03p-50"),
+    ("0x1.6e99d949b65a0p+1", "0x1.82e6a9427006fp+1", "0x1.4dc937e3dc815p-50"),
+    ("0x1.b96265a3541a0p+3", "0x1.cf731b8bcba74p+1", "-0x1.2a05f28d68df9p-49"),
+    ("0x1.e01c31f5fc1ffp-2", "0x1.ef505618b8f4ep+3", "-0x1.ab3effffcb3bbp-49"),
+    ("0x1.97efc505496e5p-3", "0x1.0a79466e93df8p+2", "-0x1.f6ea05a5e0d04p-49"),
+    ("0x1.94f3bf9f33719p+5", "0x1.3b3352faac140p+3", "0x1.d1abed3dc3017p-53"),
+    ("0x1.c867de614e7e4p-1", "0x1.0e2b840794f54p+2", "-0x1.74876c7adf6adp-51"),
+    ("0x1.a4b06232fd716p-8", "0x1.f940c1d3692bbp+0", "-0x1.e847ffffc3b1fp-53"),
+    ("0x1.dd39d3a3316f1p-8", "0x1.6d0f4a9b82a3bp+2", "0x1.0bc155f85094dp-48"),
+    ("0x1.b701261ffb307p-2", "0x1.ba18c0cb51d2ap+3", "0x0.0p+0"),
+    ("0x1.98ec7b843079bp-6", "0x1.cf2606e86d122p+1", "-0x1.74876c7adf6adp-51"),
+    ("0x1.1b1b08b093c14p-4", "0x1.0fed114dcf00ap+1", "0x1.c9c380040adb9p-49"),
+    ("0x1.c377884e0865cp-1", "0x1.59d902ed88ecfp+2", "0x1.836e21b7d522ap-49"),
+    None,
+    None,
+    None,
+    None,
+)
+
+
+class TestLimitPathBits:
+    def test_frozen_bits(self):
+        for (S, n, t, spec, cl), bits in zip(limit_path_records(), LIMIT_PATH_BITS, strict=True):
+            if bits is None:
+                with pytest.raises(ImproperPosteriorError):
+                    posterior_from_sufficient(S, n, t, spec)
+                continue
+            result = upper_limit(posterior_from_sufficient(S, n, t, spec), cl)
+            got = (result.U_rho.hex(), result.U_theta.hex(), result.solver_residual.hex())
+            assert got == bits, (S, n, t, spec, cl)
+
+
 class TestJJDivergence:
     @pytest.mark.parametrize(
         "epsilon, expected",
