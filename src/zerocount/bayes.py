@@ -185,7 +185,7 @@ def posterior_from_sufficient(
             shape=a_post,
             total_counts=int(S),
         )
-    return GammaPosterior(A=float(a_post), B=float(b_post), t=float(t))
+    return GammaPosterior(float(a_post), float(b_post), float(t))
 
 
 def posterior(data: CountData, prior: PriorSpec) -> GammaPosterior:
@@ -208,9 +208,12 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
     solver matches the smaller tail, and ``solver_residual`` is that tail's
     relative residual at U_rho: (P - CL)/CL for CL <= 1/2, else
     ((1 - CL) - Q)/(1 - CL) with Q = 1 - P summed directly. A limit past
-    the float range, as from a subnormal rate B, raises ``DomainError``.
+    the float range, as from a subnormal rate B, raises ``DomainError``, as
+    does a caller-built posterior whose B or t is not a finite positive real.
     """
     _require_real(CL, "CL", 0.0, 1.0, strict=True)
+    _require_real(post.B, "posterior rate B", 0.0, strict=True)
+    _require_real(post.t, "measurement duration t", 0.0, strict=True)
     u_rho = inv_reg_inc_gamma_lower(post.A, CL) / post.B
     if u_rho == math.inf:
         raise DomainError(
@@ -219,12 +222,7 @@ def upper_limit(post: GammaPosterior, CL: float) -> UpperLimitResult:
         )
     p, q = _gamma_pq(post.A, post.B * u_rho)
     residual = (p - CL) / CL if CL <= 0.5 else ((1.0 - CL) - q) / (1.0 - CL)
-    return UpperLimitResult(
-        CL=CL,
-        U_rho=u_rho,
-        U_theta=u_rho * post.t,
-        solver_residual=residual,
-    )
+    return UpperLimitResult(CL, u_rho, u_rho * post.t, residual)
 
 
 def jj_truncated_evidence(epsilon: float) -> float:

@@ -110,7 +110,8 @@ def prob_all_zero(n: int, theta: float) -> float:
     """Probability that ``n`` independent measurements all read zero counts."""
     n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     _require_real(theta, "theta", 0.0)
-    return math.exp(-n * theta)
+    # an int theta would make the product an exact int past exp's float range
+    return math.exp(-n * float(theta))
 
 
 def gamma_pdf(rho: float, dist: GammaDist) -> float:

@@ -13,8 +13,9 @@ float range is a ``DomainError``; messages show values by ``_shown``.
 
 The package's frozen records derive from ``_Record``: each declares its
 fields once, in ``__slots__``, and ``_Record`` compiles from them a
-constructor that takes them in that order and stores each one with
-``object.__setattr__``; after that, assignment and deletion raise
+constructor that takes them in that order and stores each one through its
+slot's member descriptor (``__set__``), which bypasses the record's own
+``__setattr__``; after that, assignment and deletion raise
 ``AttributeError``.
 """
 
@@ -83,8 +84,10 @@ class _Record:
     """Base of the frozen records: constructor, equality, hash and repr over ``__slots__``.
 
     A subclass declares its fields once, in ``__slots__``; ``_store`` is an
-    ``__init__(self, <fields>)`` compiled from them that stores each (PEP 557 style),
-    and a subclass that validates defines ``__init__`` to end in ``self._store(...)``.
+    ``__init__(self, <fields>)`` compiled from them (PEP 557 style) that stores
+    each through its slot descriptor's ``__set__`` (``object.__setattr__``
+    would look the field up through the class on every store), and a subclass
+    that validates defines ``__init__`` to end in ``self._store(...)``.
 
     The repr reads ``Name(field=value, ...)`` in slot order, and two records
     are equal when they are of one class and their field tuples are; a
@@ -95,8 +98,11 @@ class _Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        stores = "".join(f"\n object.__setattr__(self, {name!r}, {name})" for name in cls.__slots__)
-        exec(f"def __init__(self, {', '.join(cls.__slots__)}):{stores}", namespace := {})
+        # the setters are the compiled function's globals, not default
+        # arguments, so that inspect.signature lists only the fields
+        namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in cls.__slots__}
+        stores = "".join(f"\n _set_{name}(self, {name})" for name in cls.__slots__)
+        exec(f"def __init__(self, {', '.join(cls.__slots__)}):{stores}", namespace)
         cls._store = namespace["__init__"]
         cls._store.__qualname__ = f"{cls.__qualname__}.__init__"  # TypeError messages name it
         if "__init__" not in cls.__dict__:

@@ -177,7 +177,7 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
     return _gamma_pq(a, x)[0]
 
 
-def _gamma_pq(a: float, x: float) -> tuple[float, float]:
+def _gamma_pq(a: float, x: float, exponent: float | None = None) -> tuple[float, float]:
     """``(P(a, x), Q(a, x))`` for valid ``a`` and ``x``.
 
     Each branch sums one tail, or both for ``a <= 1/2``, and returns the
@@ -186,14 +186,16 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     ``x^a e^-x / Gamma(a)`` times a factor ``h``: Lentz's continued fraction,
     or for integer and half-integer ``a <= 50`` the finite sum
     ``h = sum_j (a-1)(a-2)...(a-j) / x^(j+1)``, ``j < floor(a)``, with
-    ``erfc(sqrt(x))`` added for half-integer ``a``.
+    ``erfc(sqrt(x))`` added for half-integer ``a``. Above ``a = 50`` a caller
+    that has ``_temme_exponent(a, x)`` already may pass it as ``exponent``.
     """
     if x == 0.0:
         return 0.0, 1.0
     if x == math.inf:
         return 1.0, 0.0
     if a > _TEMME_MIN_SHAPE:
-        exponent = _temme_exponent(a, x)
+        if exponent is None:
+            exponent = _temme_exponent(a, x)
         if abs(x - a) < _TEMME_BAND * a:
             return _temme(a, x, exponent)
         # x^a e^-x / Gamma(a) = e^-E sqrt(a / 2 pi) / Gamma*(a), free of the
@@ -382,7 +384,8 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     cubically, so the root is then within about ``1e-24 x``, far below one
     ulp, wherever the density's scale is near ``x``. Above ``a = 50`` the
     step's density and curvature are formed as the forward ``P``'s
-    prefactor is, from ``a (s - ln(1 + s))`` and Stirling's series and from
+    prefactor is, from ``a (s - ln(1 + s))`` (computed once a step and passed
+    to that ``P``) and Stirling's series and from
     the exact ``a - x``, not from ``a ln x - lgamma(a)``, which loses about
     ``ulp(a ln a)``. Every shape up to ``1e40`` then gives a root whose
     residual changes sign within ``1e6`` ulps: over 821 shapes from ``1e4``
@@ -442,7 +445,9 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     for _ in range(_MAX_HALLEY):
         if x == 0.0:  # the root underflows
             break
-        p_x, q_x = _gamma_pq(a, x)
+        # above a = 50, P and the step's density share Temme's exponent at x
+        exponent = _temme_exponent(a, x) if a > _TEMME_MIN_SHAPE else None
+        p_x, q_x = _gamma_pq(a, x, exponent)
         f = p_x - p if lower else tail - q_x
         if f == 0.0:
             return x
@@ -454,7 +459,7 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         # steps instead), then Halley's factor 1 - (f / f') f'' / (2 f'),
         # where f'' / f' is the log-derivative of the density f'
         if a > _TEMME_MIN_SHAPE:
-            log_density = log_norm - _temme_exponent(a, x) - log_gamma_star - math.log(x)
+            log_density = log_norm - exponent - log_gamma_star - math.log(x)
             curvature = (a - x - 1.0) / x
         else:
             log_density = (a - 1.0) * math.log(x) - x - log_gamma_a

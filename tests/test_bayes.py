@@ -304,10 +304,10 @@ class TestUpperLimits:
         calls = 0
         gamma_pq = numerics._gamma_pq
 
-        def counting(a, x):
+        def counting(a, x, exponent=None):
             nonlocal calls
             calls += 1
-            return gamma_pq(a, x)
+            return gamma_pq(a, x, exponent)
 
         monkeypatch.setattr(numerics, "_gamma_pq", counting)
         monkeypatch.setattr(bayes, "_gamma_pq", counting)
@@ -362,6 +362,24 @@ class TestUpperLimits:
             upper_limit(post, 0.0)
         with pytest.raises(DomainError):
             upper_limit(post, 1.0)
+
+    @pytest.mark.parametrize(
+        "B, t, name",
+        [
+            pytest.param(0.0, 1.0, "posterior rate B", id="B-zero"),
+            pytest.param(-1.0, 1.0, "posterior rate B", id="B-negative"),
+            pytest.param(math.nan, 1.0, "posterior rate B", id="B-nan"),
+            pytest.param(math.inf, 1.0, "posterior rate B", id="B-inf"),
+            pytest.param(1.0, math.nan, "measurement duration t", id="t-nan"),
+            pytest.param(1.0, -1.0, "measurement duration t", id="t-negative"),
+            pytest.param(1.0, math.inf, "measurement duration t", id="t-inf"),
+        ],
+    )
+    def test_caller_built_posterior_fields_are_checked(self, B, t, name):
+        # GammaPosterior stores what it is given; these once gave a
+        # ZeroDivisionError, a negative, NaN, zero or infinite limit
+        with pytest.raises(DomainError, match=f"^{name} must be finite and in \\(0, inf\\)"):
+            upper_limit(GammaPosterior(2.0, B, t), 0.9)
 
     def test_one_count_limit_equals_bl_mean(self):
         post = posterior_from_sufficient(0, 1, 1.0, prior_params(PriorKind.BL))

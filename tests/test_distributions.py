@@ -78,6 +78,12 @@ class TestZeroClass:
         with pytest.raises(DomainError):
             prob_all_zero(0, 1.0)
 
+    def test_int_arguments_past_the_float_range_in_product(self):
+        # n theta = 1e310 as an exact int raised OverflowError in exp; as a
+        # float it is inf, and e^-inf is the right answer, 0
+        assert prob_all_zero(10**300, 10**10) == prob_all_zero(10**300, 1e10) == 0.0
+        assert prob_all_zero(3, 2) == prob_all_zero(3, 2.0) == math.exp(-6.0)
+
 
 class TestGamma:
     def test_pdf_values(self):
