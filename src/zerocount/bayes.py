@@ -13,7 +13,7 @@ ME          (1, t)     t e^(-rho t)
 ==========  =========  ==============================
 
 With data (S total counts over n measurements of duration t) the posterior
-is Gamma(A, B) with A = S + a and B = nt + b. A <= 0 cannot be normalized;
+is Gamma(A, B) with A = S + a and B = nt + b. A <= 0 has no finite integral;
 that combination (JJ with an all-zero record, and nothing else in the
 catalog) raises :class:`~zerocount.errors.ImproperPosteriorError` at
 construction time. The divergence demo quantifies how the failure behaves
@@ -84,17 +84,16 @@ class GammaPosterior(_Record):
         try:
             square = self.B**2
         except OverflowError:
-            # B past ~1.3e154: the variance itself is tiny, so divide twice
-            return self.A / self.B / self.B
-        if square == 0.0:
-            # B below ~2e-162: divide twice, unless the variance itself overflows
-            variance = self.A / self.B / self.B
-            if variance == math.inf:
-                raise DomainError(
-                    f"posterior variance A/B^2 is past the float range for B = {self.B!r}"
-                )
-            return variance
-        return self.A / square
+            square = math.inf
+        if 2.0**-1022 <= square < math.inf:  # a normal double
+            return self.A / square
+        # B past ~1.3e154 or below ~1.5e-154: divide twice, unless that overflows
+        variance = self.A / self.B / self.B
+        if variance == math.inf:
+            raise DomainError(
+                f"posterior variance A/B^2 is past the float range for B = {self.B!r}"
+            )
+        return variance
 
 
 class UpperLimitResult(_Record):
@@ -122,21 +121,14 @@ def prior_params(kind: PriorKind, t: float | None = None) -> PriorSpec:
     raise DomainError("custom priors have no catalog row; construct PriorSpec directly")
 
 
-def prior_density(
-    kind: PriorKind,
-    rho: float,
-    t: float | None = None,
-    normalized: bool = False,
-) -> float:
+def prior_density(kind: PriorKind, rho: float, t: float | None = None) -> float:
     """Evaluate a catalog prior density at ``rho``.
 
     BL, JJ and JR are unnormalizable on [0, inf) and are returned in their
-    conventional unnormalized forms (1, 1/rho, rho^(-1/2)); ME is a proper
-    density t e^(-rho t). JJ and JR diverge at rho = 0, which is a domain
-    error rather than an inf.
-
-    ``normalized=True`` rescales each curve to pass through the point
-    (1, 1). This is a plotting convention only and never enters inference.
+    conventional forms (1, 1/rho, rho^(-1/2)), of infinite mass; ME is a proper
+    density t e^(-rho t), formed from the float of ``t``, so an int ``t``
+    gives the float's answer. JJ and JR diverge at rho = 0, which is a
+    domain error rather than an inf.
     """
     kind = PriorKind(kind)
     _require_real(rho, "rho", 0.0, strict=kind in (PriorKind.JJ, PriorKind.JR))
@@ -147,22 +139,22 @@ def prior_density(
     if kind is PriorKind.JR:
         return 1.0 / math.sqrt(rho)
     if kind is PriorKind.ME:
-        _require_real(t, "t", 0.0, strict=True)
-        value = t * math.exp(-rho * t)
-        if normalized:
-            # divide by the value at rho = 1 so the curve passes through (1,1)
-            return value / (t * math.exp(-t))
-        return value
+        t = float(_require_real(t, "t", 0.0, strict=True))
+        return t * math.exp(-rho * t)
     raise DomainError("custom priors have no catalog density; use gamma_pdf")
 
 
 def posterior_from_sufficient(
     S: int, n: int, t: float, prior: PriorSpec
 ) -> GammaPosterior:
-    """Build the Gamma posterior from the sufficient statistic directly."""
+    """Build the Gamma posterior from the sufficient statistic directly.
+
+    The exposure n t + b is formed from the float of ``t``, so an int ``t``
+    gives the float's answer.
+    """
     S = _require_int(S, "S")
     n = _require_int(n, "n", 1)
-    _require_real(t, "t", 0.0, strict=True)
+    t = float(_require_real(t, "t", 0.0, strict=True))
     try:
         a_post = S + prior.a
         b_post = n * t + prior.b
@@ -185,7 +177,7 @@ def posterior_from_sufficient(
             shape=a_post,
             total_counts=int(S),
         )
-    return GammaPosterior(float(a_post), float(b_post), float(t))
+    return GammaPosterior(float(a_post), float(b_post), t)
 
 
 def posterior(data: CountData, prior: PriorSpec) -> GammaPosterior:
@@ -195,7 +187,7 @@ def posterior(data: CountData, prior: PriorSpec) -> GammaPosterior:
     ------
     ImproperPosteriorError
         When S + a <= 0 (the JJ prior, or a custom a = 0, with an all-zero
-        record). The posterior cannot be normalized; no object is returned.
+        record). The posterior has no finite integral; no object is returned.
     """
     return posterior_from_sufficient(data.total, data.n, data.t, prior)
 

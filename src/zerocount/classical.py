@@ -106,14 +106,15 @@ def ml_estimates(data: CountData) -> MLReport:
 def simple_probability_estimates(
     n: int, t: float = 1.0
 ) -> tuple[float, float, float, float]:
-    """Mean and variance of theta and rho from the renormalized zero class.
+    """Mean and variance of theta and rho from the zero class as a density.
 
     For an all-zero record the zero-class probability e^{-n theta}, treated
     as a density n e^{-n theta} in theta, has mean 1/n and variance 1/n^2;
-    dividing by t and t^2 converts to the rate.
+    dividing by t and t^2 converts to the rate, formed from the float of
+    ``t``: a t whose square passes the float range raises ``DomainError``.
     """
     n = _require_real(_require_int(n, "n", 1), "n", 1.0)
-    _require_real(t, "t", 0.0, strict=True)
+    t = float(_require_real(t, "t", 0.0, strict=True))
     mean_theta = 1.0 / n
     var_theta = 1.0 / n**2
     return (mean_theta, var_theta, *_per_unit_time(mean_theta, var_theta, t, t))
@@ -124,7 +125,7 @@ def simple_probability_upper_limit(
 ) -> tuple[float, float]:
     """Upper limits (U_theta, U_rho) at tail probability ``alpha``.
 
-    Integrating the renormalized zero-class density beyond U leaves mass
+    Integrating the zero-class density n e^{-n theta} beyond U leaves mass
     alpha when U_theta = ln(1/alpha)/n.
     """
     n = _require_real(_require_int(n, "n", 1), "n", 1.0)
@@ -144,8 +145,9 @@ def one_count_upper_limit(t: float, calibration: float = 1.0) -> float:
     Pretends a single count was seen and converts it to a rate through the
     measurement time and a multiplicative calibration coefficient (e.g. a
     detection efficiency). This is a non-statistical convention: no
-    confidence level is attached to the number.
+    confidence level is attached to the number. The product is formed from
+    the float of ``t``, so int arguments give the float's answer.
     """
-    _require_real(t, "t", 0.0, strict=True)
+    t = float(_require_real(t, "t", 0.0, strict=True))
     _require_real(calibration, "calibration", 0.0, strict=True)
     return 1.0 / (t * calibration)

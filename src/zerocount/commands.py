@@ -133,10 +133,12 @@ def cmd_figures(args) -> int:
         for th in _frange(0.0, 6.0, 0.01)
     ])
 
-    kinds = (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)
+    # each prior curve divided by its value at rho = 1, so all pass through (1, 1)
+    at_one = {kind: prior_density(kind, 1.0, t=1.0)
+              for kind in (PriorKind.BL, PriorKind.JJ, PriorKind.JR, PriorKind.ME)}
     _write_csv(args, "fig2", [
-        {"rho": rho, **{kind.value.lower(): prior_density(kind, rho, t=1.0, normalized=True)
-                        for kind in kinds}}
+        {"rho": rho, **{kind.value.lower(): prior_density(kind, rho, t=1.0) / unit
+                        for kind, unit in at_one.items()}}
         for rho in _frange(0.01, 5.0, 0.01)
     ])
 
@@ -314,5 +316,5 @@ def cmd_jj_divergence(args) -> int:
         "log_form={log_approximation:.6g} rel_gap={relative_gap:.3g}".format(**row)
         for row in rows
     ]
-    _render(args, payload, lines, rows=rows)
+    _render(args, payload, lines, notes=[f"# u_theta: {_fmt(args.u_theta)}"], rows=rows)
     return EXIT_OK

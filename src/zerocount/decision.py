@@ -1,9 +1,10 @@
 """Bias, risk, and admissibility of the Bayesian estimators.
 
 Everything here works in the t = 1 convention, so the posterior mean
-(S + a)/(n + b) estimates the count parameter theta directly. Bias and risk
-are taken over the Poisson sampling distribution of S at fixed theta, under
-quadratic loss.
+(S + a)/(n + b) estimates the count parameter theta directly; it and V_B =
+(S + a)/(n + b)^2 are read off :func:`~zerocount.bayes.posterior_from_sufficient`.
+Bias and risk are taken over the Poisson sampling distribution of S at fixed
+theta, under quadratic loss.
 
 Two theta conventions coexist and must not be conflated. The closed-form
 bias (a - b theta)/(n + b) is defined with the true theta (``TrueTheta``);
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bayes import PriorKind, PriorSpec, prior_params
+from .bayes import PriorKind, PriorSpec, posterior_from_sufficient, prior_params
 from .distributions import expectation_over_poisson
-from .errors import ImproperPosteriorError, _Record, _require_int, _require_real
+from .errors import DomainError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -72,18 +73,6 @@ def _check_sn(S: int, n: int) -> tuple[int, int]:
             _require_real(_require_int(n, "n", 1), "n", 1.0))
 
 
-def _bayes_mean_counts(S: int, n: int, a: float, b: float) -> float:
-    """Bayesian mean-count estimate (S + a)/(n + b) at t = 1."""
-    S, n = _check_sn(S, n)
-    if S + a <= 0.0:
-        raise ImproperPosteriorError(
-            f"S + a = {S + a} is not positive; the posterior is improper",
-            shape=S + a,
-            total_counts=S,
-        )
-    return (S + a) / (n + b)
-
-
 def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) -> float:
     """Bias (a - b theta)/(n + b) of the Bayesian mean.
 
@@ -91,6 +80,7 @@ def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) ->
     mode it is the observed total S and theta is replaced by S/n.
     """
     mode = ThetaMode(mode)
+    PriorSpec(PriorKind.CUSTOM, a, b)  # checks a and b
     n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     if mode is ThetaMode.PLUG_IN:
         theta = _require_real(_require_int(s_or_theta, "S"), "S", 0.0) / n
@@ -109,35 +99,41 @@ def _sampling_variance_mean(theta: float, n: int, b: float) -> float:
 def risk_mean(S: int, n: int, a: float, b: float) -> float:
     """Plug-in risk (S + (a - b S/n)^2)/(n + b)^2 of the Bayesian mean."""
     S, n = _check_sn(S, n)
-    return (S + (a - b * S / n) ** 2) / (n + b) ** 2
-
-
-def _bayes_var(S: int, n: int, a: float, b: float) -> float:
-    """Bayesian variance estimate V_B = (S + a)/(n + b)^2 at t = 1."""
-    S, n = _check_sn(S, n)
-    return (S + a) / (n + b) ** 2
+    PriorSpec(PriorKind.CUSTOM, a, b)  # checks a and b
+    try:
+        return (S + (a - b * S / n) ** 2) / (n + b) ** 2
+    except OverflowError:
+        raise DomainError(f"risk_mean passes the float range at S={S}, n={n}, b={b!r}") from None
 
 
 def bias_var(S: int, n: int, a: float, b: float) -> float:
-    """Plug-in bias of V_B against the ML count variance: V_B - S/n."""
+    """Plug-in bias of V_B against the ML count variance: V_B - S/n.
+
+    V_B is the posterior variance at t = 1, so S + a <= 0 raises ``ImproperPosteriorError``.
+    """
     S, n = _check_sn(S, n)
-    return _bayes_var(S, n, a, b) - S / n
+    prior = PriorSpec(PriorKind.CUSTOM, a, b)
+    return posterior_from_sufficient(S, n, 1.0, prior).variance - S / n
 
 
 def risk_var(S: int, n: int, a: float, b: float) -> float:
     """Plug-in risk of V_B: bias^2 + S/(n + b)^4."""
     S, n = _check_sn(S, n)
-    return bias_var(S, n, a, b) ** 2 + S / (n + b) ** 4
+    try:
+        return bias_var(S, n, a, b) ** 2 + S / (n + b) ** 4
+    except OverflowError:
+        raise DomainError(f"risk_var passes the float range at S={S}, n={n}, b={b!r}") from None
 
 
 def _risk_report(S: int, n: int, prior: PriorSpec) -> RiskReport:
     a, b = prior.a, prior.b
+    post = posterior_from_sufficient(S, n, 1.0, prior)
     return RiskReport(
         prior=prior,
-        mean_estimate=_bayes_mean_counts(S, n, a, b),
+        mean_estimate=post.mean,
         bias_mean=bias_mean(S, n, a, b, ThetaMode.PLUG_IN),
         risk_mean=risk_mean(S, n, a, b),
-        var_estimate=_bayes_var(S, n, a, b),
+        var_estimate=post.variance,
         bias_var=bias_var(S, n, a, b),
         risk_var=risk_var(S, n, a, b),
         theta_mode=ThetaMode.PLUG_IN,
@@ -178,7 +174,7 @@ def validate_risk_oracle(
     theta: float,
     n: int,
     prior: PriorSpec,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> RiskOracleReport:
     """Check the closed-form bias/variance/risk against direct expectations.
 
@@ -191,7 +187,6 @@ def validate_risk_oracle(
     """
     _require_real(theta, "theta", 0.0)
     n = _require_real(_require_int(n, "n", 1), "n", 1.0)
-    tol = tol if tol is not None else DEFAULT_TOL
     a, b = prior.a, prior.b
     denom = n + b
 

@@ -120,9 +120,10 @@ def gamma_pdf(rho: float, dist: GammaDist) -> float:
     The origin is a boundary of the support: the density diverges for
     a < 1, vanishes for a > 1, and equals the rate b for a = 1. Those limits
     are returned directly so grid evaluations starting at 0 need no special
-    casing by the caller.
+    casing by the caller. The density is formed from the float of ``rho``,
+    so an int ``rho`` gives the float's answer.
     """
-    _require_real(rho, "rho", 0.0)
+    rho = float(_require_real(rho, "rho", 0.0))
     if rho == 0.0:
         if dist.a < 1.0:
             return math.inf
@@ -193,7 +194,7 @@ def nb_dispersion(params: NBParams) -> float:
 def expectation_over_poisson(
     f: Callable[[int], float],
     theta: float,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> float:
     """Compute E[f(X)] for X ~ Poisson(theta) by direct summation.
 
@@ -208,7 +209,6 @@ def expectation_over_poisson(
         If the truncation bound is not met by x = 10 * (theta + 10).
     """
     _require_real(theta, "theta", 0.0)
-    tol = tol if tol is not None else DEFAULT_TOL
     if theta == 0.0:
         return float(f(0))
 

@@ -66,7 +66,7 @@ class QuadratureError(ZeroCountError, ArithmeticError):
 
 
 class ImproperPosteriorError(ZeroCountError):
-    """The prior and data combine to a posterior that cannot be normalized.
+    """The prior and data combine to a posterior with no finite integral.
 
     ``shape`` is the offending Gamma shape parameter (S + a); ``total_counts``
     is the observed total; ``replicate`` is set when a simulation run hit the
@@ -148,7 +148,7 @@ def _require_int(value, name: str, minimum: int = 0) -> int:
     does anything ``int()`` cannot convert, so no caller sees an
     ``OverflowError`` or a bare ``ValueError`` from the conversion.
     """
-    # integrands call this once per evaluation; a plain int skips the rest
+    # posterior_from_sufficient checks S and n on every limit: a plain int skips the rest
     if type(value) is int and value >= minimum:
         return value
     try:

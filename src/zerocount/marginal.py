@@ -22,7 +22,7 @@ holds no more than the 30 * _MAX_GRID_POINTS cells of one 30-row split of a
 full grid. Both models
 run through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
-normalized posterior, so a residual at or above the 1e-6 budget raises
+posterior of unit mass, so a residual at or above the 1e-6 budget raises
 ``QuadratureError``, before any grid work is spent. The NB residual, the two
 strategies' disagreement over the evidence, is only reported: loose
 tolerances widen it.
@@ -150,14 +150,14 @@ def _require_reals(values, name: str, low: float, *, strict: bool = False) -> np
     return array
 
 
-def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str, joint_in,
+def _marginalize(x: int, theta_grid, tol: ToleranceConfig, strategy: str, joint_in,
                  normalize: bool = False) -> MarginalComparison:
     """Integrate the nuisance over [0, inf) on a theta grid; compare with Gamma(x+1, 2).
 
     ``joint_in(theta, x)`` computes a theta batch's theta-only coefficients
     once and returns the joint as a function of the nuisance. With
     ``normalize``, the marginal's theta integral by ``strategy`` is the
-    evidence that divides it. Without it the joint is a normalized posterior
+    evidence that divides it. Without it the joint is a posterior of unit mass
     (z-Poisson), so a norm that misses 1 by the budget raises
     ``QuadratureError`` before any grid work. The norm is the marginal's theta
     integral by the other strategy, over the evidence. The inner integrals
@@ -167,7 +167,6 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig | None, strategy: str,
     import numpy as np
 
     grid = _validate_grid(x, theta_grid)
-    tol = tol if tol is not None else DEFAULT_TOL
     other = "doubling" if strategy == "transform" else "transform"
 
     warm = {}
@@ -251,7 +250,7 @@ def zpoisson_joint_posterior(theta, psi, x: int):
 def zpoisson_marginal(
     x: int,
     theta_grid: np.ndarray,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     strategy: str = "transform",
 ) -> MarginalComparison:
     """Integrate psi out of the z-Poisson joint posterior on a theta grid.
@@ -321,7 +320,7 @@ def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) ->
 
 
 def nb_joint_density(theta, a, x: int):
-    """Unnormalized joint density NB(x | theta, a) e^{-theta} e^{-a}.
+    """Joint density NB(x | theta, a) e^{-theta} e^{-a}, up to its evidence.
 
     Boundary values keep the integrand finite everywhere: at a = 0 the NB
     factor degenerates to a point mass at x = 0, and at theta = 0 likewise.
@@ -342,7 +341,7 @@ def nb_joint_density(theta, a, x: int):
 def nb_marginal_numeric(
     x: int,
     theta_grid: np.ndarray,
-    tol: ToleranceConfig | None = None,
+    tol: ToleranceConfig = DEFAULT_TOL,
     strategy: str = "transform",
     a_lower: float = 0.0,
 ) -> MarginalComparison:

@@ -208,7 +208,8 @@ def coverage_experiment(
     """
     import numpy as np
 
-    _require_real(true_rho, "true_rho", 0.0)
+    # ints would make the Poisson mean n rho t an exact int past the float range
+    true_rho = float(_require_real(true_rho, "true_rho", 0.0))
     _require_real(t, "t", 0.0, strict=True)
     n = _require_real(_require_int(n, "n", 1), "n", 1.0)
     _require_real(cl, "cl", 0.0, 1.0, strict=True)

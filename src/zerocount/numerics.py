@@ -406,7 +406,9 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     ------
     ConvergenceError
         If the forward ``P`` fails, the root underflows, or the loop runs out
-        of its runaway budget; the exception carries the bracket.
+        of its runaway budget; the exception carries the bracket and, as
+        ``residual``, the last ``f``, or ``P(a, 5e-324) - p`` where that one
+        evaluation proves the root below every positive double.
     """
     _require_real(a, "shape parameter", 0.0, strict=True)
     _require_real(p, "p", 0.0, 1.0, strict=True)
@@ -424,13 +426,14 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         s = 1.0 / (9.0 * a)
         cube = 1.0 - s + (-z if lower else z) * math.sqrt(s)
         bound = math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
-        if bound == 0.0 and _gamma_pq(a, _MIN_SUBNORMAL)[0] >= p:
+        if bound == 0.0 and (p_least := _gamma_pq(a, _MIN_SUBNORMAL)[0]) >= p:
             # P increases in x, so the root lies below every positive double
             raise ConvergenceError(
                 f"incomplete gamma inverse underflows for a={a!r}, p={p!r}: "
                 "P(a, 5e-324) >= p, so the root, and the limit solved from it, is below "
                 "every positive double",
                 bracket=(0.0, _MIN_SUBNORMAL),
+                residual=p_least - p,
             )
         x = max(a * max(cube, 0.0) ** 3, bound)
 
@@ -441,7 +444,7 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         log_norm, log_gamma_star = 0.5 * math.log(a / _TWO_PI), _log_gamma_star(a)
     else:
         log_gamma_a = math.lgamma(a)
-    lo, hi = 0.0, math.inf
+    lo, hi, f = 0.0, math.inf, None
     for _ in range(_MAX_HALLEY):
         if x == 0.0:  # the root underflows
             break
@@ -491,6 +494,7 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     raise ConvergenceError(
         f"incomplete gamma inverse did not converge for a={a!r}, p={p!r}",
         bracket=(lo, hi),
+        residual=f,
     )
 
 

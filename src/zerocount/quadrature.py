@@ -151,7 +151,7 @@ def _octaves(v):
 _ROUTES = {"transform": (_transform, _U_START), "doubling": (_octaves, _V_START)}
 
 
-def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
+def integrate_semi_infinite(f: Callable, tol: ToleranceConfig = DEFAULT_TOL,
                             strategy: str = "transform", *, warm: dict | None = None):
     """Integrate ``f`` over ``[0, inf)``, one function or K at once.
 
@@ -195,7 +195,6 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig | None = None,
     if strategy not in _ROUTES:
         raise DomainError(f"unknown quadrature strategy {strategy!r}")
     to_x, start = _ROUTES[strategy]
-    tol = tol if tol is not None else DEFAULT_TOL
     vector = False
 
     def mapped(v):  # f dx = f / (dv/dx) dv

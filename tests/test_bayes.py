@@ -76,19 +76,6 @@ class TestPriorCatalog:
             prior_density(PriorKind.JR, 0.0)
         assert prior_density(PriorKind.BL, 0.0) == 1.0
 
-    def test_normalized_mode_passes_through_unit_point(self):
-        for kind in [PriorKind.BL, PriorKind.JJ, PriorKind.JR]:
-            assert prior_density(kind, 1.0, normalized=True) == 1.0
-        np.testing.assert_allclose(
-            prior_density(PriorKind.ME, 1.0, t=3.0, normalized=True), 1.0, rtol=1e-13
-        )
-        # the rescaling shifts the ME origin value from t e^0 to e^t
-        np.testing.assert_allclose(
-            prior_density(PriorKind.ME, 0.0, t=1.0, normalized=True),
-            math.e,
-            rtol=1e-13,
-        )
-
     def test_custom_has_no_catalog_density(self):
         with pytest.raises(DomainError):
             prior_density(PriorKind.CUSTOM, 1.0)
@@ -159,11 +146,22 @@ class TestPosteriorMoments:
         post = posterior_from_sufficient(0, 1, 1e-163, PriorSpec(PriorKind.CUSTOM, 1e-20, 0.0))
         np.testing.assert_allclose(post.variance, 1e306, rtol=1e-15)
 
+    def test_variance_at_a_subnormal_squared_rate(self):
+        # B**2 = 1e-312 is subnormal, with about 38 bits: A/B/B keeps all 53
+        post = GammaPosterior(1e-20, 1e-156, 1.0)
+        assert post.variance == 1e-20 / 1e-156 / 1e-156
+        np.testing.assert_allclose(post.variance, 1e292, rtol=1e-15)
+
     def test_variance_past_the_float_range_names_the_rate(self):
         post = posterior_from_sufficient(0, 1, 1e-300, prior_params(PriorKind.BL))
         assert math.isfinite(post.mean)
         with pytest.raises(DomainError, match="past the float range for B = 1e-300"):
             post.variance
+        # B**2 = 1e-310 is subnormal, not 0: A/B^2 was once a silent inf here
+        for post in (GammaPosterior(1.0, 1e-155, 1.0),
+                     posterior_from_sufficient(0, 1, 1e-155, prior_params(PriorKind.BL))):
+            with pytest.raises(DomainError, match="past the float range for B = 1e-155"):
+                post.variance
 
     def test_jj_ml_identity_grid(self):
         # with counts observed, JJ reproduces the ML point and variance exactly

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from zerocount.bayes import PriorKind, PriorSpec, prior_params
+from zerocount.bayes import PriorKind, PriorSpec, posterior_from_sufficient, prior_params
 from zerocount.decision import (
     ThetaMode,
-    _bayes_mean_counts,
-    _bayes_var,
     _sampling_variance_mean,
     bias_mean,
     bias_var,
@@ -28,19 +26,37 @@ JR = prior_params(PriorKind.JR)
 JJ = prior_params(PriorKind.JJ)
 
 
+def _posterior(S, n, a, b):
+    """The Gamma(a, b) prior's posterior at t = 1, whose moments are the estimates."""
+    return posterior_from_sufficient(S, n, 1.0, PriorSpec(PriorKind.CUSTOM, a, b))
+
+
 class TestPointEstimates:
     def test_bayes_mean_counts(self):
-        assert _bayes_mean_counts(0, 1, a=1.0, b=1.0) == 0.5
-        assert _bayes_mean_counts(0, 1, a=1.0, b=0.0) == 1.0
-        assert _bayes_mean_counts(6, 2, a=0.0, b=0.0) == 3.0
+        assert _posterior(0, 1, a=1.0, b=1.0).mean == 0.5
+        assert _posterior(0, 1, a=1.0, b=0.0).mean == 1.0
+        assert _posterior(6, 2, a=0.0, b=0.0).mean == 3.0
 
     def test_improper_combination(self):
-        with pytest.raises(ImproperPosteriorError):
-            _bayes_mean_counts(0, 1, a=0.0, b=0.0)
+        # V_B of an improper posterior is undefined: bias_var and risk_var
+        # raise where they once returned numbers
+        for call in (bias_var, risk_var):
+            with pytest.raises(ImproperPosteriorError):
+                call(0, 1, a=0.0, b=0.0)
 
     def test_bayes_var(self):
-        assert _bayes_var(0, 1, a=1.0, b=1.0) == 0.25
-        assert _bayes_var(4, 2, a=1.0, b=0.0) == 1.25
+        assert _posterior(0, 1, a=1.0, b=1.0).variance == 0.25
+        assert _posterior(4, 2, a=1.0, b=0.0).variance == 1.25
+
+    def test_ranking_reads_the_posterior_moments(self):
+        # the estimates are (S + a)/(n + b) and (S + a)/(n + b)^2, to the bit
+        for S in range(6):
+            for n in (1, 2, 7):
+                for r in compare_priors(S, n).entries:
+                    a, b = r.prior.a, r.prior.b
+                    assert r.mean_estimate == (S + a) / (n + b)
+                    assert r.var_estimate == (S + a) / (n + b) ** 2
+                    assert r.bias_var == (S + a) / (n + b) ** 2 - S / n
 
 
 class TestBiasForms:
@@ -95,7 +111,7 @@ class TestRiskForms:
 
     def test_hand_case(self):
         # S=4, n=2, BL: V_B = 5/4, bias = -3/4, risk = 9/16 + 4/16 = 13/16
-        assert _bayes_var(4, 2, a=1.0, b=0.0) == 1.25
+        assert _posterior(4, 2, a=1.0, b=0.0).variance == 1.25
         assert bias_var(4, 2, a=1.0, b=0.0) == -0.75
         assert risk_var(4, 2, a=1.0, b=0.0) == 0.8125
 

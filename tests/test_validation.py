@@ -24,15 +24,17 @@ from zerocount.bayes import (
 from zerocount.classical import (
     CountData,
     ml_estimates,
+    one_count_upper_limit,
     simple_probability_estimates,
     simple_probability_upper_limit,
 )
 from zerocount.decision import (
     ThetaMode,
-    _bayes_mean_counts,
     bias_mean,
+    bias_var,
     compare_priors,
     risk_mean,
+    risk_var,
     validate_risk_oracle,
 )
 from zerocount.distributions import (
@@ -77,7 +79,7 @@ CALLS = {
     "coverage_inf_reps": lambda: coverage_experiment(0.5, 1.0, 1, BL, 0.95, INF, 0),
     "bias_mean_bool_plug_in": lambda: bias_mean(True, 1, 1.0, 0.0, ThetaMode.PLUG_IN),
     "bias_mean_inf_plug_in": lambda: bias_mean(INF, 1, 1.0, 0.0, ThetaMode.PLUG_IN),
-    "bayes_mean_counts_nan": lambda: _bayes_mean_counts(NAN, 1, 1.0, 0.0),
+    "bias_var_nan_S": lambda: bias_var(NAN, 1, 1.0, 0.0),
     "simple_limit_inf_n": lambda: simple_probability_upper_limit(INF, 1.0, 0.05),
     "theta_grid_inf_x": lambda: make_theta_grid(INF),
 }
@@ -121,6 +123,11 @@ NON_FINITE_CALLS = {
     "prior_density_inf_t": ("t", lambda: prior_density(PriorKind.ME, 1.0, t=INF)),
     "expectation_inf_theta": ("theta", lambda: expectation_over_poisson(float, INF)),
     "risk_oracle_inf_theta": ("theta", lambda: validate_risk_oracle(INF, 1, BL)),
+    # the decision functions check a and b as PriorSpec does
+    "bias_mean_inf_a": ("prior shape a", lambda: bias_mean(1, 1, INF, 0.0, "PlugIn")),
+    "risk_mean_nan_a": ("prior shape a", lambda: risk_mean(1, 1, NAN, 0.0)),
+    "bias_var_negative_a": ("prior shape a", lambda: bias_var(1, 1, -5.0, 0.0)),
+    "risk_var_nan_b": ("prior rate b", lambda: risk_var(1, 1, 1.0, NAN)),
     "gamma_dist_inf_a": ("shape a", lambda: GammaDist(INF, 1.0)),
     "posterior_inf_t": ("t", lambda: posterior_from_sufficient(0, 1, INF, BL)),
     "theta_grid_inf_step": ("step", lambda: make_theta_grid(0, step=INF)),
@@ -152,7 +159,7 @@ def test_non_finite_float_raises_domain_error(case):
         call()
 
 
-# finite inputs whose exposure or total overflows a float:
+# finite inputs whose exposure, total or product overflows a float:
 # case -> (message prefix, call)
 OVERFLOW_CALLS = {
     "count_data_huge_total": (
@@ -173,6 +180,22 @@ OVERFLOW_CALLS = {
         "exposure n t \\+ b must be finite",
         lambda: upper_limit(posterior_from_sufficient(3, 10, 1e308, BL), 0.95),
     ),
+    # ints whose exact product passes the float range: the float's answer
+    "posterior_int_exposure": (
+        "exposure n t \\+ b must be finite",
+        lambda: posterior_from_sufficient(1, 10**10, 10**300, BL),
+    ),
+    "coverage_int_poisson_mean": (
+        "cannot draw Poisson counts",
+        lambda: coverage_experiment(10**200, 10**200, 1, BL, 0.95, 10, 0),
+    ),
+    "simple_estimates_int_t": (
+        "t must be small enough", lambda: simple_probability_estimates(1, 10**200)
+    ),
+    "risk_mean_huge_b": ("risk_mean passes the float range at S=1, n=1, b=1e\\+200$",
+                         lambda: risk_mean(1, 1, 1.0, 1e200)),
+    "risk_var_huge_b": ("risk_var passes the float range at S=1, n=1, b=1e\\+100$",
+                        lambda: risk_var(1, 1, 1.0, 1e100)),
 }
 
 
@@ -181,6 +204,24 @@ def test_overflowing_exposure_raises_domain_error(case):
     prefix, call = OVERFLOW_CALLS[case]
     with pytest.raises(DomainError, match=f"^{prefix}"):
         call()
+
+
+# int arguments whose exact product passes the float range give the float
+# call's answer, not an OverflowError: case -> (int call, float call)
+INT_PRODUCT_CALLS = {
+    "prior_density_me": (lambda: prior_density(PriorKind.ME, 10**10, t=10**300),
+                         lambda: prior_density(PriorKind.ME, 1e10, t=1e300)),
+    "gamma_pdf": (lambda: gamma_pdf(10**300, GammaDist(2, 10**10)),
+                  lambda: gamma_pdf(1e300, GammaDist(2.0, 1e10))),
+    "one_count_upper_limit": (lambda: one_count_upper_limit(10**200, 10**200),
+                              lambda: one_count_upper_limit(1e200, 1e200)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_PRODUCT_CALLS))
+def test_an_int_product_past_the_float_range_gives_the_float_answer(case):
+    int_call, float_call = INT_PRODUCT_CALLS[case]
+    assert int_call() == float_call() == 0.0
 
 
 # ints of more than 4,300 digits, which repr cannot print: a message shows
