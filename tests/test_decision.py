@@ -38,8 +38,7 @@ class TestPointEstimates:
         assert _posterior(6, 2, a=0.0, b=0.0).mean == 3.0
 
     def test_improper_combination(self):
-        # V_B of an improper posterior is undefined: bias_var and risk_var
-        # raise where they once returned numbers
+        # V_B of an improper posterior is undefined
         for call in (bias_var, risk_var):
             with pytest.raises(ImproperPosteriorError):
                 call(0, 1, a=0.0, b=0.0)
