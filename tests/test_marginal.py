@@ -6,6 +6,7 @@ nested mpmath quadrature and frozen as literals; quadrature results are also
 checked against analytic identities and between independent strategies.
 """
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 
@@ -571,3 +572,68 @@ class TestWarmGrid:
                 exact = _gamma_density(x, theta)
                 bound = ZPOISSON_REL_BOUND * exact if exact else DEFAULT_TOL.abs_tol
                 assert abs(value - exact) <= bound, (x, theta)
+
+
+class TestMarginalPathBits:
+    """The marginal path's doubles, frozen at 30e59ea, before the kernel's
+    hot path was trimmed: the benchmark's 16 operations (both models, x 0 to
+    3, both strategies, step 0.1), NB with a_lower = 5 at x = 1, and the
+    z-Poisson mass far out at x = 200 on the doubling route. Each case holds
+    the first 16 hex digits of the sha256 of the space-joined ``float.hex``
+    of ``numeric_density``, then ``float.hex`` of ``numeric_norm``,
+    ``l1_distance`` and ``linf_distance``."""
+
+    # (model, x, strategy, a_lower) -> (density digest, norm, l1, linf)
+    FROZEN = {
+        ("zpoisson", 0, "transform", None):
+            ("e085e05fd41050d8", "0x1.0000000000000p+0", "0x1.196b110643334p-52", "0x1.0000000000000p-51"),
+        ("zpoisson", 0, "doubling", None):
+            ("6bbdad20e0049a0a", "0x1.ffffffffffffep-1", "0x1.a907febb5999ap-54", "0x1.0000000000000p-52"),
+        ("zpoisson", 1, "transform", None):
+            ("e4c0475bee140ab6", "0x1.fffffffffffffp-1", "0x1.1273c417fffffp-52", "0x1.2000000000000p-51"),
+        ("zpoisson", 1, "doubling", None):
+            ("ef06d1b86a48d7b7", "0x1.0000000000000p+0", "0x1.1df71b14fb332p-52", "0x1.4000000000000p-51"),
+        ("zpoisson", 2, "transform", None):
+            ("7daa5d2f8e712f4a", "0x1.0000000000001p+0", "0x1.8a864ab99999bp-54", "0x1.8000000000000p-53"),
+        ("zpoisson", 2, "doubling", None):
+            ("f35124a3a7ff3285", "0x1.0000000000000p+0", "0x1.b722df3733334p-53", "0x1.0000000000000p-52"),
+        ("zpoisson", 3, "transform", None):
+            ("f6d013a92f25eca3", "0x1.ffffffffffffbp-1", "0x1.7860a53333332p-54", "0x1.0000000000000p-54"),
+        ("zpoisson", 3, "doubling", None):
+            ("835eabc214e062c3", "0x1.ffffffffffffep-1", "0x1.e9d8273999999p-54", "0x1.0000000000000p-53"),
+        ("nb", 0, "transform", None):
+            ("a2bb471d85d894b6", "0x1.0000000000012p+0", "0x1.1057683ed27ddp-2", "0x1.e69fa2a5bb814p-2"),
+        ("nb", 0, "doubling", None):
+            ("407fb7ec24983f94", "0x1.fffffffffffdap-1", "0x1.1057683ed27f2p-2", "0x1.e69fa2a5bb884p-2"),
+        ("nb", 1, "transform", None):
+            ("084809d372ae28db", "0x1.fffffffffffefp-1", "0x1.f9ed2202cb9efp-4", "0x1.66e68af2d0828p-4"),
+        ("nb", 1, "doubling", None):
+            ("fb8c59ffa8acc9f2", "0x1.0000000000009p+0", "0x1.f9ed2202cb9c4p-4", "0x1.66e68af2d0858p-4"),
+        ("nb", 2, "transform", None):
+            ("6857b4999b54c81b", "0x1.0000000000009p+0", "0x1.c25e9e7e8ff57p-3", "0x1.7179e7af9c4adp-3"),
+        ("nb", 2, "doubling", None):
+            ("de59cdd81d5ccdea", "0x1.fffffffffffebp-1", "0x1.c25e9e7e8ff5fp-3", "0x1.7179e7af9c489p-3"),
+        ("nb", 3, "transform", None):
+            ("2969bae43d5f715b", "0x1.ffffffffffd28p-1", "0x1.7f26fcab81fdfp-2", "0x1.e79c30751f6afp-3"),
+        ("nb", 3, "doubling", None):
+            ("c739eab95de7f92d", "0x1.000000000016cp+0", "0x1.7f26fcab81fa1p-2", "0x1.e79c30751fb5bp-3"),
+        ("nb", 1, "transform", 5.0):
+            ("1313ce913f38d474", "0x1.ffffffffffffep-1", "0x1.1fb434e445586p-5", "0x1.58cdada9133c0p-6"),
+        ("nb", 1, "doubling", 5.0):
+            ("f89cecd1026267a2", "0x1.0000000000001p+0", "0x1.1fb434e44557ep-5", "0x1.58cdada9133a0p-6"),
+        ("zpoisson", 200, "doubling", None):
+            ("9b2a4fc0a6405307", "0x1.00000000003d2p+0", "0x1.74a0d7af16a85p-54", "0x1.0000000000000p-56"),
+    }
+
+    @pytest.mark.parametrize("model,x,strategy,a_lower", sorted(FROZEN, key=str))
+    def test_bits(self, model, x, strategy, a_lower):
+        grid = make_theta_grid(x, 0.1)
+        if model == "nb":
+            extra = {} if a_lower is None else {"a_lower": a_lower}
+            comp = nb_marginal_numeric(x, grid, strategy=strategy, **extra)
+        else:
+            comp = zpoisson_marginal(x, grid, strategy=strategy)
+        hexes = " ".join(v.hex() for v in comp.numeric_density.tolist())
+        digest = hashlib.sha256(hexes.encode()).hexdigest()[:16]
+        got = (digest, comp.numeric_norm.hex(), comp.l1_distance.hex(), comp.linf_distance.hex())
+        assert got == self.FROZEN[model, x, strategy, a_lower]
