@@ -37,6 +37,7 @@ joint forms.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError, QuadratureError, _Record, _require_int, _require_real
 from .numerics import DEFAULT_TOL, ToleranceConfig
@@ -200,10 +201,10 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig, strategy: str, joint_
         numeric = np.concatenate(blocks) / evidence
     # 2 (2 theta)^x e^{-2 theta} / x!, the Poisson-ME posterior: the Gamma(x+1, 2)
     # density by gamma_pdf's operations in its order, its constants hoisted
-    a = x + 1.0
+    a, exp, log = x + 1.0, math.exp, math.log
     head, tail, at_zero = a * _LN2, math.lgamma(a), 2.0 if x == 0 else 0.0
     claimed = np.array([
-        math.exp(head + (a - 1.0) * math.log(th) - 2.0 * th - tail) if th else at_zero
+        exp(head + (a - 1.0) * log(th) - 2.0 * th - tail) if th else at_zero
         for th in grid.tolist()
     ])
     diff = np.abs(numeric - claimed)
@@ -224,7 +225,12 @@ def _zpoisson_joint_in_psi(theta: np.ndarray, x: int):
             scale = np.exp(log_core) / -np.expm1(-theta)
         limit = 4.0 if x == 1 else 0.0
         a_coef, b_coef = (np.where(theta > 0.0, v, limit) for v in (scale, scale * np.exp(-theta)))
-    return lambda psi: np.exp(-psi) * (a_coef - psi * b_coef)
+
+    def joint(psi):  # e^{-psi} (A - psi B) by those operations, in one buffer
+        out = psi * b_coef
+        return np.multiply(np.exp(-psi), np.subtract(a_coef, out, out=out), out=out)
+
+    return joint
 
 
 def zpoisson_joint_posterior(theta, psi, x: int):
@@ -243,7 +249,8 @@ def zpoisson_joint_posterior(theta, psi, x: int):
     x = _require_real(_require_int(x, "x"), "x", 0.0)
     theta_arr = _require_reals(theta, "theta", 0.0)
     psi_arr = _require_reals(psi, "psi", 0.0, strict=True)
-    out = _zpoisson_joint_in_psi(theta_arr, x)(psi_arr)
+    # a trailing axis keeps 0-d inputs arrays, which the joint writes into
+    out = _zpoisson_joint_in_psi(theta_arr[..., None], x)(psi_arr[..., None])[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -365,6 +372,6 @@ def nb_marginal_numeric(
     normalizer = 2.0 ** (x + 1)
     return _marginalize(
         x, theta_grid, tol, strategy,
-        lambda theta, x: lambda d: normalizer * _nb_joint(d, theta, x, a_lower),
+        lambda theta, x: lambda d: operator.imul(_nb_joint(d, theta, x, a_lower), normalizer),
         normalize=True,
     )

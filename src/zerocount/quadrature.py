@@ -7,12 +7,13 @@ call) and n = 30 for each split (both halves in one call) as an ndarray,
 and returns shape ``(n,)``, or ``(n, K)`` for K integrals over shared
 panels; numpy is imported only when it runs. Each route maps [0, inf) onto
 a finite interval, as QUADPACK's QAGI does (Piessens et al., 1983), and a
-cold integral starts from eight graded panels of it, where converged
-partitions refine and which one panel reached only by about ten sequential
-splits. Similar integrals can share a warm state, each starting from the
-partition the last one converged on, at the same tolerance. Failures always
-surface as :class:`~zerocount.errors.QuadratureError`, carrying the partial
-sum where there is one. For [c, inf), integrate ``lambda y: f(c + y)``.
+cold integral starts from eight graded panels of it, mapped once per process,
+where converged partitions refine and which one panel reached only by about
+ten sequential splits. Finiteness is checked on K15 panel sums, then by row.
+Similar integrals can share a warm state, each starting from the partition
+the last one converged on, at the same tolerance. Failures always surface
+as :class:`~zerocount.errors.QuadratureError`, carrying the partial sum
+where there is one. For [c, inf), integrate ``lambda y: f(c + y)``.
 """
 
 from __future__ import annotations
@@ -67,39 +68,64 @@ def _kronrod_rule():
     return np.array(_K15_NODES), np.array(_K15_WEIGHTS), np.array(_G7_WEIGHTS)
 
 
-def _adaptive(g, edges, abs_tol, rel_tol, shaped):
-    """Globally adaptive bisection of ``g`` ((n,) nodes -> (n, K)) from a partition.
+def _panels(edges, to_x):
+    """(m, 1) half-widths of the m panels between ascending edges; x, dv/dx at their 15 m nodes."""
+    import numpy as np
 
-    ``edges`` are the m + 1 ascending edges of the starting panels, graded
-    or warm. Splits the panel whose worst component error over that
-    component's tolerance ``max(abs_tol, rel_tol |I_k|)`` is largest, until
-    every component's summed error meets it. The starting panels are one
-    call of ``g`` on their 15 m nodes, and each split is one call on both
-    halves' 30 nodes, each panel keeping its own K15 sum and G7 error.
-    Returns the (K,) integral and the final partition's edges.
+    edges = np.asarray(edges, dtype=float)
+    centres, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return half, *to_x((centres + half * _kronrod_rule()[0]).ravel())
+
+
+@functools.cache
+def _cold_start(strategy):
+    """A route's graded edges and their panels, built once and never written."""
+    to_x, start = _ROUTES[strategy]
+    return start, _panels(start, to_x)
+
+
+def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
+    """Globally adaptive bisection of ``g`` ((n,) abscissae -> (n, K)) from a partition.
+
+    ``seed`` holds the m + 1 ascending edges of warm starting panels, or is
+    None for the route's graded cold start. Splits the panel whose worst
+    component error over that component's tolerance ``max(abs_tol, rel_tol
+    |I_k|)`` is largest, until every component's summed error meets it. The
+    starting panels are one call of ``g`` on their 15 m nodes, and each
+    split is one call on both halves' 30 nodes, each panel keeping its own
+    K15 sum and G7 error. Returns the (K,) integral and the final
+    partition's edges.
     """
     import numpy as np
 
-    nodes, k15, g7 = _kronrod_rule()
+    _, k15, g7 = _kronrod_rule()
 
-    def rule(centres, half):
-        # m panels in one call, from their (m, 1) centres and half-widths:
-        # (15 m, K) values -> (m, K) K15 sums and G7 errors
-        y = g((centres + half * nodes).ravel()).reshape(half.size, 15, -1)
-        fine = k15 @ y
-        return half * fine, np.abs(half * (fine - g7 @ y[:, 1::2]))
+    def rule(half, x, dv_dx):
+        # m panels in one call: (15 m, K) values -> (m, K) K15 sums and G7 errors
+        y = g(x)
+        # f dx = f / (dv/dx) dv: dv/dx underflows toward u = 0, where inf or
+        # NaN is a divergent integrand. Every K15 weight is positive, so a
+        # non-finite value makes its panel's sum non-finite
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y = (y / dv_dx[:, None]).reshape(half.size, 15, -1)
+            fine, coarse = k15 @ y, g7 @ y[:, 1::2]
+        if not np.isfinite(fine).all():
+            bad = ~np.isfinite(y.reshape(x.size, -1)).all(axis=1)
+            if bad.any():
+                raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
+        return half * fine, np.abs(half * (fine - coarse))
 
     def fail(message):
         return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
 
-    edges = np.asarray(edges, dtype=float)
-    first_vals, first_errs = rule(0.5 * (edges[:-1] + edges[1:])[:, None],
-                                  0.5 * (edges[1:] - edges[:-1])[:, None])
+    to_x = _ROUTES[strategy][0]
+    edges, panels = (seed, _panels(seed, to_x)) if seed else _cold_start(strategy)
+    first_vals, first_errs = rule(*panels)
     total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
     tol = np.maximum(abs_tol, rel_tol * np.abs(total))
     if (total_err <= tol).all():  # no split: the starting panels
-        return total, edges.tolist()
-    bounds = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        return total, list(edges)
+    bounds = list(zip(edges[:-1], edges[1:]))
     capacity = max(16, 2 * len(bounds))
     vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
     vals[:len(bounds)], errs[:len(bounds)] = first_vals, first_errs
@@ -113,11 +139,7 @@ def _adaptive(g, edges, abs_tol, rel_tol, shaped):
             # the nodes are about to collapse onto each other: a singularity
             raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
         mid = 0.5 * (lo + hi)
-        # the halves' centres and half-widths by the starting panels' formulas
-        (left_val, right_val), (left_err, right_err) = rule(
-            np.array([[0.5 * (lo + mid)], [0.5 * (mid + hi)]]),
-            np.array([[0.5 * (mid - lo)], [0.5 * (hi - mid)]]),
-        )
+        (left_val, right_val), (left_err, right_err) = rule(*_panels((lo, mid, hi), to_x))
         total = total + left_val + right_val - vals[i]
         total_err = total_err + left_err + right_err - errs[i]
         if n == len(vals):
@@ -136,11 +158,15 @@ def _transform(u):
 
 
 def _octaves(v):
-    """x(v) and dv/dx for v in [0, 7): on [k, k + 1], k < 6, the octave
-    [2^k - 1, 2^(k+1) - 1], linear in x; on [6, 7), [63, inf) through
-    x = 63 + (1 - u)/u with u = 7 - v."""
+    """x(v) and dv/dx for ascending v in [0, 7): on [k, k + 1], k < 6, the
+    octave [2^k - 1, 2^(k+1) - 1], linear in x; on [6, 7), [63, inf) through
+    x = 63 + (1 - u)/u with u = 7 - v. A v whose ends share an octave, as a
+    split's nodes below 6 do, takes its scalar width 2^k by the same operations."""
     import numpy as np
 
+    k = int(v[0])
+    if k == int(v[-1]) < 6:
+        return 2.0**k * (v - k) + (2.0**k - 1.0), np.full(v.size, 0.5**k)
     k = np.minimum(v.astype(int), 6)
     width, u = np.ldexp(1.0, k), 7.0 - v
     tail = k == 6
@@ -157,7 +183,7 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig = DEFAULT_TOL,
 
     For ``[c, inf)``, integrate the shifted ``lambda y: f(c + y)``.
 
-    ``f`` receives n abscissae as an ndarray: 15 m for the m panels an
+    ``f`` receives n abscissae as its own ndarray: 15 m for the m panels an
     integral starts from (8 cold), or 30 for both halves of a split panel.
     It returns shape ``(n,)``, giving a float, or ``(n, K)``, giving a
     ``(K,)`` ndarray of K integrals that share their panels; each must meet
@@ -187,45 +213,38 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig = DEFAULT_TOL,
     ------
     QuadratureError
         On a non-finite value of ``f`` or of ``f`` times the map's Jacobian,
-        as of a divergent integrand far out, or, carrying the partial sum and
-        error estimate, when the panel budget or float resolution runs out.
+        as of a divergent integrand far out, naming the first such abscissa
+        of a panel whose K15 sum is not finite, or, carrying the partial sum
+        and error estimate, when the panel budget or float resolution runs out.
     """
     import numpy as np
 
     if strategy not in _ROUTES:
         raise DomainError(f"unknown quadrature strategy {strategy!r}")
-    to_x, start = _ROUTES[strategy]
     vector = False
 
-    def mapped(v):  # f dx = f / (dv/dx) dv
+    def values(x):
         nonlocal vector
-        x, dv_dx = to_x(v)
-        y = np.asarray(f(x), dtype=float)
+        y = np.asarray(f(x.copy()), dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != x.size:
             raise DomainError(
                 f"integrand must return shape (n,) or (n, K) for its n = {x.size} abscissae, "
                 f"got {y.shape}"
             )
         vector = y.ndim == 2
-        # dv/dx underflows toward u = 0: inf or NaN there is a divergent integrand
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y = y.reshape(x.size, -1) / dv_dx[:, None]
-        if not np.isfinite(y).all():
-            bad = ~np.isfinite(y).all(axis=1)
-            raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
-        return y
+        return y.reshape(x.size, -1)
 
     def shaped(value):
         return value if vector else float(value[0])
 
     seed = warm.get(strategy) if warm is not None else None
     try:
-        total, edges = _adaptive(mapped, seed or start, tol.abs_tol, tol.quad_rel_tol, shaped)
+        total, edges = _adaptive(values, strategy, seed, tol.abs_tol, tol.quad_rel_tol, shaped)
     except QuadratureError:
         if seed is None:
             raise
         # the partition another integrand left need not suit this one
-        total, edges = _adaptive(mapped, start, tol.abs_tol, tol.quad_rel_tol, shaped)
+        total, edges = _adaptive(values, strategy, None, tol.abs_tol, tol.quad_rel_tol, shaped)
     if warm is not None:
         warm[strategy] = edges
     return shaped(total)
