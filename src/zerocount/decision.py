@@ -93,7 +93,11 @@ def _sampling_variance_mean(theta: float, n: int, b: float) -> float:
     """Sampling variance n theta / (n + b)^2 of the Bayesian mean."""
     _require_real(theta, "theta", 0.0)
     n = _require_int(n, "n", 1)
-    return n * theta / (n + b) ** 2
+    try:
+        return n * theta / (n + b) ** 2
+    except OverflowError:  # its one caller is the oracle
+        raise DomainError(
+            f"validate_risk_oracle passes the float range at n={n}, b={b!r}") from None
 
 
 def risk_mean(S: int, n: int, a: float, b: float) -> float:

@@ -196,6 +196,15 @@ OVERFLOW_CALLS = {
                          lambda: risk_mean(1, 1, 1.0, 1e200)),
     "risk_var_huge_b": ("risk_var passes the float range at S=1, n=1, b=1e\\+100$",
                         lambda: risk_var(1, 1, 1.0, 1e100)),
+    # (n + b)^2 of the oracle's closed-form variance
+    "risk_oracle_b_1e155": (
+        "validate_risk_oracle passes the float range at n=1, b=1e\\+155$",
+        lambda: validate_risk_oracle(1.0, 1, PriorSpec(PriorKind.CUSTOM, 1.0, 1e155)),
+    ),
+    "risk_oracle_b_1e200": (
+        "validate_risk_oracle passes the float range at n=1, b=1e\\+200$",
+        lambda: validate_risk_oracle(1.0, 1, PriorSpec(PriorKind.CUSTOM, 1.0, 1e200)),
+    ),
 }
 
 
