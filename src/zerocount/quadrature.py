@@ -69,7 +69,8 @@ def _kronrod_rule():
 
 
 def _panels(edges, to_x):
-    """(m, 1) half-widths of the m panels between ascending edges; x, dv/dx at their 15 m nodes."""
+    """The (m, 1) half-widths of the m panels between m + 1 ascending
+    ``edges``, and x and dv/dx at their 15 m Kronrod nodes, ascending."""
     import numpy as np
 
     edges = np.asarray(edges, dtype=float)
@@ -91,10 +92,9 @@ def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
     None for the route's graded cold start. Splits the panel whose worst
     component error over that component's tolerance ``max(abs_tol, rel_tol
     |I_k|)`` is largest, until every component's summed error meets it. The
-    starting panels are one call of ``g`` on their 15 m nodes, and each
-    split is one call on both halves' 30 nodes, each panel keeping its own
-    K15 sum and G7 error. Returns the (K,) integral and the final
-    partition's edges.
+    starting panels are one call of ``g`` on their 15 m nodes, and each split
+    one call on both halves' 30 nodes, each panel keeping its own K15 sum and
+    G7 error. Returns the (K,) integral and the final partition's edges.
     """
     import numpy as np
 
@@ -103,9 +103,9 @@ def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
     def rule(half, x, dv_dx):
         # m panels in one call: (15 m, K) values -> (m, K) K15 sums and G7 errors
         y = g(x)
-        # f dx = f / (dv/dx) dv: dv/dx underflows toward u = 0, where inf or
-        # NaN is a divergent integrand. Every K15 weight is positive, so a
-        # non-finite value makes its panel's sum non-finite
+        # f dx = f / (dv/dx) dv. dv/dx underflows toward u = 0, where inf or NaN
+        # is a divergent integrand. Every K15 weight is positive, so a non-finite
+        # value makes its panel's sum non-finite, and only then are rows searched
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = (y / dv_dx[:, None]).reshape(half.size, 15, -1)
             fine, coarse = k15 @ y, g7 @ y[:, 1::2]
@@ -159,9 +159,8 @@ def _transform(u):
 
 def _octaves(v):
     """x(v) and dv/dx for ascending v in [0, 7): on [k, k + 1], k < 6, the
-    octave [2^k - 1, 2^(k+1) - 1], linear in x; on [6, 7), [63, inf) through
-    x = 63 + (1 - u)/u with u = 7 - v. A v whose ends share an octave, as a
-    split's nodes below 6 do, takes its scalar width 2^k by the same operations."""
+    octave [2^k - 1, 2^(k+1) - 1], linear in x, its width 2^k a scalar where
+    all v lie in it; on [6, 7), [63, inf) through x = 63 + (1 - u)/u, u = 7 - v."""
     import numpy as np
 
     k = int(v[0])
