@@ -211,10 +211,10 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig = DEFAULT_TOL,
     Raises
     ------
     QuadratureError
-        On a non-finite value of ``f`` or of ``f`` times the map's Jacobian,
-        as of a divergent integrand far out, naming the first such abscissa
-        of a panel whose K15 sum is not finite, or, carrying the partial sum
-        and error estimate, when the panel budget or float resolution runs out.
+        On a non-finite value of ``f`` or of ``f`` times the map's Jacobian, as
+        of a divergent integrand far out, naming the call's first such abscissa
+        once a K15 panel sum is not finite, or, carrying the partial sum and
+        error estimate, when the panel budget or float resolution runs out.
     """
     import numpy as np
 
