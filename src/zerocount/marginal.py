@@ -19,7 +19,11 @@ converged on; each still meets its own tolerance. A block's first call has
 15 rows per panel of that partition, or of a cold retry's 8, so a
 block of 30 * _MAX_GRID_POINTS // (15 * max(m, 8)) columns for m panels
 holds no more than the 30 * _MAX_GRID_POINTS cells of one 30-row split of a
-full grid. Both models
+full grid. The NB shape a = a_lower + d runs over w = sqrt(d): near a = 0
+the joint behaves like exp(a ln(a / (a + theta))), whose a ln a term has an
+unbounded derivative that the G7/K15 rule resolves only by bisecting toward
+d = 0 panel by panel, and d = w^2 turns it into 2 w^2 ln w, whose first
+derivative is continuous (Davis and Rabinowitz, 1984, section 2.12). Both models
 run through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
 posterior of unit mass, so a residual at or above the 1e-6 budget raises
@@ -362,16 +366,22 @@ def nb_marginal_numeric(
 
     ``a_lower`` restricts the shape integration to [a_lower, inf); pushing
     it up forces the NB toward its Poisson limit and the marginal toward
-    the claimed form. An x above 300 raises ``DomainError``: the cost
-    grows with x.
+    the claimed form. The integral runs over w = sqrt(a - a_lower), with
+    da = 2 w dw, for every ``a_lower``: at a = 0 the joint's a ln a term
+    becomes 2 w^2 ln w, so the kernel no longer bisects toward that
+    endpoint, and the worst miss of the mpmath reference densities halves.
+    An x above 300 raises ``DomainError``: the cost grows with x.
     """
     x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)
     _require_real(a_lower, "a_lower", 0.0)
     # the evidence is about 2^-(x + 1), which abs_tol swamps at large x: the
-    # Gamma(x + 1, 2) normalizer, a power of two, rescales every double exactly
+    # Gamma(x + 1, 2) normalizer, a power of two, rescales every double exactly.
+    # The Jacobian 2 w joins it on the (n, 1) rows, so the joint's cells take
+    # one in-place pass
     normalizer = 2.0 ** (x + 1)
     return _marginalize(
         x, theta_grid, tol, strategy,
-        lambda theta, x: lambda d: operator.imul(_nb_joint(d, theta, x, a_lower), normalizer),
+        lambda theta, x: lambda w: operator.imul(_nb_joint(w * w, theta, x, a_lower),
+                                                 2.0 * w * normalizer),
         normalize=True,
     )

@@ -387,6 +387,11 @@ class TestNBMarginalNumeric:
 ZPOISSON_REL_BOUND = 7e-15
 
 
+# the most an NB grid density at step 0.1 may miss its TestFrozenReferences.NB
+# value by, on either route
+NB_REFERENCE_BOUND = 1.06e-13
+
+
 def _gamma_density(x: int, theta: float) -> float:
     """2 (2 theta)^x e^{-2 theta} / x!, the double nearest its 40-digit value."""
     if theta == 0.0:
@@ -428,6 +433,16 @@ class TestFrozenReferences:
         comp = nb_marginal_numeric(x, make_theta_grid(x, step=0.1), strategy=strategy)
         for theta, expected in self.NB[x]:
             assert abs(_at(comp, theta) - expected) <= 1e-8, theta
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    def test_nb_marginal_is_tight(self, strategy):
+        # the worst of the 24 errors is 1.0525e-13 (x = 1, theta = 0.5, on
+        # transform); integrating over d itself, whose a ln a endpoint the
+        # G7/K15 rule cannot resolve, the x = 0 errors reached 2.08e-13
+        for x, references in self.NB.items():
+            comp = nb_marginal_numeric(x, make_theta_grid(x, step=0.1), strategy=strategy)
+            for theta, expected in references:
+                assert abs(_at(comp, theta) - expected) <= NB_REFERENCE_BOUND, (x, theta)
 
     @pytest.mark.parametrize("strategy", ["transform", "doubling"])
     @pytest.mark.parametrize("x,theta,expected", ZPOISSON)
@@ -478,10 +493,11 @@ class TestWorkCount:
     """Integrand calls (one on the panels an integral starts from, then one
     per split on both halves' 30 nodes, inner and outer integrals alike) of
     the default marginals. The counts are deterministic; the caps sit about
-    20% above what the kernel needs now that both routes are one adaptive
-    integral from eight panels (26 and 31 for NB x = 1, 3 and 3 for z-Poisson
-    x = 0). With the doubling route summing octaves two per pass they needed
-    32, 45, 3 and 5; with the grid also starting cold 33, 54, 3 and 7; from
+    20% above what the kernel needs now that the NB shape offset is
+    integrated over w = sqrt(d) (23 and 26 for NB x = 1, 3 and 3 for
+    z-Poisson x = 0). Over d itself, with both routes one adaptive integral
+    from eight panels, they needed 26, 31, 3 and 3; with the doubling route
+    summing octaves two per pass 32, 45, 3 and 5; with the grid also starting cold 33, 54, 3 and 7; from
     one panel, with each inner integral starting from the partition the last
     one converged on, 69, 85, 19 and 19; each inner integral from one panel
     287, 460, 43 and 49; one call per panel before that 811, 1148, 83 and 91;
@@ -494,8 +510,8 @@ class TestWorkCount:
     30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid."""
 
     CAPS = {
-        ("nb", "transform"): 31,
-        ("nb", "doubling"): 37,
+        ("nb", "transform"): 28,
+        ("nb", "doubling"): 31,
         ("zpoisson", "transform"): 4,
         ("zpoisson", "doubling"): 4,
     }
@@ -578,7 +594,8 @@ class TestMarginalPathBits:
     """The marginal path's doubles, frozen at 30e59ea, before the kernel's
     hot path was trimmed: the benchmark's 16 operations (both models, x 0 to
     3, both strategies, step 0.1), NB with a_lower = 5 at x = 1, and the
-    z-Poisson mass far out at x = 200 on the doubling route. Each case holds
+    z-Poisson mass far out at x = 200 on the doubling route. The ten NB cases
+    were frozen again when the shape offset d became w^2. Each case holds
     the first 16 hex digits of the sha256 of the space-joined ``float.hex``
     of ``numeric_density``, then ``float.hex`` of ``numeric_norm``,
     ``l1_distance`` and ``linf_distance``."""
@@ -602,25 +619,25 @@ class TestMarginalPathBits:
         ("zpoisson", 3, "doubling", None):
             ("835eabc214e062c3", "0x1.ffffffffffffep-1", "0x1.e9d8273999999p-54", "0x1.0000000000000p-53"),
         ("nb", 0, "transform", None):
-            ("a2bb471d85d894b6", "0x1.0000000000012p+0", "0x1.1057683ed27ddp-2", "0x1.e69fa2a5bb814p-2"),
+            ("a1bfec91cebd6bcf", "0x1.0000000000010p+0", "0x1.1057683ed52aep-2", "0x1.e69fa2a5c9ce4p-2"),
         ("nb", 0, "doubling", None):
-            ("407fb7ec24983f94", "0x1.fffffffffffdap-1", "0x1.1057683ed27f2p-2", "0x1.e69fa2a5bb884p-2"),
+            ("c30107b069b8b157", "0x1.fffffffffffdap-1", "0x1.1057683ed5512p-2", "0x1.e69fa2a5ca9a4p-2"),
         ("nb", 1, "transform", None):
-            ("084809d372ae28db", "0x1.fffffffffffefp-1", "0x1.f9ed2202cb9efp-4", "0x1.66e68af2d0828p-4"),
+            ("26c81f20b8b8b276", "0x1.fffffffffffecp-1", "0x1.f9ed2202cb9f5p-4", "0x1.66e68af2d0824p-4"),
         ("nb", 1, "doubling", None):
-            ("fb8c59ffa8acc9f2", "0x1.0000000000009p+0", "0x1.f9ed2202cb9c4p-4", "0x1.66e68af2d0858p-4"),
+            ("f0b1c3ba15a4a191", "0x1.0000000000009p+0", "0x1.f9ed2202cb9c4p-4", "0x1.66e68af2d0860p-4"),
         ("nb", 2, "transform", None):
-            ("6857b4999b54c81b", "0x1.0000000000009p+0", "0x1.c25e9e7e8ff57p-3", "0x1.7179e7af9c4adp-3"),
+            ("595d1268acf27ebb", "0x1.0000000000009p+0", "0x1.c25e9e7e8ff55p-3", "0x1.7179e7af9c4a9p-3"),
         ("nb", 2, "doubling", None):
-            ("de59cdd81d5ccdea", "0x1.fffffffffffebp-1", "0x1.c25e9e7e8ff5fp-3", "0x1.7179e7af9c489p-3"),
+            ("8fedf00464459e73", "0x1.fffffffffffeap-1", "0x1.c25e9e7e8ff61p-3", "0x1.7179e7af9c485p-3"),
         ("nb", 3, "transform", None):
-            ("2969bae43d5f715b", "0x1.ffffffffffd28p-1", "0x1.7f26fcab81fdfp-2", "0x1.e79c30751f6afp-3"),
+            ("63bb42a3af28ba52", "0x1.ffffffffffd27p-1", "0x1.7f26fcab81fddp-2", "0x1.e79c30751f6afp-3"),
         ("nb", 3, "doubling", None):
-            ("c739eab95de7f92d", "0x1.000000000016cp+0", "0x1.7f26fcab81fa1p-2", "0x1.e79c30751fb5bp-3"),
+            ("3d56b1f2137c1925", "0x1.000000000016cp+0", "0x1.7f26fcab81fa1p-2", "0x1.e79c30751fb5fp-3"),
         ("nb", 1, "transform", 5.0):
-            ("1313ce913f38d474", "0x1.ffffffffffffep-1", "0x1.1fb434e445586p-5", "0x1.58cdada9133c0p-6"),
+            ("d4d18f4e68016640", "0x1.fffffffffffffp-1", "0x1.1fb434e44557ep-5", "0x1.58cdada9133c0p-6"),
         ("nb", 1, "doubling", 5.0):
-            ("f89cecd1026267a2", "0x1.0000000000001p+0", "0x1.1fb434e44557ep-5", "0x1.58cdada9133a0p-6"),
+            ("2d3d11c6aa8bacf7", "0x1.0000000000002p+0", "0x1.1fb434e445580p-5", "0x1.58cdada9133c0p-6"),
         ("zpoisson", 200, "doubling", None):
             ("9b2a4fc0a6405307", "0x1.00000000003d2p+0", "0x1.74a0d7af16a85p-54", "0x1.0000000000000p-56"),
     }
