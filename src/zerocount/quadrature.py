@@ -9,7 +9,9 @@ panels; numpy is imported only when it runs. Each route maps [0, inf) onto
 a finite interval, as QUADPACK's QAGI does (Piessens et al., 1983), and a
 cold integral starts from eight graded panels of it, mapped once per process,
 where converged partitions refine and which one panel reached only by about
-ten sequential splits. Finiteness is checked on K15 panel sums, then by row.
+ten sequential splits. Finiteness is checked on the difference of each
+panel's K15 and G7 sums, then by row; where finite values overflow a sum,
+that panel's sums are formed again from the values over 8.
 Similar integrals can share a warm state, each starting from the partition
 the last one converged on, at the same tolerance. Failures always surface
 as :class:`~zerocount.errors.QuadratureError`, carrying the partial sum
@@ -104,16 +106,37 @@ def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
         # m panels in one call: (15 m, K) values -> (m, K) K15 sums and G7 errors
         y = g(x)
         # f dx = f / (dv/dx) dv. dv/dx underflows toward u = 0, where inf or NaN
-        # is a divergent integrand. Every K15 weight is positive, so a non-finite
-        # value makes its panel's sum non-finite, and only then are rows searched
+        # is a divergent integrand. Every weight is positive, so a non-finite
+        # value makes its panel's sums and their difference non-finite, and
+        # only then are rows searched
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = (y / dv_dx[:, None]).reshape(half.size, 15, -1)
             fine, coarse = k15 @ y, g7 @ y[:, 1::2]
-        if not np.isfinite(fine).all():
+            diff = fine - coarse
+        if not np.isfinite(diff).all():
             bad = ~np.isfinite(y.reshape(x.size, -1)).all(axis=1)
             if bad.any():
                 raise QuadratureError(f"integrand is non-finite at x={float(x[bad][0])!r}")
-        return half * fine, np.abs(half * (fine - coarse))
+            return overflowed(half, y, fine, diff)
+        return half * fine, np.abs(half * diff)
+
+    def overflowed(half, y, fine, diff):
+        # finite values passed the float range in a sum or their difference:
+        # form those panels' sums from y / 8, exact, which neither can pass,
+        # and scale back by 8 past the half-width
+        over = ~np.isfinite(diff).all(axis=1)
+        scaled = 0.125 * y[over]
+        fine_over = k15 @ scaled
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, errs = half * fine, np.abs(half * diff)
+            vals[over] = 8.0 * (half[over] * fine_over)
+            errs[over] = 8.0 * np.abs(half[over] * (fine_over - g7 @ scaled[:, 1::2]))
+        if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
+            raise QuadratureError(
+                "the integral over a panel, or its error estimate, passes the float "
+                "range (about 1.8e308)"
+            )
+        return vals, errs
 
     def fail(message):
         return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
@@ -213,8 +236,10 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig = DEFAULT_TOL,
     QuadratureError
         On a non-finite value of ``f`` or of ``f`` times the map's Jacobian, as
         of a divergent integrand far out, naming the call's first such abscissa
-        once a K15 panel sum is not finite, or, carrying the partial sum and
-        error estimate, when the panel budget or float resolution runs out.
+        once a panel's K15 or G7 sum is not finite; where finite values
+        overflow those sums and the panel's integral or error estimate passes
+        the float range even so; or, carrying the partial sum and error
+        estimate, when the panel budget or float resolution runs out.
     """
     import numpy as np
 
