@@ -62,12 +62,12 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 # Every grid point is one column of the marginal's vector integral, so memory
-# and time grow linearly with the grid: 10^5 points take a process 86 to
-# 102 MB at peak and 0.5 to 0.7 s (NB, x = 1, either strategy, on a shared
-# 2-vCPU VM), and the cap bounds both.
+# and time grow linearly with the grid: 10^5 points take a process 104 to
+# 109 MB at peak and 0.36 s (transform) to 0.52 s (doubling) (NB, x = 1, on a
+# shared 2-vCPU VM), and the cap bounds both.
 _MAX_GRID_POINTS = 100_000
 # NB cost grows with x, as the rising factorial takes x / 8 array passes per
-# joint call: at the finest grid x = 300 takes 25 s and x = 1000 took 60 s,
+# joint call: at the finest grid x = 300 takes 34 s and x = 1000 took 60 s,
 # and at the default step x = 3000 took 28 s (shared 2-vCPU VM)
 _MAX_NB_COUNT = 300
 # the most a z-Poisson marginal's theta integral may miss 1 by, and the most
