@@ -368,8 +368,7 @@ def nb_marginal_numeric(
     it up forces the NB toward its Poisson limit and the marginal toward
     the claimed form. The integral runs over w = sqrt(a - a_lower), with
     da = 2 w dw, for every ``a_lower``: at a = 0 the joint's a ln a term
-    becomes 2 w^2 ln w, so the kernel no longer bisects toward that
-    endpoint, and the worst miss of the mpmath reference densities halves.
+    becomes 2 w^2 ln w, so the kernel need not bisect toward that endpoint.
     An x above 300 raises ``DomainError``: the cost grows with x.
     """
     x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)

@@ -497,12 +497,12 @@ class TestWorkCount:
     integrated over w = sqrt(d) (23 and 26 for NB x = 1, 3 and 3 for
     z-Poisson x = 0). Over d itself, with both routes one adaptive integral
     from eight panels, they needed 26, 31, 3 and 3; with the doubling route
-    summing octaves two per pass 32, 45, 3 and 5; with the grid also starting cold 33, 54, 3 and 7; from
-    one panel, with each inner integral starting from the partition the last
-    one converged on, 69, 85, 19 and 19; each inner integral from one panel
-    287, 460, 43 and 49; one call per panel before that 811, 1148, 83 and 91;
-    and the scalar per-theta quadrature before that over 15,000 and 2,000
-    panels.
+    summing octaves two per pass 32, 45, 3 and 5; with the grid also starting
+    cold 33, 54, 3 and 7; from one panel, with each inner integral starting
+    from the partition the last one converged on, 69, 85, 19 and 19; each
+    inner integral from one panel 287, 460, 43 and 49; one call per panel
+    before that 811, 1148, 83 and 91; and the scalar per-theta quadrature
+    before that over 15,000 and 2,000 panels.
 
     The comparison grid's integral, a column per grid point, runs in blocks
     whose first call has 15 rows per panel of the partition it starts from,
