@@ -155,15 +155,8 @@ def posterior_from_sufficient(
     S = _require_int(S, "S")
     n = _require_int(n, "n", 1)
     t = float(_require_real(t, "t", 0.0, strict=True))
-    try:
-        a_post = S + prior.a
-        b_post = n * t + prior.b
-    except OverflowError:  # an int past the float range
-        name, value = ("S", S) if S > n else ("n", n)
-        raise DomainError(
-            f"{name} must be within the float range (about 1.8e308), "
-            f"got a {value.bit_length()}-bit integer"
-        ) from None
+    a_post = S + prior.a
+    b_post = n * t + prior.b
     if b_post == math.inf:
         raise DomainError(
             f"exposure n t + b must be finite, got n={n}, t={t!r}, b={prior.b!r}"

@@ -113,7 +113,7 @@ def simple_probability_estimates(
     dividing by t and t^2 converts to the rate, formed from the float of
     ``t``: a t whose square passes the float range raises ``DomainError``.
     """
-    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
+    n = _require_int(n, "n", 1)
     t = float(_require_real(t, "t", 0.0, strict=True))
     mean_theta = 1.0 / n
     var_theta = 1.0 / n**2
@@ -128,7 +128,7 @@ def simple_probability_upper_limit(
     Integrating the zero-class density n e^{-n theta} beyond U leaves mass
     alpha when U_theta = ln(1/alpha)/n.
     """
-    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
+    n = _require_int(n, "n", 1)
     _require_real(t, "t", 0.0, strict=True)
     _require_real(alpha, "alpha", 0.0, 1.0, strict=True)
     if alpha > 0.5:  # alpha - 1 is exact here, and near 1 a rounded 1/alpha is far off

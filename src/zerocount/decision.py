@@ -68,11 +68,6 @@ class RiskOracleReport(_Record):
         )
 
 
-def _check_sn(S: int, n: int) -> tuple[int, int]:
-    return (_require_real(_require_int(S, "S"), "S", 0.0),
-            _require_real(_require_int(n, "n", 1), "n", 1.0))
-
-
 def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) -> float:
     """Bias (a - b theta)/(n + b) of the Bayesian mean.
 
@@ -81,9 +76,9 @@ def bias_mean(s_or_theta: float, n: int, a: float, b: float, mode: ThetaMode) ->
     """
     mode = ThetaMode(mode)
     PriorSpec(PriorKind.CUSTOM, a, b)  # checks a and b
-    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
+    n = _require_int(n, "n", 1)
     if mode is ThetaMode.PLUG_IN:
-        theta = _require_real(_require_int(s_or_theta, "S"), "S", 0.0) / n
+        theta = _require_int(s_or_theta, "S") / n
     else:
         theta = _require_real(s_or_theta, "theta", 0.0)
     return (a - b * theta) / (n + b)
@@ -102,7 +97,7 @@ def _sampling_variance_mean(theta: float, n: int, b: float) -> float:
 
 def risk_mean(S: int, n: int, a: float, b: float) -> float:
     """Plug-in risk (S + (a - b S/n)^2)/(n + b)^2 of the Bayesian mean."""
-    S, n = _check_sn(S, n)
+    S, n = _require_int(S, "S"), _require_int(n, "n", 1)
     PriorSpec(PriorKind.CUSTOM, a, b)  # checks a and b
     try:
         return (S + (a - b * S / n) ** 2) / (n + b) ** 2
@@ -115,14 +110,14 @@ def bias_var(S: int, n: int, a: float, b: float) -> float:
 
     V_B is the posterior variance at t = 1, so S + a <= 0 raises ``ImproperPosteriorError``.
     """
-    S, n = _check_sn(S, n)
+    S, n = _require_int(S, "S"), _require_int(n, "n", 1)
     prior = PriorSpec(PriorKind.CUSTOM, a, b)
     return posterior_from_sufficient(S, n, 1.0, prior).variance - S / n
 
 
 def risk_var(S: int, n: int, a: float, b: float) -> float:
     """Plug-in risk of V_B: bias^2 + S/(n + b)^4."""
-    S, n = _check_sn(S, n)
+    S, n = _require_int(S, "S"), _require_int(n, "n", 1)
     try:
         return bias_var(S, n, a, b) ** 2 + S / (n + b) ** 4
     except OverflowError:
@@ -152,7 +147,7 @@ def compare_priors(S: int, n: int) -> AdmissibilityRanking:
     lexicographic in (risk_mean, risk_var): equal mean risks are broken by
     the variance risk.
     """
-    S, n = _check_sn(S, n)
+    S, n = _require_int(S, "S"), _require_int(n, "n", 1)
     candidates = [
         prior_params(PriorKind.BL),
         prior_params(PriorKind.JR),
@@ -190,7 +185,7 @@ def validate_risk_oracle(
     bias^2 + variance.
     """
     _require_real(theta, "theta", 0.0)
-    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
+    n = _require_int(n, "n", 1)
     a, b = prior.a, prior.b
     denom = n + b
 

@@ -99,7 +99,7 @@ class NBParams(_Record):
 
 def poisson_pmf(x: int, theta: float) -> float:
     """Poisson probability of observing ``x`` counts at parameter ``theta``."""
-    x = _require_real(_require_int(x, "x"), "x", 0.0)
+    x = _require_int(x, "x")
     _require_real(theta, "theta", 0.0)
     if theta == 0.0:
         return 1.0 if x == 0 else 0.0
@@ -108,7 +108,7 @@ def poisson_pmf(x: int, theta: float) -> float:
 
 def prob_all_zero(n: int, theta: float) -> float:
     """Probability that ``n`` independent measurements all read zero counts."""
-    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
+    n = _require_int(n, "n", 1)
     _require_real(theta, "theta", 0.0)
     # an int theta would make the product an exact int past exp's float range
     return math.exp(-n * float(theta))
@@ -145,7 +145,7 @@ def zpoisson_pmf(x: int, params: ZPoissonParams) -> float:
     The zero class carries probability psi * P0; the positive classes share
     the remainder in Poisson proportions.
     """
-    x = _require_real(_require_int(x, "x"), "x", 0.0)
+    x = _require_int(x, "x")
     zero_mass = params.psi * params.p0
     if x == 0:
         return min(1.0, zero_mass)
@@ -173,7 +173,7 @@ def nb_pmf(x: int, params: NBParams) -> float:
     log1p keeps the (x + a) * log(1 + theta/a) factor accurate for the very
     large shapes used to check the Poisson limit.
     """
-    x = _require_real(_require_int(x, "x"), "x", 0.0)
+    x = _require_int(x, "x")
     theta, a = params.theta, params.a
     log_pmf = (
         x * math.log(theta)

@@ -6,10 +6,11 @@ input from numerical trouble can catch ``DomainError`` versus
 ``ZeroCountError`` so blanket handling stays possible.
 
 Arguments are checked by two private validators that raise ``DomainError``
-naming the parameter: ``_require_int`` for counts, sizes and seeds, and
-``_require_real`` for real values, which must be finite and inside their
-stated interval. A count used as a float passes both, so an int past the
-float range is a ``DomainError``; messages show values by ``_shown``.
+naming the parameter and the bound it broke: ``_require_real`` for real
+values, which must be finite and inside their stated interval, and
+``_require_int`` for counts, sizes and seeds, which owns every integer
+bound: a minimum, the float range and a cap such as the seed width.
+Messages show values by ``_shown``.
 
 The package's frozen records derive from ``_Record``: each declares its
 fields once, in ``__slots__``, and ``_Record`` compiles from them a
@@ -141,15 +142,21 @@ def _shown(value) -> str:
     return repr(value)
 
 
-def _require_int(value, name: str, minimum: int = 0) -> int:
-    """Return ``value`` as an ``int`` if it is an integer >= ``minimum``.
+# the largest int float() converts; from 2^1024 - 2^970 on, ints round past every double
+_FLOAT_INT_MAX = 2**1024 - 2**970 - 1
+
+
+def _require_int(value, name: str, minimum: int = 0, maximum: int = _FLOAT_INT_MAX) -> int:
+    """Return ``value`` as an ``int`` if it is an integer in [``minimum``, ``maximum``].
 
     Bool, non-integral, infinite and NaN values raise ``DomainError``, as
     does anything ``int()`` cannot convert, so no caller sees an
-    ``OverflowError`` or a bare ``ValueError`` from the conversion.
+    ``OverflowError`` or a bare ``ValueError`` from the conversion. Every
+    count is used as a float, so an int past the float range raises with
+    ``_require_real``'s message, and one above a lower ``maximum`` names it.
     """
     # posterior_from_sufficient checks S and n on every limit: a plain int skips the rest
-    if type(value) is int and value >= minimum:
+    if type(value) is int and minimum <= value <= maximum:
         return value
     try:
         valid = not isinstance(value, bool) and int(value) == value and value >= minimum
@@ -157,7 +164,10 @@ def _require_int(value, name: str, minimum: int = 0) -> int:
         valid = False
     if not valid:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
-    return int(value)
+    value = _require_real(int(value), name, minimum)  # an int past the float range raises
+    if value > maximum:
+        raise DomainError(f"{name} must be at most {maximum}, got {_shown(value)}")
+    return value
 
 
 def _require_real(value, name: str, low: float, high: float = math.inf, *, strict: bool = False):

@@ -101,8 +101,7 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
     """
     x = _require_int(x, "x")
     _require_real(step, "step", 0.0, strict=True)
-    # an int past the float range has no endpoint: a DomainError naming x
-    upper = _require_real(x, "x", 0.0) / 2.0 + 12.0
+    upper = x / 2.0 + 12.0
     # the cap bounds the count before rounding, which an infinity cannot take
     n_points = int(round(min(upper / step, _MAX_GRID_POINTS))) + 1
     if n_points > _MAX_GRID_POINTS:
@@ -122,8 +121,7 @@ def make_theta_grid(x: int, step: float = 0.05) -> np.ndarray:
 def _validate_grid(x: int, theta_grid: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    # an int past the float range has no endpoint: a DomainError naming x
-    reach = _require_real(x, "x", 0.0) / 2.0 + 10.0
+    reach = x / 2.0 + 10.0
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DomainError("theta_grid must be a 1-d vector with at least 2 points")
@@ -250,7 +248,7 @@ def zpoisson_joint_posterior(theta, psi, x: int):
     4 (1 - psi) e^{-psi} for x = 1, and 0 for x >= 2. theta and psi may be
     arrays that broadcast; scalars give a float.
     """
-    x = _require_real(_require_int(x, "x"), "x", 0.0)
+    x = _require_int(x, "x")
     theta_arr = _require_reals(theta, "theta", 0.0)
     psi_arr = _require_reals(psi, "psi", 0.0, strict=True)
     # a trailing axis keeps 0-d inputs arrays, which the joint writes into
@@ -340,7 +338,7 @@ def nb_joint_density(theta, a, x: int):
     """
     import numpy as np
 
-    x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)
+    x = _require_int(x, "x", 0, _MAX_NB_COUNT)
     theta_arr, a_arr = _require_reals(theta, "theta", 0.0), _require_reals(a, "a", 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a trailing axis keeps 0-d inputs arrays, which _nb_joint writes into
@@ -371,7 +369,7 @@ def nb_marginal_numeric(
     becomes 2 w^2 ln w, so the kernel need not bisect toward that endpoint.
     An x above 300 raises ``DomainError``: the cost grows with x.
     """
-    x = _require_real(_require_int(x, "x"), "x", 0.0, _MAX_NB_COUNT)
+    x = _require_int(x, "x", 0, _MAX_NB_COUNT)
     _require_real(a_lower, "a_lower", 0.0)
     # the evidence is about 2^-(x + 1), which abs_tol swamps at large x: the
     # Gamma(x + 1, 2) normalizer, a power of two, rescales every double exactly.

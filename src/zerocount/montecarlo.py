@@ -19,8 +19,7 @@ import math
 
 from .bayes import PriorSpec, posterior_from_sufficient, upper_limit
 from .distributions import NBParams, PoissonParams, ZPoissonParams, zpoisson_pmf
-from .errors import (DomainError, ImproperPosteriorError, _Record, _require_int, _require_real,
-                     _shown)
+from .errors import DomainError, ImproperPosteriorError, _Record, _require_int, _require_real
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -58,21 +57,6 @@ def prng_metadata() -> dict[str, str]:
         "prng_library": f"numpy {np.__version__}",
         "prng_seeding": "numpy.random.default_rng(seed)",
     }
-
-
-def _require_draws(value, name: str) -> int:
-    """``value`` as an int in [1, _MAX_DRAWS], checked before any draw."""
-    value = _require_int(value, name, 1)
-    if value > _MAX_DRAWS:
-        raise DomainError(f"{name} must be at most {_MAX_DRAWS}, got {_shown(value)}")
-    return value
-
-
-def _validate_seed(seed: int) -> int:
-    seed = _require_int(seed, "seed")
-    if seed >= 2**64:
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {_shown(seed)}")
-    return seed
 
 
 class SimSummary(_Record):
@@ -147,8 +131,8 @@ def sample(model: Model, n_draws: int, seed: int) -> np.ndarray:
     """
     import numpy as np
 
-    n_draws = _require_draws(n_draws, "n_draws")
-    seed = _validate_seed(seed)
+    n_draws = _require_int(n_draws, "n_draws", 1, _MAX_DRAWS)
+    seed = _require_int(seed, "seed", 0, 2**64 - 1)
     rng = np.random.default_rng(seed)
     if isinstance(model, PoissonParams):
         return _poisson(rng, model.theta, n_draws).astype(np.int64)
@@ -211,10 +195,10 @@ def coverage_experiment(
     # ints would make the Poisson mean n rho t an exact int past the float range
     true_rho = float(_require_real(true_rho, "true_rho", 0.0))
     _require_real(t, "t", 0.0, strict=True)
-    n = _require_real(_require_int(n, "n", 1), "n", 1.0)
+    n = _require_int(n, "n", 1)
     _require_real(cl, "cl", 0.0, 1.0, strict=True)
-    reps = _require_draws(reps, "reps")
-    seed = _validate_seed(seed)
+    reps = _require_int(reps, "reps", 1, _MAX_DRAWS)
+    seed = _require_int(seed, "seed", 0, 2**64 - 1)
 
     rng = np.random.default_rng(seed)
     totals = _poisson(rng, n * true_rho * t, reps)

@@ -379,26 +379,24 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
     ``-ln(1 - p)``. The residual signs keep a bracket; a
     step that would leave it halves the bracket instead, or doubles ``x``
     while the bracket has no upper end; so does a Newton step past ``e^700``,
-    which is no step. The first step below ``1e-8 x`` ends
-    the loop, which returns ``x`` less that step: Halley's method converges
-    cubically, so the root is then within about ``1e-24 x``, far below one
-    ulp, wherever the density's scale is near ``x``. Above ``a = 50`` the
+    which is no step. A step below ``1e-8 x`` whose Halley correction
+    ``|newton * curvature|`` is below ``1e-4`` ends the loop, which returns
+    ``x`` less that step: Halley's method is then in its cubic regime, so
+    the root is far below one ulp away, even where the density's scale is
+    far below ``x``. A step of at most two ulps also ends it. Above ``a = 50`` the
     step's density and curvature are formed as the forward ``P``'s
     prefactor is, from ``a (s - ln(1 + s))`` (computed once a step and passed
     to that ``P``) and Stirling's series and from
     the exact ``a - x``, not from ``a ln x - lgamma(a)``, which loses about
     ``ulp(a ln a)``. Every shape up to ``1e40`` then gives a root whose
-    residual changes sign within ``1e6`` ulps: over 821 shapes from ``1e4``
-    to ``1e45`` and seven ``p`` from ``1e-300`` to ``1 - 2^-53`` none is
-    further off, and all but 229 within 4 ulps (the rest, at shapes past
-    ``1e5`` in tails beyond ``1e-10``, where the density's scale
-    ``sqrt(a)/|z|`` is far below ``x``, within 1,024). Above ``a = 1e40`` the
+    residual changes sign within 4 ulps: over 821 shapes from ``1e4`` to
+    ``1e45`` and seven ``p`` from ``1e-300`` to ``1 - 2^-53`` none is
+    further off. Above ``a = 1e40`` the
     root rounds to ``a`` itself, which is returned with no evaluation
     (``lgamma(a + 1)`` overflows past 2.5e305).
     Catalog shapes at CL 0.9 to 0.99 take two or three evaluations of
     ``P``, and ``a = 1`` takes one. At a subnormal ``x``, where Halley's
-    factor overflows, the step is Newton's, and below ``1e-300`` a step of
-    one ulp also ends the loop. When the lower bound underflows and
+    factor overflows, the step is Newton's. When the lower bound underflows and
     ``P(a, 5e-324) >= p``, the root is below every positive double, which
     that one evaluation proves.
 
@@ -470,9 +468,11 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         if lower and abs(f) > 0.5 * p:
             # P off by more than half of p: iterate on ln P - ln p instead,
             # near linear where P spans orders of magnitude (the deep tail);
-            # its f'' / f' gains -density / P. Where P underflows, its first
-            # series term x^a e^-x / Gamma(a + 1), a lower bound, stands in
-            log_p_x = math.log(p_x) if p_x > 0.0 else log_density + math.log(x) - math.log(a)
+            # its f'' / f' gains -density / P. Where P underflows, x < a and
+            # its series' bound x^a e^-x / Gamma(a + 1) (a + 1) / (a + 1 - x)
+            # stands in: the first term alone puts P / density at 1, not x / (a - x)
+            log_p_x = (math.log(p_x) if p_x > 0.0
+                       else log_density + math.log(x / a * (a + 1.0) / (a + 1.0 - x)))
             log_ratio = log_p_x - log_density  # ln(P / density)
             ratio = math.exp(max(-700.0, log_ratio)) if log_ratio < 700.0 else math.nan
             newton = (log_p_x - log_p) * ratio
@@ -484,8 +484,10 @@ def inv_reg_inc_gamma_lower(a: float, p: float) -> float:
         # NaN step (no Newton step) ends nothing and leaves the bracket
         halley = 1.0 - 0.5 * newton * curvature if math.isfinite(curvature) else 1.0
         step = newton / halley if 0.0 < halley < math.inf else math.nan
-        # 1e-8 x is below one subnormal step once x < 1e-300: stop on one ulp
-        if abs(step) < 1e-8 * x or (x < 1e-300 and abs(step) <= math.ulp(x)):
+        # cubic once Halley's correction is small; past a = 1e21 and at a
+        # subnormal x, where 1e-8 x is below an ulp, a step of two ulps ends it
+        if (abs(step) < 1e-8 * x and abs(newton * curvature) < 1e-4
+                or abs(step) <= 2.0 * math.ulp(x)):
             return x - step
         proposal = x - step
         if not lo < proposal < hi:

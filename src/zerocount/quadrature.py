@@ -11,7 +11,9 @@ cold integral starts from eight graded panels of it, mapped once per process,
 where converged partitions refine and which one panel reached only by about
 ten sequential splits. Finiteness is checked on the difference of each
 panel's K15 and G7 sums, then by row; where finite values overflow a sum,
-that panel's sums are formed again from the values over 8.
+that panel's sums are formed again from the values over 8. Panel integrals
+are summed with numpy's overflow warnings off, and a total that is not
+finite raises where the integral returns.
 Similar integrals can share a warm state, each starting from the partition
 the last one converged on, at the same tolerance. Failures always surface
 as :class:`~zerocount.errors.QuadratureError`, carrying the partial sum
@@ -141,38 +143,47 @@ def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
     def fail(message):
         return QuadratureError(message, partial_sum=shaped(total), error_estimate=shaped(total_err))
 
+    def done(edges):
+        if not (np.isfinite(total).all() and np.isfinite(total_err).all()):
+            raise fail("the integral, or its error estimate, passes the float range "
+                       "(about 1.8e308)")
+        return total, edges
+
     to_x = _ROUTES[strategy][0]
     edges, panels = (seed, _panels(seed, to_x)) if seed else _cold_start(strategy)
     first_vals, first_errs = rule(*panels)
-    total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
-    tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-    if (total_err <= tol).all():  # no split: the starting panels
-        return total, list(edges)
-    bounds = list(zip(edges[:-1], edges[1:]))
-    capacity = max(16, 2 * len(bounds))
-    vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
-    vals[:len(bounds)], errs[:len(bounds)] = first_vals, first_errs
-    while True:
-        n = len(bounds)
-        if n >= _MAX_PANELS:
-            raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
-        i = int((errs[:n] / tol).max(axis=1).argmax())
-        lo, hi = bounds[i]
-        if hi - lo <= _MIN_REL_WIDTH * max(abs(lo), abs(hi)):
-            # the nodes are about to collapse onto each other: a singularity
-            raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
-        mid = 0.5 * (lo + hi)
-        (left_val, right_val), (left_err, right_err) = rule(*_panels((lo, mid, hi), to_x))
-        total = total + left_val + right_val - vals[i]
-        total_err = total_err + left_err + right_err - errs[i]
-        if n == len(vals):
-            vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
-        bounds[i] = (lo, mid)
-        bounds.append((mid, hi))
-        vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
+    # finite panel integrals can sum past the float range: no warning here,
+    # and done() raises where the total or its error is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, total_err = first_vals.sum(axis=0), first_errs.sum(axis=0)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if (total_err <= tol).all():
-            return total, sorted(lo for lo, _ in bounds) + [float(edges[-1])]
+        if (total_err <= tol).all():  # no split: the starting panels
+            return done(list(edges))
+        bounds = list(zip(edges[:-1], edges[1:]))
+        capacity = max(16, 2 * len(bounds))
+        vals, errs = np.empty((capacity, total.size)), np.empty((capacity, total.size))
+        vals[:len(bounds)], errs[:len(bounds)] = first_vals, first_errs
+        while True:
+            n = len(bounds)
+            if n >= _MAX_PANELS:
+                raise fail(f"quadrature did not reach tolerance within {_MAX_PANELS} panels")
+            i = int((errs[:n] / tol).max(axis=1).argmax())
+            lo, hi = bounds[i]
+            if hi - lo <= _MIN_REL_WIDTH * max(abs(lo), abs(hi)):
+                # the nodes are about to collapse onto each other: a singularity
+                raise fail(f"panel [{lo!r}, {hi!r}] reached float resolution above tolerance")
+            mid = 0.5 * (lo + hi)
+            (left_val, right_val), (left_err, right_err) = rule(*_panels((lo, mid, hi), to_x))
+            total = total + left_val + right_val - vals[i]
+            total_err = total_err + left_err + right_err - errs[i]
+            if n == len(vals):
+                vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
+            bounds[i] = (lo, mid)
+            bounds.append((mid, hi))
+            vals[i], errs[i], vals[n], errs[n] = left_val, left_err, right_val, right_err
+            tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+            if (total_err <= tol).all():
+                return done(sorted(lo for lo, _ in bounds) + [float(edges[-1])])
 
 
 def _transform(u):
@@ -239,7 +250,8 @@ def integrate_semi_infinite(f: Callable, tol: ToleranceConfig = DEFAULT_TOL,
         once a panel's K15 or G7 sum is not finite; where finite values
         overflow those sums and the panel's integral or error estimate passes
         the float range even so; or, carrying the partial sum and error
-        estimate, when the panel budget or float resolution runs out.
+        estimate, where the panels' integrals or error estimates sum past the
+        float range, or when the panel budget or float resolution runs out.
     """
     import numpy as np
 

@@ -57,7 +57,8 @@ class TestConfigAndMetadata:
             sample(model, n_draws=0, seed=1)
         with pytest.raises(DomainError):
             sample(model, n_draws=10, seed=-1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^seed must be at most 18446744073709551615, "
+                                              "got 18446744073709551616$"):
             sample(model, n_draws=10, seed=2**64)
         with pytest.raises(DomainError):
             sample("poisson", n_draws=10, seed=1)

@@ -57,13 +57,15 @@ from zerocount.marginal import (
     zpoisson_joint_posterior,
     zpoisson_marginal,
 )
-from zerocount.montecarlo import coverage_experiment, sample
+from zerocount.montecarlo import coverage_experiment, dispersion_experiment, sample
 from zerocount.numerics import inv_reg_inc_gamma_lower, reg_inc_gamma_lower
 
 BL = prior_params(PriorKind.BL)
 POISSON = PoissonParams(theta=1.0)
 INF, NAN = math.inf, math.nan
 BIG = 10**400  # past the float range
+# the smallest int float() cannot convert: the one below rounds to the largest double
+FLOAT_EDGE = 2**1024 - 2**970
 
 CALLS = {
     "posterior_inf_S": lambda: posterior_from_sufficient(INF, 1, 1.0, BL),
@@ -94,6 +96,7 @@ def test_bad_integer_raises_domain_error(name):
 def test_integral_floats_are_still_accepted():
     assert posterior_from_sufficient(2.0, 1.0, 1.0, BL).A == 3.0
     assert poisson_pmf(0.0, 1.0) == math.exp(-1.0)
+    assert posterior_from_sufficient(FLOAT_EDGE - 1, 1, 1.0, BL).A == 1.7976931348623157e308
 
 
 # case -> (parameter named in the message, call)
@@ -147,6 +150,8 @@ NON_FINITE_CALLS = {
     "coverage_huge_n": ("n", lambda: coverage_experiment(0.5, 1.0, BIG, BL, 0.95, 10, 0)),
     "zpoisson_joint_huge_x": ("x", lambda: zpoisson_joint_posterior(1.0, 1.0, BIG)),
     "nb_joint_huge_x": ("x", lambda: nb_joint_density(1.0, 1.0, BIG)),
+    "count_data_huge_count": ("count", lambda: CountData([0, BIG])),
+    "posterior_S_at_the_float_edge": ("S", lambda: posterior_from_sufficient(FLOAT_EDGE, 1, 1.0, BL)),
     # not a number at all: a DomainError, not a TypeError from the comparison
     "poisson_pmf_str_theta": ("theta", lambda: poisson_pmf(0, "1")),
 }
@@ -166,11 +171,11 @@ OVERFLOW_CALLS = {
         "total count S must be within the float range", lambda: CountData([2**1023, 2**1023])
     ),
     "posterior_huge_S": (
-        "S must be within the float range",
+        "S must be finite and in \\[0, inf\\), got a 1329-bit integer$",
         lambda: posterior_from_sufficient(10**400, 1, 1.0, BL),
     ),
     "posterior_huge_n": (
-        "n must be within the float range",
+        "n must be finite and in \\[1, inf\\), got a 1329-bit integer$",
         lambda: posterior_from_sufficient(0, 10**400, 1.0, BL),
     ),
     "ml_estimates_huge_t": (
@@ -241,10 +246,20 @@ UNPRINTABLE_CALLS = {
                              lambda: _require_int(-HUGE, "n")),
     "require_real": ("x must be finite and in [0, inf), got a 16610-bit integer",
                      lambda: _require_real(HUGE, "x", 0.0)),
-    "sample_draws": ("n_draws must be at most 10000000, got a 16610-bit integer",
+    "sample_draws": ("n_draws must be finite and in [1, inf), got a 16610-bit integer",
                      lambda: sample(PoissonParams(1.0), HUGE, 0)),
-    "sample_seed": ("seed must be an unsigned 64-bit integer, got a 16610-bit integer",
+    "sample_seed": ("seed must be finite and in [0, inf), got a 16610-bit integer",
                     lambda: sample(PoissonParams(1.0), 10, HUGE)),
+    "dispersion_bins": ("n_draws must be finite and in [1, inf), got a 16610-bit integer",
+                        lambda: dispersion_experiment(1.0, HUGE, 0)),
+    "dispersion_seed": ("seed must be finite and in [0, inf), got a 16610-bit integer",
+                        lambda: dispersion_experiment(1.0, 10, HUGE)),
+    "coverage_reps": ("reps must be finite and in [1, inf), got a 16610-bit integer",
+                      lambda: coverage_experiment(0.5, 1.0, 1, BL, 0.95, HUGE, 0)),
+    "coverage_seed": ("seed must be finite and in [0, inf), got a 16610-bit integer",
+                      lambda: coverage_experiment(0.5, 1.0, 1, BL, 0.95, 10, HUGE)),
+    "count_data_count": ("count must be finite and in [0, inf), got a 16610-bit integer",
+                         lambda: CountData([HUGE])),
     "theta_grid_x": ("x must be finite and in [0, inf), got a 16610-bit integer",
                      lambda: make_theta_grid(HUGE)),
 }
@@ -277,5 +292,5 @@ NB_COUNT_CALLS = {
 
 @pytest.mark.parametrize("case", sorted(NB_COUNT_CALLS))
 def test_an_nb_count_past_the_cap_raises_domain_error(case):
-    with pytest.raises(DomainError, match=r"^x must be finite and in \[0, 300\], got 301$"):
+    with pytest.raises(DomainError, match=r"^x must be at most 300, got 301$"):
         NB_COUNT_CALLS[case]()
