@@ -23,8 +23,14 @@ full grid. The NB shape a = a_lower + d runs over w = sqrt(d): near a = 0
 the joint behaves like exp(a ln(a / (a + theta))), whose a ln a term has an
 unbounded derivative that the G7/K15 rule resolves only by bisecting toward
 d = 0 panel by panel, and d = w^2 turns it into 2 w^2 ln w, whose first
-derivative is continuous (Davis and Rabinowitz, 1984, section 2.12). Both models
-run through one driver, and their residuals are a genuine cross-check: the
+derivative is continuous (Davis and Rabinowitz, 1984, section 2.12). The
+same holds for theta in the NB marginal at x <= 2 with a_lower = 0: the
+integral of t (1 + t)^-x over t >= 0 diverges there, so the marginal has a
+theta^2 ln theta term at theta = 0, and its evidence and norm integrals run
+over s, theta = s^2 / (1 + s), which turns that term into about 2 s^4 ln s.
+Every other marginal is smooth at theta = 0 and keeps theta itself: the
+map's outer nodes near theta = 0 would deepen the inner partitions that
+later integrals and the grid start from. Both models run through one driver, and their residuals are a genuine cross-check: the
 marginal's theta integral by the other strategy. The z-Poisson joint is a
 posterior of unit mass, so a residual at or above the 1e-6 budget raises
 ``QuadratureError``, before any grid work is spent. The NB residual, the two
@@ -154,7 +160,7 @@ def _require_reals(values, name: str, low: float, *, strict: bool = False) -> np
 
 
 def _marginalize(x: int, theta_grid, tol: ToleranceConfig, strategy: str, joint_in,
-                 normalize: bool = False) -> MarginalComparison:
+                 normalize: bool = False, theta_map: bool = False) -> MarginalComparison:
     """Integrate the nuisance over [0, inf) on a theta grid; compare with Gamma(x+1, 2).
 
     ``joint_in(theta, x)`` computes a theta batch's theta-only coefficients
@@ -163,9 +169,10 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig, strategy: str, joint_
     evidence that divides it. Without it the joint is a posterior of unit mass
     (z-Poisson), so a norm that misses 1 by the budget raises
     ``QuadratureError`` before any grid work. The norm is the marginal's theta
-    integral by the other strategy, over the evidence. The inner integrals
-    and the grid, which runs last in blocks, share one warm state (see the
-    module docstring).
+    integral by the other strategy, over the evidence. With ``theta_map``
+    both theta integrals run over s, theta = s^2 / (1 + s). The inner
+    integrals and the grid, which runs last in blocks, share one warm state
+    (see the module docstring).
     """
     import numpy as np
 
@@ -178,8 +185,14 @@ def _marginalize(x: int, theta_grid, tol: ToleranceConfig, strategy: str, joint_
         joint = joint_in(theta, x)
         return integrate_semi_infinite(lambda u: joint(u[:, None]), tol, strategy, warm=warm)
 
+    def over_s(s: np.ndarray) -> np.ndarray:
+        # theta = s^2 / (1 + s) and dtheta/ds = s (s + 2) / (1 + s)^2, formed
+        # through r = s / (1 + s) <= 1 so that neither overflows before theta does
+        r = s / (1.0 + s)
+        return marginal(s * r) * (r * (1.0 + 1.0 / (1.0 + s)))
+
     def theta_integral(route: str) -> float:
-        return integrate_semi_infinite(marginal, tol, route)
+        return integrate_semi_infinite(over_s if theta_map else marginal, tol, route)
 
     # one scope for every joint call below, theta = 0 included
     with np.errstate(divide="ignore"):
@@ -367,7 +380,12 @@ def nb_marginal_numeric(
     the claimed form. The integral runs over w = sqrt(a - a_lower), with
     da = 2 w dw, for every ``a_lower``: at a = 0 the joint's a ln a term
     becomes 2 w^2 ln w, so the kernel need not bisect toward that endpoint.
-    An x above 300 raises ``DomainError``: the cost grows with x.
+    At x <= 2 with ``a_lower = 0`` the shapes near 0 give the marginal a
+    theta^2 ln theta term at theta = 0, so the evidence and the norm
+    integrate over s, theta = s^2 / (1 + s), dtheta = s (s + 2) / (1 + s)^2
+    ds, for the same reason. Elsewhere the marginal is smooth at theta = 0,
+    and they integrate over theta. An x above 300 raises ``DomainError``:
+    the cost grows with x.
     """
     x = _require_int(x, "x", 0, _MAX_NB_COUNT)
     _require_real(a_lower, "a_lower", 0.0)
@@ -380,5 +398,5 @@ def nb_marginal_numeric(
         x, theta_grid, tol, strategy,
         lambda theta, x: lambda w: operator.imul(_nb_joint(w * w, theta, x, a_lower),
                                                  2.0 * w * normalizer),
-        normalize=True,
+        normalize=True, theta_map=x <= 2 and a_lower == 0.0,
     )

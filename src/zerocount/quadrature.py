@@ -7,13 +7,14 @@ call) and n = 30 for each split (both halves in one call) as an ndarray,
 and returns shape ``(n,)``, or ``(n, K)`` for K integrals over shared
 panels; numpy is imported only when it runs. Each route maps [0, inf) onto
 a finite interval, as QUADPACK's QAGI does (Piessens et al., 1983), and a
-cold integral starts from eight graded panels of it, mapped once per process,
-where converged partitions refine and which one panel reached only by about
-ten sequential splits. Finiteness is checked on the difference of each
-panel's K15 and G7 sums, then by row; where finite values overflow a sum,
-that panel's sums are formed again from the values over 8. Panel integrals
-are summed with numpy's overflow warnings off, and a total that is not
-finite raises where the integral returns.
+cold integral starts from eight graded panels of it, where converged
+partitions refine and which one panel reached only by about ten sequential
+splits. Every start, cold or warm, has its nodes mapped once and kept while
+it is among the 32 starts used last. Finiteness is checked on the
+difference of each panel's K15 and G7 sums, then by row; where finite
+values overflow a sum, that panel's sums are formed again from the values
+over 8. Panel integrals are summed with numpy's overflow warnings off, and
+a total that is not finite raises where the integral returns.
 Similar integrals can share a warm state, each starting from the partition
 the last one converged on, at the same tolerance. Failures always surface
 as :class:`~zerocount.errors.QuadratureError`, carrying the partial sum
@@ -82,11 +83,12 @@ def _panels(edges, to_x):
     return half, *to_x((centres + half * _kronrod_rule()[0]).ravel())
 
 
-@functools.cache
-def _cold_start(strategy):
-    """A route's graded edges and their panels, built once and never written."""
-    to_x, start = _ROUTES[strategy]
-    return start, _panels(start, to_x)
+# a start of m <= _MAX_PANELS panels keeps 31 m doubles: at most 32 MB in all
+@functools.lru_cache(maxsize=32)
+def _start(strategy, edges):
+    """The panels of a start, the route's graded edges or a warm partition's,
+    built once and never written."""
+    return _panels(edges, _ROUTES[strategy][0])
 
 
 def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
@@ -149,9 +151,9 @@ def _adaptive(g, strategy, seed, abs_tol, rel_tol, shaped):
                        "(about 1.8e308)")
         return total, edges
 
-    to_x = _ROUTES[strategy][0]
-    edges, panels = (seed, _panels(seed, to_x)) if seed else _cold_start(strategy)
-    first_vals, first_errs = rule(*panels)
+    to_x, cold = _ROUTES[strategy]
+    edges = tuple(seed) if seed else cold
+    first_vals, first_errs = rule(*_start(strategy, edges))
     # finite panel integrals can sum past the float range: no warning here,
     # and done() raises where the total or its error is not finite
     with np.errstate(over="ignore", invalid="ignore"):
