@@ -595,7 +595,9 @@ class TestMarginalPathBits:
     hot path was trimmed: the benchmark's 16 operations (both models, x 0 to
     3, both strategies, step 0.1), NB with a_lower = 5 at x = 1, and the
     z-Poisson mass far out at x = 200 on the doubling route. The ten NB cases
-    were frozen again when the shape offset d became w^2. Each case holds
+    were frozen again when the shape offset d became w^2, and the six at
+    x <= 2 with a_lower = 0 again when their theta integrals moved to
+    theta = s^2 / (1 + s). Each case holds
     the first 16 hex digits of the sha256 of the space-joined ``float.hex``
     of ``numeric_density``, then ``float.hex`` of ``numeric_norm``,
     ``l1_distance`` and ``linf_distance``."""
@@ -619,17 +621,17 @@ class TestMarginalPathBits:
         ("zpoisson", 3, "doubling", None):
             ("835eabc214e062c3", "0x1.ffffffffffffep-1", "0x1.e9d8273999999p-54", "0x1.0000000000000p-53"),
         ("nb", 0, "transform", None):
-            ("a1bfec91cebd6bcf", "0x1.0000000000010p+0", "0x1.1057683ed52aep-2", "0x1.e69fa2a5c9ce4p-2"),
+            ("5d2f142231d95904", "0x1.fffffffffffa3p-1", "0x1.1057683ed55b5p-2", "0x1.e69fa2a5cacb4p-2"),
         ("nb", 0, "doubling", None):
-            ("c30107b069b8b157", "0x1.fffffffffffdap-1", "0x1.1057683ed5512p-2", "0x1.e69fa2a5ca9a4p-2"),
+            ("0bee641659271f63", "0x1.000000000002fp+0", "0x1.1057683ed57cfp-2", "0x1.e69fa2a5cb7f0p-2"),
         ("nb", 1, "transform", None):
-            ("26c81f20b8b8b276", "0x1.fffffffffffecp-1", "0x1.f9ed2202cb9f5p-4", "0x1.66e68af2d0824p-4"),
+            ("71de5c2d98d1bff0", "0x1.0000000000006p+0", "0x1.f9ed2202caba4p-4", "0x1.66e68af2d19d0p-4"),
         ("nb", 1, "doubling", None):
-            ("f0b1c3ba15a4a191", "0x1.0000000000009p+0", "0x1.f9ed2202cb9c4p-4", "0x1.66e68af2d0860p-4"),
+            ("3106378679f9b941", "0x1.ffffffffffff5p-1", "0x1.f9ed2202cabc0p-4", "0x1.66e68af2d19a8p-4"),
         ("nb", 2, "transform", None):
-            ("595d1268acf27ebb", "0x1.0000000000009p+0", "0x1.c25e9e7e8ff55p-3", "0x1.7179e7af9c4a9p-3"),
+            ("2ed1407471185cef", "0x1.ffffffffffff6p-1", "0x1.c25e9e7e90233p-3", "0x1.7179e7af9bbe3p-3"),
         ("nb", 2, "doubling", None):
-            ("8fedf00464459e73", "0x1.fffffffffffeap-1", "0x1.c25e9e7e8ff61p-3", "0x1.7179e7af9c485p-3"),
+            ("94a9cfd4fbd722c4", "0x1.0000000000004p+0", "0x1.c25e9e7e9022dp-3", "0x1.7179e7af9bbefp-3"),
         ("nb", 3, "transform", None):
             ("63bb42a3af28ba52", "0x1.ffffffffffd27p-1", "0x1.7f26fcab81fddp-2", "0x1.e79c30751f6afp-3"),
         ("nb", 3, "doubling", None):
