@@ -341,6 +341,18 @@ def _nb_joint(d: np.ndarray, theta: np.ndarray, x: int, a_lower: float = 0.0) ->
     return np.exp(log_joint, out=log_joint)
 
 
+def _nb_joint_in_w(theta: np.ndarray, x: int, a_lower: float = 0.0):
+    """w -> the NB joint at a = a_lower + w^2, times da/dw = 2 w and 2^(x + 1).
+
+    The evidence is about 2^-(x + 1), which abs_tol swamps at large x: the
+    Gamma(x + 1, 2) normalizer, a power of two, rescales every double
+    exactly. The Jacobian joins it on the (n, 1) rows, so the joint's cells
+    take one in-place pass.
+    """
+    normalizer = 2.0 ** (x + 1)
+    return lambda w: operator.imul(_nb_joint(w * w, theta, x, a_lower), 2.0 * w * normalizer)
+
+
 def nb_joint_density(theta, a, x: int):
     """Joint density NB(x | theta, a) e^{-theta} e^{-a}, up to its evidence.
 
@@ -389,14 +401,7 @@ def nb_marginal_numeric(
     """
     x = _require_int(x, "x", 0, _MAX_NB_COUNT)
     _require_real(a_lower, "a_lower", 0.0)
-    # the evidence is about 2^-(x + 1), which abs_tol swamps at large x: the
-    # Gamma(x + 1, 2) normalizer, a power of two, rescales every double exactly.
-    # The Jacobian 2 w joins it on the (n, 1) rows, so the joint's cells take
-    # one in-place pass
-    normalizer = 2.0 ** (x + 1)
     return _marginalize(
-        x, theta_grid, tol, strategy,
-        lambda theta, x: lambda w: operator.imul(_nb_joint(w * w, theta, x, a_lower),
-                                                 2.0 * w * normalizer),
+        x, theta_grid, tol, strategy, lambda theta, x: _nb_joint_in_w(theta, x, a_lower),
         normalize=True, theta_map=x <= 2 and a_lower == 0.0,
     )

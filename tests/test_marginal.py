@@ -26,6 +26,7 @@ from zerocount.marginal import (
     zpoisson_marginal,
 )
 from zerocount.numerics import DEFAULT_TOL, ToleranceConfig
+from zerocount.quadrature import integrate_semi_infinite
 
 E_M1 = 0.367879441171442322
 E_M2 = 0.135335283236612692
@@ -451,6 +452,36 @@ class TestFrozenReferences:
         assert abs(_at(comp, theta) - expected) <= 1e-10
 
 
+# x -> the unnormalized NB marginal at NB_TINY_THETAS, the double nearest its
+# 40-digit mpmath value (tests/make_nb_tiny_theta_references.py)
+NB_TINY_THETAS = (1e-3, 1e-5, 1e-7)
+NB_TINY_THETA = {
+    0: (0.998005409877688, 0.9999800007717771, 0.9999998000001002),
+    1: (0.00099167955838036, 9.998706446028566e-06, 9.999982459122405e-08),
+    2: (3.1600831414840117e-06, 5.467756992285616e-10, 7.770438553433813e-14),
+    3: (1.67009295851547e-07, 1.6667774339840156e-11, 1.6666685418357142e-15),
+}
+# the most an inner w-integral may miss NB_TINY_THETA by, absolute: the
+# measured worst, 4.01e-13 at x = 0 and theta = 1e-5 on "doubling"
+NB_TINY_THETA_BOUND = 4.1e-13
+
+
+class TestTinyThetaColumns:
+    """The theta = s^2 / (1 + s) map of the NB x <= 2 evidence puts outer
+    nodes down to theta = 7.1e-8, and each is a column of an inner integral
+    over w. A column meets the kernel's tolerance, max(abs_tol, quad_rel_tol
+    |I|) on the joint scaled by 2^(x + 1): columns below abs_tol hold their
+    absolute error, not a relative one (3% at x = 3, theta = 1e-7)."""
+
+    @pytest.mark.parametrize("strategy", ["transform", "doubling"])
+    @pytest.mark.parametrize("x", sorted(NB_TINY_THETA))
+    def test_inner_integral_matches_mpmath(self, x, strategy):
+        joint = marginal._nb_joint_in_w(np.array(NB_TINY_THETAS), x)
+        scaled = integrate_semi_infinite(lambda w: joint(w[:, None]), DEFAULT_TOL, strategy)
+        got = scaled / 2.0 ** (x + 1)
+        npt.assert_allclose(got, NB_TINY_THETA[x], rtol=0, atol=NB_TINY_THETA_BOUND)
+
+
 def _record_integrals(monkeypatch):
     """The marginals' integrals, in the order they start, as dicts: ``outer``,
     whether no other integral encloses it; ``panels``, those of the warm
@@ -492,17 +523,11 @@ def _grid_blocks(integrals):
 class TestWorkCount:
     """Integrand calls (one on the panels an integral starts from, then one
     per split on both halves' 30 nodes, inner and outer integrals alike) of
-    the default marginals. The counts are deterministic; the caps sit about
-    20% above what the kernel needs now that the NB shape offset is
-    integrated over w = sqrt(d) (23 and 26 for NB x = 1, 3 and 3 for
-    z-Poisson x = 0). Over d itself, with both routes one adaptive integral
-    from eight panels, they needed 26, 31, 3 and 3; with the doubling route
-    summing octaves two per pass 32, 45, 3 and 5; with the grid also starting
-    cold 33, 54, 3 and 7; from one panel, with each inner integral starting
-    from the partition the last one converged on, 69, 85, 19 and 19; each
-    inner integral from one panel 287, 460, 43 and 49; one call per panel
-    before that 811, 1148, 83 and 91; and the scalar per-theta quadrature
-    before that over 15,000 and 2,000 panels.
+    the marginals at step 0.1. The counts are deterministic. The caps sit
+    about 20% above what NB x = 1 and z-Poisson x = 0 need. The pins hold
+    the NB marginals that are smooth at theta = 0, x = 3 and a_lower = 5, at
+    their counts over theta itself: the theta = s^2 / (1 + s) map must not
+    reach them. CHANGES.md holds the history of these counts.
 
     The comparison grid's integral, a column per grid point, runs in blocks
     whose first call has 15 rows per panel of the partition it starts from,
@@ -510,10 +535,17 @@ class TestWorkCount:
     30 * _MAX_GRID_POINTS cells of one 30-row split of a full grid."""
 
     CAPS = {
-        ("nb", "transform"): 28,
-        ("nb", "doubling"): 31,
+        ("nb", "transform"): 18,
+        ("nb", "doubling"): 23,
         ("zpoisson", "transform"): 4,
         ("zpoisson", "doubling"): 4,
+    }
+    # (x, a_lower, strategy) -> the NB marginal's integrand calls
+    PINS = {
+        (3, 0.0, "transform"): 15,
+        (3, 0.0, "doubling"): 19,
+        (1, 5.0, "transform"): 6,
+        (1, 5.0, "doubling"): 7,
     }
     ENVELOPE = 30 * marginal._MAX_GRID_POINTS
 
@@ -531,6 +563,14 @@ class TestWorkCount:
         [block] = _grid_blocks(integrals)
         assert block["shapes"][0] == (15 * block["panels"], grid.size)
         assert max(rows * columns for rows, columns in shapes) <= self.ENVELOPE
+
+    @pytest.mark.parametrize("x,a_lower,strategy", sorted(PINS))
+    def test_marginals_smooth_at_zero_keep_their_counts(self, monkeypatch, x, a_lower,
+                                                        strategy):
+        integrals = _record_integrals(monkeypatch)
+        nb_marginal_numeric(x, make_theta_grid(x, 0.1), strategy=strategy, a_lower=a_lower)
+        calls = sum(len(entry["shapes"]) for entry in integrals)
+        assert calls == self.PINS[x, a_lower, strategy]
 
     @pytest.mark.parametrize("strategy", ["transform", "doubling"])
     @pytest.mark.parametrize("x", [0, 1])
