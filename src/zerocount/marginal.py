@@ -30,12 +30,13 @@ theta^2 ln theta term at theta = 0, and its evidence and norm integrals run
 over s, theta = s^2 / (1 + s), which turns that term into about 2 s^4 ln s.
 Every other marginal is smooth at theta = 0 and keeps theta itself: the
 map's outer nodes near theta = 0 would deepen the inner partitions that
-later integrals and the grid start from. Both models run through one driver, and their residuals are a genuine cross-check: the
-marginal's theta integral by the other strategy. The z-Poisson joint is a
-posterior of unit mass, so a residual at or above the 1e-6 budget raises
-``QuadratureError``, before any grid work is spent. The NB residual, the two
-strategies' disagreement over the evidence, is only reported: loose
-tolerances widen it.
+later integrals and the grid start from. Both models run through one
+driver, and their residuals are a genuine cross-check: the marginal's theta
+integral by the other strategy. The z-Poisson joint is a posterior of unit
+mass, so a residual at or above the 1e-6 budget raises ``QuadratureError``,
+before any grid work is spent. The NB residual, the two strategies'
+disagreement over the evidence, is only reported: loose tolerances widen
+it.
 
 Note the deliberate domain widening: the joint posteriors are evaluated for
 any psi > 0 (not just the pmf validity range [1, 1/P0]) because the
